@@ -83,7 +83,6 @@ from .scenario import (
 from .terms import (
     Compound,
     Constant,
-    Fluent,
     Placeholder,
     State,
     Substitution,

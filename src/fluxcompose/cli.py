@@ -32,6 +32,7 @@ DEFAULTS = {
     "registry": "services.reg",
     "roster": "roster.csv",
     "schedule": "route.schedule",
+    "rules": "severity.rules",
 }
 
 
@@ -42,6 +43,15 @@ def _read(path: Path) -> str:
 def _path_arg(args: argparse.Namespace, name: str) -> Path:
     given = getattr(args, name, None)
     return Path(given) if given else data_path(DEFAULTS[name])
+
+
+def _load(args: argparse.Namespace, name: str, parse, *extra):
+    """Parse the input file named by --<name> (default: bundled) with parse.
+
+    parse takes the text, then any extra arguments, then the source name.
+    """
+    path = _path_arg(args, name)
+    return parse(_read(path), *extra, str(path))
 
 
 def _add_path_flags(sub: argparse.ArgumentParser, *names: str) -> None:
@@ -130,16 +140,11 @@ def _log_path(args: argparse.Namespace) -> Path:
 
 def _load_context(args: argparse.Namespace, log: scenario.EventLog
                   ) -> scenario.DispatchContext:
-    taxonomy_path = _path_arg(args, "taxonomy")
-    registry_path = _path_arg(args, "registry")
-    roster_path = _path_arg(args, "roster")
-    schedule_path = _path_arg(args, "schedule")
-    graph = ontology.load_taxonomy(_read(taxonomy_path), str(taxonomy_path))
-    reg = registry_mod.load_registry(_read(registry_path), graph, str(registry_path))
-    roster = scenario.load_roster(_read(roster_path), str(roster_path))
-    schedule = scenario.load_schedule(_read(schedule_path), str(schedule_path))
-    rules = ontology.load_severity_rules(_read(data_path("severity.rules")),
-                                         "severity.rules")
+    graph = _load(args, "taxonomy", ontology.load_taxonomy)
+    reg = _load(args, "registry", registry_mod.load_registry, graph)
+    roster = _load(args, "roster", scenario.load_roster)
+    schedule = _load(args, "schedule", scenario.load_schedule)
+    rules = _load(args, "rules", ontology.load_severity_rules)
     sink = scenario.MessageSink(Path(str(log.path) + ".messages"))
     return scenario.DispatchContext(
         roster=roster, taxonomy=graph, registry=reg, severity_rules=rules,
@@ -154,38 +159,31 @@ def _load_context(args: argparse.Namespace, log: scenario.EventLog
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    domain_path = _path_arg(args, "domain")
-    domain = dsl.parse_domain(_read(domain_path), str(domain_path))
-    print(f"ok: {domain_path} ({len(domain.fluent_decls)} fluents, "
-          f"{len(domain.actions)} actions)")
-    problem_path = _path_arg(args, "problem")
-    problem = dsl.parse_problem(_read(problem_path), str(problem_path))
+    def ok(name: str, summary: str) -> None:
+        print(f"ok: {_path_arg(args, name)} ({summary})")
+
+    domain = _load(args, "domain", dsl.parse_domain)
+    ok("domain", f"{len(domain.fluent_decls)} fluents, {len(domain.actions)} actions")
+    problem = _load(args, "problem", dsl.parse_problem)
     planner.make_problem(domain, problem)
-    print(f"ok: {problem_path} ({len(problem.initial)} initial fluents, "
-          f"{len(problem.goal)} goal atoms)")
-    taxonomy_path = _path_arg(args, "taxonomy")
-    graph = ontology.load_taxonomy(_read(taxonomy_path), str(taxonomy_path))
-    print(f"ok: {taxonomy_path} ({len(graph.concepts)} concepts)")
-    registry_path = _path_arg(args, "registry")
-    reg = registry_mod.load_registry(_read(registry_path), graph, str(registry_path))
+    ok("problem",
+       f"{len(problem.initial)} initial fluents, {len(problem.goal)} goal atoms")
+    graph = _load(args, "taxonomy", ontology.load_taxonomy)
+    ok("taxonomy", f"{len(graph.concepts)} concepts")
+    reg = _load(args, "registry", registry_mod.load_registry, graph)
     for svc in reg.sorted_services():
         registry_mod.compile_service_to_action(svc)
-    print(f"ok: {registry_path} ({len(reg)} services)")
-    roster_path = _path_arg(args, "roster")
-    roster = scenario.load_roster(_read(roster_path), str(roster_path))
-    print(f"ok: {roster_path} ({len(roster.passengers)} passengers)")
-    schedule_path = _path_arg(args, "schedule")
-    schedule = scenario.load_schedule(_read(schedule_path), str(schedule_path))
-    print(f"ok: {schedule_path} ({len(schedule.stops)} stops)")
+    ok("registry", f"{len(reg)} services")
+    roster = _load(args, "roster", scenario.load_roster)
+    ok("roster", f"{len(roster.passengers)} passengers")
+    schedule = _load(args, "schedule", scenario.load_schedule)
+    ok("schedule", f"{len(schedule.stops)} stops")
     return 0
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    domain_path = _path_arg(args, "domain")
-    problem_path = _path_arg(args, "problem")
-    domain = dsl.parse_domain(_read(domain_path), str(domain_path))
-    problem_file = dsl.parse_problem(_read(problem_path), str(problem_path))
-    problem = planner.make_problem(domain, problem_file)
+    domain = _load(args, "domain", dsl.parse_domain)
+    problem = planner.make_problem(domain, _load(args, "problem", dsl.parse_problem))
     try:
         found = planner.plan(problem, _search_config(args))
     except planner.NoPlanFound as exc:
@@ -203,10 +201,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    taxonomy_path = _path_arg(args, "taxonomy")
-    registry_path = _path_arg(args, "registry")
-    graph = ontology.load_taxonomy(_read(taxonomy_path), str(taxonomy_path))
-    reg = registry_mod.load_registry(_read(registry_path), graph, str(registry_path))
+    graph = _load(args, "taxonomy", ontology.load_taxonomy)
+    reg = _load(args, "registry", registry_mod.load_registry, graph)
     have = []
     for item in args.have:
         concept, sep, value = item.partition("=")
@@ -252,22 +248,15 @@ def _event_from_args(args: argparse.Namespace,
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    roster_path = _path_arg(args, "roster")
-    roster = scenario.load_roster(_read(roster_path), str(roster_path))
+    roster = _load(args, "roster", scenario.load_roster)
     if args.validate_all:
         for p in roster.passengers:
             if p.registered_for_service:
                 roster, _ = scenario.validate_travel_plan(
                     roster, p.pnr, p.travel.origin, p.travel.destination,
                     p.travel.journey_date)
-    rules = ontology.load_severity_rules(_read(data_path("severity.rules")),
-                                         "severity.rules")
-    event = _event_from_args(args, rules)
-    try:
-        ranked = scenario.trace_resources(roster, event)
-    except scenario.FallbackRequired as exc:
-        print(f"fallback required: {exc}", file=sys.stderr)
-        return 1
+    event = _event_from_args(args, _load(args, "rules", ontology.load_severity_rules))
+    ranked = scenario.trace_resources(roster, event)
     for i, r in enumerate(ranked, start=1):
         if args.format == "lines":
             print(f"responder\t{i}\t{r.name}\t{r.profession}\t"
@@ -280,8 +269,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_severity(args: argparse.Namespace) -> int:
-    rules_path = Path(args.rules) if args.rules else data_path("severity.rules")
-    rules = ontology.load_severity_rules(_read(rules_path), str(rules_path))
+    rules = _load(args, "rules", ontology.load_severity_rules)
     symptoms = frozenset(s for s in args.symptoms.split(",") if s)
     print(ontology.classify_severity(args.spec, symptoms, rules))
     return 0

@@ -135,14 +135,12 @@ Executor = Callable[[dict[str, str]], StubResult]
 class GroundingEnv:
     """In-process stand-in for service groundings.
 
-    Maps stub ids to executors over bound inputs; carries the roster and the
-    message sink the bundled stubs work against. ``extras`` is a side channel
-    stubs may use to surface structured results (e.g. a ranked responder list).
+    Maps stub ids to executors over bound inputs; stubs close over whatever
+    they work against. ``extras`` is a side channel stubs may use to surface
+    structured results (e.g. a ranked responder list).
     """
 
     stubs: dict[str, Executor]
-    roster: object = None
-    message_sink: object = None
     extras: dict = field(default_factory=dict)
 
 

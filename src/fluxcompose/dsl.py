@@ -39,9 +39,6 @@ from .terms import (
     variables_in,
 )
 
-DOMAIN_EXTENSION = ".fcd"
-PROBLEM_EXTENSION = ".fcp"
-
 _VAR_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 

@@ -22,9 +22,6 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import FluxError, ParseError
 
-TAXONOMY_EXTENSION = ".tax"
-RULES_EXTENSION = ".rules"
-
 Concept = str
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")

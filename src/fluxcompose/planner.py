@@ -51,13 +51,10 @@ class PreconditionViolation(FluxError):
 @dataclass(frozen=True)
 class SearchConfig:
     max_depth: int = 8
-    strategy: str = "iterative-deepening"
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.strategy != "iterative-deepening":
-            raise ValueError(f"unsupported strategy: {self.strategy}")
+            raise FluxError("max_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,7 @@ def _pruning_key(state: State) -> str:
     trips through differently-numbered but isomorphic states are pruned.
     """
     terms = sorted(
-        (f.term for f in state.world | state.knowledge),
+        state.world | state.knowledge,
         key=lambda t: (_PLACEHOLDER_MARK.sub("#?", str(t)), str(t)),
     )
     mapping: dict[Placeholder, Placeholder] = {}

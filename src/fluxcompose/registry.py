@@ -27,9 +27,7 @@ from typing import Mapping
 from . import dsl
 from .errors import FluxError, ParseError
 from .ontology import Concept, MatchDegree, TaxonomyGraph, UnknownConceptError, match_degree
-from .terms import Compound, Term, Variable, variables_in
-
-REGISTRY_EXTENSION = ".reg"
+from .terms import Compound, Term, Variable
 
 _PARAM_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
@@ -160,38 +158,29 @@ def compile_service_to_action(svc: ServiceDescription) -> dsl.ActionSchema:
     """Compile a service description into a fluent-calculus action schema.
 
     Inputs (p, C) become knows_val(C(p)) preconditions; outputs (q, D) become
-    know(D(q)) add-effects with q an output variable; extra preconditions and
-    effects are appended verbatim.
+    know(D(q)) add-effects; extra preconditions and effects are appended
+    verbatim. The schema follows the domain-file rule of make_action_schema:
+    remove-list variables must be bound, and the add-list variables left
+    unbound, which become the outputs, must be exactly the declared ones.
     """
-    params = tuple(Variable(p) for p, _ in svc.inputs)
     poss = tuple(
         dsl.Atom(dsl.KNOWS_VAL, Compound(concept, (Variable(p),)))
         for p, concept in svc.inputs
     ) + svc.extra_preconditions
-    outputs = tuple(Variable(q) for q, _ in svc.outputs)
     adds = tuple(
         Compound("know", (Compound(concept, (Variable(q),)),))
         for q, concept in svc.outputs
     ) + svc.extra_adds
-    removes = svc.extra_removes
-
-    bound = set(params) | set(outputs)
-    for atom in poss:
-        bound.update(variables_in(atom.pattern))
-    for t in adds:
-        for v in variables_in(t):
-            if v not in bound:
-                raise FluxError(
-                    f"service {svc.name}: effect variable {v.name} is neither "
-                    f"an input, an output, nor bound by a precondition"
-                )
-    for t in removes:
-        for v in variables_in(t):
-            if v not in bound or v in outputs:
-                raise FluxError(
-                    f"service {svc.name}: remove-effect variable {v.name} is unbound"
-                )
-    return dsl.ActionSchema(svc.name, params, poss, adds, removes, outputs)
+    schema = dsl.make_action_schema(svc.name, (Variable(p) for p, _ in svc.inputs),
+                                    poss, adds, svc.extra_removes)
+    declared = tuple(Variable(q) for q, _ in svc.outputs)
+    if schema.outputs != declared:
+        raise FluxError(
+            f"service {svc.name}: effect variables left unbound "
+            f"({', '.join(v.name for v in schema.outputs)}) must equal the "
+            f"hasOutput variables ({', '.join(v.name for v in declared)})"
+        )
+    return schema
 
 
 def find_candidates(reg: Registry, requested_outputs: list[Concept],

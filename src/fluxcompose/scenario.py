@@ -17,7 +17,7 @@ import csv
 import fcntl
 import io
 import shlex
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date as Date, datetime, time as Time
 from enum import Enum
 from pathlib import Path
@@ -158,7 +158,10 @@ class Roster:
         raise UnknownPassengerError(pnr)
 
     def coach_index(self, coach: str) -> int:
-        return self.coach_order.index(coach)
+        try:
+            return self.coach_order.index(coach)
+        except ValueError:
+            raise FluxError(f"unknown coach {coach!r} (not in #coach-order)") from None
 
     def with_passenger(self, updated: Passenger) -> "Roster":
         return replace(self, passengers=tuple(
@@ -429,7 +432,9 @@ def next_station(schedule: RouteSchedule, now: Time) -> str:
 
 
 @dataclass(frozen=True)
-class EventRecord:
+class _RecordCommon:
+    """Fields shared by every log record kind, filled in by _common_fields."""
+
     date: str
     time: str
     patient_name: str
@@ -442,6 +447,10 @@ class EventRecord:
     symptoms: frozenset
     severity: str
     payment_collected: bool
+
+
+@dataclass(frozen=True)
+class EventRecord(_RecordCommon):
     responders: tuple[str, ...]
     confirmation: str
 
@@ -449,19 +458,7 @@ class EventRecord:
 
 
 @dataclass(frozen=True)
-class FallbackRecord:
-    date: str
-    time: str
-    patient_name: str
-    case_history: str
-    coach: str
-    seat: int
-    delivery_personnel: str
-    event_type: str
-    specialization: str
-    symptoms: frozenset
-    severity: str
-    payment_collected: bool
+class FallbackRecord(_RecordCommon):
     station: str
     reason: str
 
@@ -470,13 +467,22 @@ class FallbackRecord:
 
 LogRecord = Union[EventRecord, FallbackRecord]
 
-_COMMON_FIELDS = ("date", "time", "patient_name", "case_history", "coach",
-                  "seat", "delivery_personnel", "event_type", "specialization",
-                  "symptoms", "severity", "payment_collected")
-_RECORD_FIELDS = {
-    EventRecord.KIND: _COMMON_FIELDS + ("responders", "confirmation"),
-    FallbackRecord.KIND: _COMMON_FIELDS + ("station", "reason"),
-}
+_RECORD_TYPES = {cls.KIND: cls for cls in (EventRecord, FallbackRecord)}
+_RECORD_FIELDS = {kind: tuple(f.name for f in fields(cls))
+                  for kind, cls in _RECORD_TYPES.items()}
+
+
+def _common_fields(event: EmergencyEvent, delivery_personnel: str,
+                   payment_collected: bool) -> dict:
+    return dict(
+        date=event.date, time=event.time, patient_name=event.patient_name,
+        case_history=event.case_history, coach=event.coach, seat=event.seat,
+        delivery_personnel=delivery_personnel,
+        event_type=event.event_type.value,
+        specialization=event.specialization or "-",
+        symptoms=event.symptoms, severity=str(event.severity),
+        payment_collected=payment_collected,
+    )
 
 
 def _escape(value: str) -> str:
@@ -505,8 +511,6 @@ def _field_to_text(name: str, value) -> str:
         return ";".join(value)
     if name == "payment_collected":
         return "true" if value else "false"
-    if name == "seat":
-        return str(value)
     return str(value)
 
 
@@ -534,19 +538,18 @@ def record_to_line(record_id: int, record: LogRecord) -> str:
 
 def parse_record_line(line: str) -> tuple[int, LogRecord]:
     parts = line.rstrip("\n").split("\t")
-    fields: dict[str, str] = {}
+    values: dict[str, str] = {}
     for part in parts:
         key, _, value = part.partition("=")
-        fields[key] = value
-    kind = fields.get("kind")
-    if kind not in _RECORD_FIELDS or "id" not in fields:
+        values[key] = value
+    kind = values.get("kind")
+    if kind not in _RECORD_TYPES or "id" not in values:
         raise FluxError(f"malformed log line: {line!r}")
-    cls = EventRecord if kind == EventRecord.KIND else FallbackRecord
     kwargs = {
-        name: _field_from_text(name, _unescape(fields[name]))
+        name: _field_from_text(name, _unescape(values[name]))
         for name in _RECORD_FIELDS[kind]
     }
-    return int(fields["id"]), cls(**kwargs)
+    return int(values["id"]), _RECORD_TYPES[kind](**kwargs)
 
 
 class EventLog:
@@ -675,7 +678,7 @@ def build_grounding_env(ctx: DispatchContext, event: EmergencyEvent) -> Groundin
     ranked list in env.extras["ranked"]; the send stub appends to the message
     sink and returns a confirmation token.
     """
-    env = GroundingEnv(stubs={}, roster=ctx.roster, message_sink=ctx.message_sink)
+    env = GroundingEnv(stubs={})
 
     def roster_lookup(inputs: dict) -> StubResult:
         ranked = trace_resources(ctx.roster, event, ctx.medical_professions)
@@ -754,13 +757,7 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
     confirmation = trace.records[-1].outcome if trace.records else "ok"
     resolved = trace.resolved_values()
     record = EventRecord(
-        date=event.date, time=event.time, patient_name=event.patient_name,
-        case_history=event.case_history, coach=event.coach, seat=event.seat,
-        delivery_personnel=ranked[0].name,
-        event_type=event.event_type.value,
-        specialization=event.specialization or "-",
-        symptoms=event.symptoms, severity=str(event.severity),
-        payment_collected=payment_collected,
+        **_common_fields(event, ranked[0].name, payment_collected),
         responders=tuple(f"{r.name}@{r.coach}" for r in ranked),
         confirmation=resolved.get("ACK", confirmation),
     )
@@ -783,13 +780,7 @@ def fallback_station_notice(event: EmergencyEvent, schedule: RouteSchedule,
                             reason: str = "no matching resource") -> FallbackRecord:
     """Notice addressed to the next station's authority (the last one once past all)."""
     return FallbackRecord(
-        date=event.date, time=event.time, patient_name=event.patient_name,
-        case_history=event.case_history, coach=event.coach, seat=event.seat,
-        delivery_personnel="-",
-        event_type=event.event_type.value,
-        specialization=event.specialization or "-",
-        symptoms=event.symptoms, severity=str(event.severity),
-        payment_collected=payment_collected,
+        **_common_fields(event, "-", payment_collected),
         station=next_station(schedule, now.time()),
         reason=reason,
     )
@@ -829,7 +820,10 @@ def run_script(ctx: DispatchContext, script: str,
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        words = shlex.split(line)
+        try:
+            words = shlex.split(line)
+        except ValueError as exc:
+            raise bad(lineno, f"{exc}: {line!r}") from None
         command = words[0]
         if any("=" not in w for w in words[1:]):
             raise bad(lineno, f"expected key=value arguments, found {line!r}")

@@ -1,9 +1,9 @@
-"""First-order terms, ground fluents, and world+knowledge states.
+"""First-order terms and world+knowledge states.
 
-A state is two duplicate-free sets of ground fluents: plain world fluents and
-knowledge fluents carrying the reserved outer functor ``know``. Everything
-here is immutable; operations are pure functions returning new values, so
-states and substitutions can be shared freely across threads.
+A state is two duplicate-free sets of ground terms (its fluents): plain world
+fluents and knowledge fluents carrying the reserved outer functor ``know``.
+Everything here is immutable; operations are pure functions returning new
+values, so states and substitutions can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -209,21 +209,8 @@ def unify(t1: Term, t2: Term, subst: Substitution = EMPTY_SUBST) -> Optional[Sub
 
 
 # ---------------------------------------------------------------------------
-# Fluents and states
+# States
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Fluent:
-    term: Term
-    ground: bool
-
-    def __str__(self) -> str:
-        return str(self.term)
-
-
-def fluent(term: Term) -> Fluent:
-    return Fluent(term, is_ground(term))
 
 
 @dataclass(frozen=True)
@@ -242,19 +229,19 @@ class State:
             if not is_ground(t):
                 raise NotGroundError(f"state fluent is not ground: {t}")
             if is_knowledge(t):
-                knowledge.add(fluent(t))
+                knowledge.add(t)
             else:
-                world.add(fluent(t))
+                world.add(t)
         return cls(frozenset(world), frozenset(knowledge))
 
-    def sorted_world(self) -> list[Fluent]:
+    def sorted_world(self) -> list[Term]:
         return sorted(self.world, key=str)
 
-    def sorted_knowledge(self) -> list[Fluent]:
+    def sorted_knowledge(self) -> list[Term]:
         return sorted(self.knowledge, key=str)
 
     def all_terms(self) -> list[Term]:
-        return [f.term for f in sorted(self.world | self.knowledge, key=str)]
+        return sorted(self.world | self.knowledge, key=str)
 
     def with_update(self, adds: Iterable[Term], removes: Iterable[Term]) -> "State":
         """Apply a state update: (self minus removes) union adds, per fluent set."""
@@ -263,19 +250,15 @@ class State:
         for t in removes:
             if not is_ground(t):
                 raise NotGroundError(f"remove pattern is not ground: {t}")
-            (knowledge if is_knowledge(t) else world).discard(fluent(t))
+            (knowledge if is_knowledge(t) else world).discard(t)
         for t in adds:
             if not is_ground(t):
                 raise NotGroundError(f"add pattern is not ground: {t}")
-            (knowledge if is_knowledge(t) else world).add(fluent(t))
+            (knowledge if is_knowledge(t) else world).add(t)
         return State(frozenset(world), frozenset(knowledge))
 
     def __contains__(self, term: Term) -> bool:
-        f = fluent(term)
-        return f in self.knowledge if is_knowledge(term) else f in self.world
-
-
-EMPTY_STATE = State()
+        return term in self.knowledge if is_knowledge(term) else term in self.world
 
 
 def canonicalize(state: State) -> str:
@@ -291,7 +274,7 @@ def holds(pattern: Term, state: State,
     deterministic. An empty sequence means the pattern does not hold.
     """
     for f in state.sorted_world():
-        got = unify(pattern, f.term, subst)
+        got = unify(pattern, f, subst)
         if got is not None:
             yield got
 
@@ -305,6 +288,6 @@ def knows_val(pattern: Term, state: State,
     """
     target = know_wrap(pattern)
     for f in state.sorted_knowledge():
-        got = unify(target, f.term, subst)
+        got = unify(target, f, subst)
         if got is not None:
             yield got

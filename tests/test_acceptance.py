@@ -28,7 +28,7 @@ from fluxcompose.planner import (
     plan,
 )
 from fluxcompose.scenario import EventType, FallbackRequired, trace_resources
-from fluxcompose.terms import Compound, Constant, Variable, fluent
+from fluxcompose.terms import Compound, Constant, Variable
 
 
 @contextmanager
@@ -101,8 +101,8 @@ def test_criterion_2_frame_property():
                 z1 = state
                 z2 = apply_update(schema, subst, z1, step=step, _checked=True)
                 full = subst.extend_all(output_binding(schema, step))
-                adds = {fluent(full.apply(t)) for t in schema.adds}
-                removes = {fluent(full.apply(t)) for t in schema.removes}
+                adds = {full.apply(t) for t in schema.adds}
+                removes = {full.apply(t) for t in schema.removes}
                 before = z1.world | z1.knowledge
                 after = z2.world | z2.knowledge
                 for f in before:

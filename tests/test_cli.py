@@ -176,3 +176,19 @@ def test_log_required_for_report(capsys, monkeypatch):
                        "--now", "2011-11-05T09:20")
     assert code == 2
     assert "FLUXCOMPOSE_LOG" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--max-depth", "0"],
+    ["compose", "--want", "ConfirmSend", "--max-depth", "-1"],
+])
+def test_bad_max_depth_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "max_depth must be >= 1\n"
+
+
+def test_trace_unknown_coach_exit_2(capsys):
+    code, _, err = run(capsys, "trace", "--coach", "S99", "--spec", "Orthopedics")
+    assert code == 2
+    assert "unknown coach 'S99'" in err

@@ -26,7 +26,6 @@ from fluxcompose.terms import (
     Placeholder,
     State,
     Variable,
-    fluent,
 )
 
 
@@ -223,8 +222,8 @@ def test_goal_matches_placeholder_valued_fluents(planning_problem, find_resource
 def _frame_check(problem, schema, subst, state, step):
     z2 = apply_update(schema, subst, state, step=step, _checked=True)
     full = subst.extend_all(output_binding(schema, step))
-    adds = {fluent(full.apply(t)) for t in schema.adds}
-    removes = {fluent(full.apply(t)) for t in schema.removes}
+    adds = {full.apply(t) for t in schema.adds}
+    removes = {full.apply(t) for t in schema.removes}
     before = state.world | state.knowledge
     after = z2.world | z2.knowledge
     # fluent-by-fluent: persistence, additions, and no inventions

@@ -3,7 +3,7 @@
 import pytest
 
 from fluxcompose import registry
-from fluxcompose.errors import ParseError
+from fluxcompose.errors import FluxError, ParseError
 from fluxcompose.ontology import MatchDegree, UnknownConceptError
 from fluxcompose.registry import (
     DuplicateServiceError,
@@ -93,6 +93,27 @@ def test_compiled_outputs_equal_declared_outputs(service_registry):
     for svc in service_registry.sorted_services():
         schema = compile_service_to_action(svc)
         assert tuple(v.name for v in schema.outputs) == tuple(p for p, _ in svc.outputs)
+
+
+@pytest.mark.parametrize("fields, reason", [
+    # an effect variable bound by nothing becomes an undeclared output
+    ("  hasOutput: P : Name\n  effectAdd: availableAt(P,CN)\n",
+     "effect variables left unbound (P, CN) must equal the hasOutput variables (P)"),
+    # a remove-effect variable that is a declared output
+    ("  hasOutput: P : Name\n  effectRemove: availableAt(P)\n",
+     "variable P in remove list is unbound"),
+    # a precondition that names a declared output would bind it before the
+    # placeholder does, so the output is no longer produced by the service
+    ("  hasInput: PR : Profession\n  hasOutput: P : Name\n"
+     "  precondition: holds(availableAt(P))\n",
+     "effect variables left unbound () must equal the hasOutput variables (P)"),
+], ids=["unbound-effect", "removed-output", "precondition-names-output"])
+def test_compile_rejects_misbound_variables(taxonomy, fields, reason):
+    reg = load_registry(f"service badService\n{fields}  grounding: x\nend\n", taxonomy)
+    with pytest.raises(FluxError) as exc:
+        compile_service_to_action(reg.get("badService"))
+    assert "badService" in str(exc.value)
+    assert reason in str(exc.value)
 
 
 def test_compilation_is_injective_on_bundled_corpus(service_registry):

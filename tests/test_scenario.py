@@ -463,3 +463,11 @@ def test_run_script_bundled(dispatch_context):
 def test_run_script_rejects_unknown_command(dispatch_context):
     with pytest.raises(LoadError):
         scenario.run_script(dispatch_context, "explode pnr=P1\n")
+
+
+def test_run_script_unbalanced_quote_names_file_and_line(dispatch_context):
+    script = "# comment\nreport pnr=P003 case='fell now=2011-11-05T09:20\n"
+    with pytest.raises(LoadError) as exc:
+        scenario.run_script(dispatch_context, script, "bad.scn")
+    assert exc.value.errors[0][0] == 2
+    assert str(exc.value).startswith("bad.scn:2: No closing quotation")

@@ -221,7 +221,7 @@ def test_holds_equals_brute_force_on_random_states(data):
     got = [s.dedup_key() for s in holds(pattern, state)]
     oracle = []
     for f in sorted(state.world, key=str):
-        s = unify(pattern, f.term)
+        s = unify(pattern, f)
         if s is not None:
             oracle.append(s.dedup_key())
     assert got == oracle
@@ -244,7 +244,7 @@ def test_knows_val_equals_brute_force_on_random_states(data):
     got = [s.dedup_key() for s in knows_val(pattern, state)]
     oracle = []
     for f in sorted(state.knowledge, key=str):
-        s = unify(know(pattern), f.term)
+        s = unify(know(pattern), f)
         if s is not None:
             oracle.append(s.dedup_key())
     assert got == oracle
