@@ -70,18 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-depth", type=int, default=8)
-        p.add_argument("--format", choices=("text", "lines"), default="text")
-
     p_validate = sub.add_parser("validate", help="parse and check input files")
     _add_path_flags(p_validate, "domain", "problem", "taxonomy", "registry",
                     "roster", "schedule")
-    common(p_validate)
 
     p_plan = sub.add_parser("plan", help="plan a domain/problem pair")
     _add_path_flags(p_plan, "domain", "problem")
-    common(p_plan)
 
     p_compose = sub.add_parser("compose", help="compose a workflow for a request")
     _add_path_flags(p_compose, "taxonomy", "registry")
@@ -89,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="CONCEPT=VALUE")
     p_compose.add_argument("--want", action="append", default=[], metavar="CONCEPT")
     p_compose.add_argument("--fact", action="append", default=[], metavar="FLUENT")
-    common(p_compose)
 
     p_trace = sub.add_parser("trace", help="rank responders for an event")
     _add_path_flags(p_trace, "roster")
@@ -101,13 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--validate-all", action="store_true",
                          help="validate every registered passenger's travel plan "
                               "against the roster before ranking")
-    common(p_trace)
 
     p_sev = sub.add_parser("severity", help="classify severity from symptoms")
     p_sev.add_argument("--spec", required=True)
     p_sev.add_argument("--symptoms", default="")
     p_sev.add_argument("--rules", help="severity rules file (default: bundled)")
-    common(p_sev)
 
     p_report = sub.add_parser("report", help="run the full report-emergency flow")
     _add_path_flags(p_report, "taxonomy", "registry", "roster", "schedule")
@@ -118,14 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--symptoms", default="")
     p_report.add_argument("--case", default="")
     p_report.add_argument("--now", required=True, help="ISO timestamp of the report")
-    common(p_report)
 
     p_sim = sub.add_parser("simulate", help="replay a scripted scenario file")
     _add_path_flags(p_sim, "taxonomy", "registry", "roster", "schedule")
     p_sim.add_argument("--log", help="event log path (FLUXCOMPOSE_LOG overrides)")
     p_sim.add_argument("--script", required=True)
-    common(p_sim)
 
+    # Each command gets only the flags it reads.
+    for p in (p_plan, p_compose, p_report, p_sim):
+        p.add_argument("--max-depth", type=int, default=8)
+    for p in (p_plan, p_compose, p_trace, p_report, p_sim):
+        p.add_argument("--format", choices=("text", "lines"), default="text")
     return parser
 
 

@@ -197,19 +197,17 @@ def compose(req: CompositionRequest, reg: Registry, g: TaxonomyGraph,
     problem = build_problem(req, reg, g)
     p = find_plan(problem, cfg)
     wiring: list[WireEntry] = []
-    producer = p.placeholder_steps
     for i, ga in enumerate(p.steps):
         svc = reg.get(ga.name)
         for (param, concept), arg in zip(svc.inputs, ga.args):
-            wiring.append(WireEntry(i, param, _source_of(arg, concept, req, g,
-                                                         producer)))
+            wiring.append(WireEntry(i, param, _source_of(arg, concept, req, g)))
     return Workflow(p, tuple(wiring))
 
 
 def _source_of(arg: Term, concept: Concept, req: CompositionRequest,
-               g: TaxonomyGraph, producer: Mapping[Placeholder, int]) -> Source:
+               g: TaxonomyGraph) -> Source:
     if isinstance(arg, Placeholder):
-        return StepSource(producer[arg], arg.param, concept)
+        return StepSource(arg.seq - 1, arg.param, concept)
     if isinstance(arg, Constant):
         best: Optional[RequestSource] = None
         for have_concept, value in req.have:

@@ -22,6 +22,7 @@ fluents and cannot be declared.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -264,16 +265,23 @@ def _fluent_usage(term: Term, tok: _Token,
     return name, arity, tok
 
 
+def _nesting_guard(parse):
+    """Make a (text, source_name) parser report over-deep nesting as a ParseError."""
+
+    @functools.wraps(parse)
+    def guarded(source: str, source_name: str = "<string>"):
+        try:
+            return parse(source, source_name)
+        except RecursionError:
+            raise ParseError(1, 1, "shallower nesting", "term nesting too deep",
+                             source_name) from None
+
+    return guarded
+
+
+@_nesting_guard
 def parse_domain(source: str, source_name: str = "<string>") -> DomainFile:
     """Parse a domain file; raises ParseError / ArityError, never anything else."""
-    try:
-        return _parse_domain(source, source_name)
-    except RecursionError:
-        raise ParseError(1, 1, "shallower nesting", "term nesting too deep",
-                         source_name) from None
-
-
-def _parse_domain(source: str, source_name: str) -> DomainFile:
     p = _Parser(source, source_name)
     decls: list[tuple[str, int]] = []
     decl_map: dict[str, int] = {}
@@ -395,23 +403,20 @@ def _parse_domain(source: str, source_name: str) -> DomainFile:
 # ---------------------------------------------------------------------------
 
 
+@_nesting_guard
 def parse_problem(source: str, source_name: str = "<string>") -> ProblemFile:
     """Parse `init: ... . goal: ... .`; initial fluents must be ground."""
-    try:
-        p = _Parser(source, source_name)
-        p.expect_keyword("init")
-        p.expect_punct(":")
-        init_items = p.parse_term_list(".")
-        p.expect_punct(".")
-        p.expect_keyword("goal")
-        p.expect_punct(":")
-        goal_items = p.parse_term_list(".")
-        p.expect_punct(".")
-        if p.peek().kind != "eof":
-            raise p.fail("end of input")
-    except RecursionError:
-        raise ParseError(1, 1, "shallower nesting", "term nesting too deep",
-                         source_name) from None
+    p = _Parser(source, source_name)
+    p.expect_keyword("init")
+    p.expect_punct(":")
+    init_items = p.parse_term_list(".")
+    p.expect_punct(".")
+    p.expect_keyword("goal")
+    p.expect_punct(":")
+    goal_items = p.parse_term_list(".")
+    p.expect_punct(".")
+    if p.peek().kind != "eof":
+        raise p.fail("end of input")
     for t, tok in init_items:
         if not is_ground(t):
             bad = next(variables_in(t))
@@ -457,6 +462,7 @@ def pretty_print_problem(pf: ProblemFile) -> str:
     return f"{init_part}\n{goal_part}\n"
 
 
+@_nesting_guard
 def parse_term_text(text: str, source_name: str = "<string>") -> Term:
     """Parse a single term from a text fragment (used by registry and CLI)."""
     p = _Parser(text, source_name)
@@ -466,6 +472,7 @@ def parse_term_text(text: str, source_name: str = "<string>") -> Term:
     return term
 
 
+@_nesting_guard
 def parse_atom_text(text: str, source_name: str = "<string>") -> Atom:
     """Parse one holds(...)/knows_val(...) atom from a text fragment."""
     p = _Parser(text, source_name)

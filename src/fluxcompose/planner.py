@@ -5,16 +5,15 @@ application checks the schema's poss conjunction, binds output variables to
 fresh deterministic placeholders, and applies the add/remove update; every
 fluent not removed persists, which is the whole point of the update axioms.
 
-The search is iterative-deepening depth-first with canonical child ordering
-(action name, then rendered arguments), so the returned plan is minimal in
-length with deterministic lexicographic tie-breaking. A visited-state table
-keyed on a placeholder-renamed canonical form prunes re-expansions without
-changing the result.
+The search is breadth-first with canonical child ordering (action name, then
+rendered arguments), so the returned plan is the shortest, lexicographically
+first among equals; `plan` gives the soundness argument for its visited set.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -71,14 +70,9 @@ class GroundAction:
 
 @dataclass(frozen=True)
 class Plan:
-    """Ordered action sequence; produced maps each placeholder to its producing step."""
+    """Ordered action sequence; a placeholder's seq names its producing step."""
 
     steps: tuple[GroundAction, ...]
-    produced: tuple[tuple[Placeholder, int], ...] = ()
-
-    @property
-    def placeholder_steps(self) -> dict[Placeholder, int]:
-        return dict(self.produced)
 
     def sort_key(self) -> tuple:
         return (len(self.steps), tuple(s.sort_key() for s in self.steps))
@@ -240,40 +234,45 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
          _prune: bool = True) -> Plan:
     """Shortest plan reaching the goal, lexicographically first among equals.
 
-    Raises NoPlanFound (carrying the depth searched) when no sequence of at
-    most cfg.max_depth actions reaches a state satisfying every goal pattern.
+    Breadth-first over a FIFO queue: children come in `_children` order and
+    are goal-tested as they are made; a child is queued if it is shallower
+    than cfg.max_depth and its `_pruning_key` is new. Raises NoPlanFound
+    (carrying cfg.max_depth) when no plan of at most that length exists.
+    Soundness, against the enumerate_plans oracle:
+
+    - FIFO order over sorted children keeps each layer in lexicographic path
+      order, so the first goal met is the first among the shortest plans
+      that pruning leaves.
+    - A child with a seen key is a placeholder-renamed twin of a state reached
+      by a shorter path, or an equally long, lexicographically earlier one.
+      Renaming preserves poss, updates and the placeholder-free goal, so each
+      plan through the child has a twin that is shorter or equal and earlier:
+      the lexicographically first shortest plan is never cut.
+    - The queue runs dry before cfg.max_depth only if a layer adds no new
+      state. Every deeper state is then a twin of one already goal-tested.
     """
+    if satisfies_goal(problem.initial, problem.goal):
+        return Plan(())
     actions = sorted(problem.actions, key=lambda a: a.name)
-    for limit in range(cfg.max_depth + 1):
-        visited: dict[str, int] = {}
-        found = _dfs(problem, actions, problem.initial, [], [], 0, limit,
-                     visited, _prune)
-        if found is not None:
-            return found
+    seen = {_pruning_key(problem.initial)}
+    queue = deque([(problem.initial, ())])
+    while queue:
+        state, steps = queue.popleft()
+        depth = len(steps) + 1
+        for schema, subst, ga in _children(actions, state):
+            child = apply_update(schema, subst, state, step=depth, _checked=True)
+            path = steps + (ga,)
+            if satisfies_goal(child, problem.goal):
+                return Plan(path)
+            if depth == cfg.max_depth:
+                continue
+            if _prune:
+                key = _pruning_key(child)
+                if key in seen:
+                    continue
+                seen.add(key)
+            queue.append((child, path))
     raise NoPlanFound(cfg.max_depth)
-
-
-def _dfs(problem: PlanningProblem, actions: list[ActionSchema], state: State,
-         steps: list[GroundAction], produced: list[tuple[Placeholder, int]],
-         depth: int, limit: int, visited: dict[str, int],
-         prune: bool) -> Optional[Plan]:
-    if satisfies_goal(state, problem.goal):
-        return Plan(tuple(steps), tuple(produced))
-    if depth == limit:
-        return None
-    if prune:
-        key = _pruning_key(state)
-        if visited.get(key, limit + 1) <= depth:
-            return None
-        visited[key] = depth
-    for schema, subst, ga in _children(actions, state):
-        nxt = apply_update(schema, subst, state, step=depth + 1, _checked=True)
-        new_produced = [(ph, depth) for ph in output_binding(schema, depth + 1).values()]
-        found = _dfs(problem, actions, nxt, steps + [ga], produced + new_produced,
-                     depth + 1, limit, visited, prune)
-        if found is not None:
-            return found
-    return None
 
 
 def enumerate_plans(problem: PlanningProblem, max_depth: int) -> list[Plan]:
@@ -286,28 +285,17 @@ def enumerate_plans(problem: PlanningProblem, max_depth: int) -> list[Plan]:
     actions = sorted(problem.actions, key=lambda a: a.name)
     found: list[Plan] = []
 
-    def rec(state: State, steps: list[GroundAction],
-            produced: list[tuple[Placeholder, int]], depth: int) -> None:
+    def rec(state: State, steps: tuple[GroundAction, ...]) -> None:
         if satisfies_goal(state, problem.goal):
-            found.append(Plan(tuple(steps), tuple(produced)))
-        if depth == max_depth:
+            found.append(Plan(steps))
+        if len(steps) == max_depth:
             return
-        for schema, subst, _ga in _children(actions, state):
-            nxt = apply_update(schema, subst, state, step=depth + 1, _checked=True)
-            new_produced = [(ph, depth)
-                            for ph in output_binding(schema, depth + 1).values()]
-            rec(nxt, steps + [_ga], produced + new_produced, depth + 1)
+        for schema, subst, ga in _children(actions, state):
+            rec(apply_update(schema, subst, state, step=len(steps) + 1, _checked=True),
+                steps + (ga,))
 
-    rec(problem.initial, [], [], 0)
-    found.sort(key=Plan.sort_key)
-    unique: list[Plan] = []
-    seen: set[tuple] = set()
-    for p in found:
-        key = p.sort_key()
-        if key not in seen:
-            seen.add(key)
-            unique.append(p)
-    return unique
+    rec(problem.initial, ())
+    return sorted(dict.fromkeys(found), key=Plan.sort_key)
 
 
 def validate_plan(problem: PlanningProblem, p: Plan) -> PlanCheck:

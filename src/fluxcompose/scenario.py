@@ -393,7 +393,7 @@ class RouteSchedule:
 
 
 def load_schedule(source: str, source_name: str = "<string>") -> RouteSchedule:
-    """Parse `station <id> @ <HH:MM>` lines; arrival times must strictly increase."""
+    """Parse `station <id> @ <HH:MM>` lines: at least one, arrivals strictly increasing."""
     stops: list[tuple[str, Time]] = []
     errors: list[tuple[int, str]] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -413,6 +413,8 @@ def load_schedule(source: str, source_name: str = "<string>") -> RouteSchedule:
             errors.append((lineno, "arrival times must strictly increase"))
             continue
         stops.append((words[1], arrival))
+    if not (stops or errors):
+        errors.append((len(source.splitlines()) + 1, "expected at least one station"))
     if errors:
         raise LoadError(errors, source_name)
     return RouteSchedule(tuple(stops))

@@ -216,6 +216,98 @@ def _pattern_vars(t: Term) -> list[Variable]:
 
 
 # ---------------------------------------------------------------------------
+# Problem families biased toward multi-step plans
+# ---------------------------------------------------------------------------
+
+
+def random_multistep_problem(rng: random.Random) -> PlanningProblem:
+    """A service chain (monotone) or a token walk (non-monotone), half each."""
+    if rng.random() < 0.5:
+        return random_service_chain(rng)
+    return random_token_walk(rng)
+
+
+def random_service_chain(rng: random.Random) -> PlanningProblem:
+    """Services passing a value along concepts c0 -> c1 -> ... -> cL, L = 2..4.
+
+    Monotone: no remove lists, and every application adds a fresh output
+    placeholder, so repeated services lead to new states. Service names are
+    drawn at random, so the canonical order of siblings varies. Dead-end
+    services consume chain concepts, a second producer of a chain concept
+    makes ties or a shortcut, and about one chain in five misses a link, which
+    makes the goal unreachable.
+    """
+    length = rng.randint(2, 4)
+    names = rng.sample("abcdefghijklmnopqrstuvwxyz", length + 3)
+    x, out = Variable("X"), Variable("OUT")
+
+    def service(name: str, src: str, dst: str) -> ActionSchema:
+        return make_action_schema(
+            name, [x], [Atom(KNOWS_VAL, Compound(src, (x,)))],
+            [Compound("know", (Compound(dst, (out,)),))], [])
+
+    actions = [service(f"{names[i]}{i}", f"c{i}", f"c{i + 1}") for i in range(length)]
+    if rng.random() < 0.2:
+        del actions[rng.randrange(length)]
+    for j in range(rng.randint(0, 2)):
+        actions.append(service(f"{names[length + j]}dead{j}",
+                               f"c{rng.randrange(length)}", f"dead{j}"))
+    if rng.random() < 0.5:
+        dst = rng.randint(1, length)
+        src = rng.randint(max(0, dst - 2), dst - 1)
+        actions.append(service(f"{names[-1]}alt", f"c{src}", f"c{dst}"))
+    initial = [Compound("know", (Compound("c0", (Constant(rng.choice("ab")),)),))]
+    goal = (Compound("know", (Compound(f"c{length}", (Variable("W"),)),)),)
+    return PlanningProblem(State.from_terms(initial), goal, tuple(actions))
+
+
+def random_token_walk(rng: random.Random) -> PlanningProblem:
+    """A token moving over nodes n0..nK (K = 2..4), raising and lowering flags.
+
+    Non-monotone and placeholder-free: move(X,Y) removes at(X) and lower<i>
+    removes flag<i>, so at most (K + 1) * 2**flags states are reachable. The
+    goal asks for the token at a node two or more links down the spine,
+    sometimes with a flag raised. About a third of the goals are unreachable
+    by construction: either a node t that only links into the graph, or the
+    token at two nodes at once, which ignoring remove lists would call
+    reachable. Missing spine links and flags make more.
+    """
+    k = rng.randint(2, 4)
+    nodes = [Constant(f"n{i}") for i in range(k + 1)]
+    links = {(nodes[i], nodes[i + 1]) for i in range(k) if rng.random() < 0.9}
+    for _ in range(rng.randint(1, k)):
+        links.add((rng.choice(nodes), rng.choice(nodes)))
+    x, y = Variable("X"), Variable("Y")
+
+    def at(node: Term) -> Compound:
+        return Compound("at", (node,))
+
+    actions = [make_action_schema(
+        "move", [x, y], [Atom(HOLDS, at(x)), Atom(HOLDS, Compound("link", (x, y)))],
+        [at(y)], [at(x)])]
+    flags = [Constant(f"flag{i}") for i in range(rng.randint(0, 2))]
+    for i, flag in enumerate(flags):
+        actions.append(make_action_schema(
+            f"raise{i}", [], [Atom(HOLDS, at(rng.choice(nodes)))], [flag], []))
+        actions.append(make_action_schema(
+            f"lower{i}", [], [Atom(HOLDS, at(rng.choice(nodes))), Atom(HOLDS, flag)],
+            [], [flag]))
+
+    goal: list[Term] = [at(rng.choice(nodes[2:]))]
+    roll = rng.random()
+    if roll < 0.2:
+        target = Constant("t")
+        links.add((target, nodes[0]))
+        goal = [at(target)]
+    elif roll < 0.35:
+        goal.append(at(rng.choice([n for n in nodes if at(n) != goal[0]])))
+    if flags and rng.random() < 0.5:
+        goal.append(rng.choice(flags))
+    initial = [at(nodes[0])] + [Compound("link", link) for link in links]
+    return PlanningProblem(State.from_terms(initial), tuple(goal), tuple(actions))
+
+
+# ---------------------------------------------------------------------------
 # Random domain files (for parser round trips)
 # ---------------------------------------------------------------------------
 

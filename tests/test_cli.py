@@ -192,3 +192,23 @@ def test_trace_unknown_coach_exit_2(capsys):
     code, _, err = run(capsys, "trace", "--coach", "S99", "--spec", "Orthopedics")
     assert code == 2
     assert "unknown coach 'S99'" in err
+
+
+def test_too_deep_fact_exit_2(capsys):
+    deep = "f(" * 3000 + "a" + ")" * 3000
+    code, _, err = run(capsys, "compose", "--want", "ConfirmSend", "--fact", deep)
+    assert code == 2
+    assert err == "<--fact>:1:1: expected shallower nesting, found term nesting too deep\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--max-depth", "3"],
+    ["validate", "--format", "lines"],
+    ["trace", "--coach", "S5", "--spec", "Orthopedics", "--max-depth", "3"],
+    ["severity", "--spec", "Orthopedics", "--max-depth", "3"],
+    ["severity", "--spec", "Orthopedics", "--format", "lines"],
+])
+def test_flag_the_command_does_not_take_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -101,6 +101,23 @@ def test_parse_problem_trailing_garbage():
         dsl.parse_problem("init: . goal: . extra")
 
 
+DEEP_TERM = "f(" * 3000 + "a" + ")" * 3000
+
+
+@pytest.mark.parametrize("parse, text", [
+    (dsl.parse_domain,
+     f"fluent f/1.\naction a() poss: holds({DEEP_TERM}) update: add [] remove []."),
+    (dsl.parse_problem, f"init: {DEEP_TERM}. goal: ."),
+    (dsl.parse_term_text, DEEP_TERM),
+    (dsl.parse_atom_text, f"holds({DEEP_TERM})"),
+])
+def test_too_deep_nesting_is_a_parse_error(parse, text):
+    with pytest.raises(ParseError) as exc:
+        parse(text, "deep.src")
+    assert exc.value.source_name == "deep.src"
+    assert exc.value.found == "term nesting too deep"
+
+
 def test_comments_are_skipped():
     d = dsl.parse_domain("% a comment\nfluent p/0. % another\n")
     assert d.fluent_decls == (("p", 0),)

@@ -137,7 +137,7 @@ def test_plan_emergency_two_steps(planning_problem):
     p_ph = Placeholder("findResource", "P", 1)
     cn_ph = Placeholder("findResource", "CN", 1)
     assert got.steps[1].args == (p_ph, cn_ph, Constant("help"))
-    assert got.placeholder_steps[p_ph] == 0
+    assert got.steps[p_ph.seq - 1].name == p_ph.action == "findResource"
 
 
 def test_plan_satisfied_goal_is_empty(planning_problem):
@@ -172,7 +172,7 @@ def test_enumerate_depth0(planning_problem):
 def test_validate_plan_good_and_swapped(planning_problem):
     good = plan(planning_problem)
     assert validate_plan(planning_problem, good)
-    swapped = planner.Plan((good.steps[1], good.steps[0]), good.produced)
+    swapped = planner.Plan((good.steps[1], good.steps[0]))
     check = validate_plan(planning_problem, swapped)
     assert not check.ok and check.failed_step == 0
 
@@ -282,3 +282,73 @@ def test_pruning_never_changes_the_result(seed):
             plan(problem, cfg, _prune=False)
         return
     assert pruned == plan(problem, cfg, _prune=False)
+
+
+# ---------------------------------------------------------------------------
+# multi-step and unreachable families against the oracles
+# ---------------------------------------------------------------------------
+
+MULTISTEP_SEEDS = range(120)
+
+
+def test_plan_agrees_with_oracle_on_multistep_family():
+    lengths = []
+    for seed in MULTISTEP_SEEDS:
+        rng = random.Random(seed)
+        problem = randgen.random_multistep_problem(rng)
+        all_plans = enumerate_plans(problem, 4)
+        try:
+            got = plan(problem, SearchConfig(max_depth=4))
+        except NoPlanFound as exc:
+            assert all_plans == [] and exc.depth == 4, seed
+            lengths.append(None)
+            continue
+        assert all_plans and got == all_plans[0], seed
+        lengths.append(len(got.steps))
+    # the family is only worth its run time while it keeps its bias
+    assert sum(1 for n in lengths if n is not None and n >= 2) >= len(lengths) // 2
+    assert lengths.count(None) >= len(lengths) // 6
+
+
+def _reachable_states(problem):
+    """Every state reachable from the initial one, for placeholder-free domains."""
+    from fluxcompose.terms import canonicalize
+    seen = {canonicalize(problem.initial): problem.initial}
+    todo = [problem.initial]
+    while todo:
+        state = todo.pop()
+        for schema in problem.actions:
+            for subst in check_poss(schema, state):
+                nxt = apply_update(schema, subst, state, _checked=True)
+                if seen.setdefault(canonicalize(nxt), nxt) is nxt:
+                    todo.append(nxt)
+    return list(seen.values())
+
+
+def test_unreachable_walks_stop_before_max_depth(monkeypatch):
+    expanded = []
+    children = planner._children
+
+    def counting_children(actions, state):
+        expanded.append(state)
+        return children(actions, state)
+
+    monkeypatch.setattr(planner, "_children", counting_children)
+    checked = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        problem = randgen.random_token_walk(rng)
+        states = _reachable_states(problem)
+        if any(satisfies_goal(s, problem.goal) for s in states):
+            continue
+        depth = len(states) + rng.randint(1, 3)
+        assert enumerate_plans(problem, 4) == [], seed
+        expanded.clear()
+        with pytest.raises(NoPlanFound) as exc:
+            plan(problem, SearchConfig(max_depth=depth))
+        assert exc.value.depth == depth
+        # each reachable state is expanded at most once, so the search ran
+        # out of new states before it reached the depth bound
+        assert len(expanded) <= len(states) < depth, seed
+        checked += 1
+    assert checked >= 40

@@ -59,6 +59,15 @@ def test_bad_fragment_reports_registry_line(taxonomy):
     assert exc.value.line == 2
 
 
+def test_too_deep_precondition_is_a_parse_error(taxonomy):
+    deep = "f(" * 3000 + "a" + ")" * 3000
+    src = f"service s\n  precondition: holds({deep})\n  grounding: x\nend\n"
+    with pytest.raises(ParseError) as exc:
+        load_registry(src, taxonomy, "deep.reg")
+    assert exc.value.line == 2
+    assert str(exc.value).startswith("deep.reg:2:")
+
+
 def test_compiled_find_resource_matches_axiom_shape(service_registry):
     schema = compile_service_to_action(service_registry.get("findResource"))
     assert schema.name == "findResource"

@@ -259,6 +259,14 @@ def test_load_schedule_rejects_non_increasing():
         load_schedule("station A 10:00\n")
 
 
+def test_load_schedule_rejects_no_stations():
+    for source in ("", "# comment only\n\n"):
+        with pytest.raises(LoadError) as exc:
+            load_schedule(source, "empty.schedule")
+        assert str(exc.value).startswith("empty.schedule:")
+        assert "expected at least one station" in str(exc.value)
+
+
 def test_fallback_station_notice_fields(schedule):
     event = medical_event(coach="S2", patient_name="Arjun")
     notice = scenario.fallback_station_notice(
