@@ -16,13 +16,13 @@ Statements end with ".". Lists use "[...]" with "," separators. "%" starts a
 comment running to end of line. Encoding is UTF-8. A bare identifier made of
 capitals, digits and underscores (PR, SP, MSG) is a Variable; any other bare
 identifier (doctor, ConfirmSend) is a Constant. An identifier in functor
-position is always a functor symbol. ``know`` is reserved: it wraps knowledge
-fluents and cannot be declared.
+position is always a functor symbol. A term nests at most MAX_TERM_DEPTH
+compounds deep. ``know`` is reserved: it wraps knowledge fluents and cannot be
+declared.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -41,6 +41,11 @@ from .terms import (
 )
 
 _VAR_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
+
+# Deepest compound nesting a term may have. Code downstream (rendering,
+# unification, groundness) recurses a few frames per level, so this stays far
+# under the interpreter's recursion limit; real fluents nest two or three deep.
+MAX_TERM_DEPTH = 64
 
 
 class ArityError(ParseError):
@@ -215,16 +220,22 @@ class _Parser:
 
     # -- terms --------------------------------------------------------------
 
-    def parse_term(self) -> tuple[Term, _Token]:
+    def parse_term(self, depth: int = 0,
+                   top: Optional[_Token] = None) -> tuple[Term, _Token]:
+        """Parse one term; past MAX_TERM_DEPTH compounds deep, fail at the outermost."""
         tok = self.expect_ident("a term")
+        top = top or tok
         if self.at_punct("("):
+            if depth == MAX_TERM_DEPTH:
+                raise ParseError(top.line, top.col, "shallower nesting",
+                                 "term nesting too deep", self.source_name)
             self.advance()
             args: list[Term] = []
             if not self.at_punct(")"):
-                args.append(self.parse_term()[0])
+                args.append(self.parse_term(depth + 1, top)[0])
                 while self.at_punct(","):
                     self.advance()
-                    args.append(self.parse_term()[0])
+                    args.append(self.parse_term(depth + 1, top)[0])
             self.expect_punct(")")
             return Compound(tok.text, tuple(args)), tok
         if _VAR_RE.match(tok.text):
@@ -265,21 +276,6 @@ def _fluent_usage(term: Term, tok: _Token,
     return name, arity, tok
 
 
-def _nesting_guard(parse):
-    """Make a (text, source_name) parser report over-deep nesting as a ParseError."""
-
-    @functools.wraps(parse)
-    def guarded(source: str, source_name: str = "<string>"):
-        try:
-            return parse(source, source_name)
-        except RecursionError:
-            raise ParseError(1, 1, "shallower nesting", "term nesting too deep",
-                             source_name) from None
-
-    return guarded
-
-
-@_nesting_guard
 def parse_domain(source: str, source_name: str = "<string>") -> DomainFile:
     """Parse a domain file; raises ParseError / ArityError, never anything else."""
     p = _Parser(source, source_name)
@@ -403,7 +399,6 @@ def parse_domain(source: str, source_name: str = "<string>") -> DomainFile:
 # ---------------------------------------------------------------------------
 
 
-@_nesting_guard
 def parse_problem(source: str, source_name: str = "<string>") -> ProblemFile:
     """Parse `init: ... . goal: ... .`; initial fluents must be ground."""
     p = _Parser(source, source_name)
@@ -462,7 +457,6 @@ def pretty_print_problem(pf: ProblemFile) -> str:
     return f"{init_part}\n{goal_part}\n"
 
 
-@_nesting_guard
 def parse_term_text(text: str, source_name: str = "<string>") -> Term:
     """Parse a single term from a text fragment (used by registry and CLI)."""
     p = _Parser(text, source_name)
@@ -472,7 +466,6 @@ def parse_term_text(text: str, source_name: str = "<string>") -> Term:
     return term
 
 
-@_nesting_guard
 def parse_atom_text(text: str, source_name: str = "<string>") -> Atom:
     """Parse one holds(...)/knows_val(...) atom from a text fragment."""
     p = _Parser(text, source_name)

@@ -21,6 +21,7 @@ from .dsl import ActionSchema, Atom, DomainFile, HOLDS, KNOWS_VAL, ProblemFile
 from .errors import FluxError
 from .terms import (
     EMPTY_SUBST,
+    Compound,
     Placeholder,
     State,
     Substitution,
@@ -212,8 +213,10 @@ def _pruning_key(state: State) -> str:
             if t not in mapping:
                 mapping[t] = Placeholder("ph", "v", len(mapping))
             return mapping[t]
-        if hasattr(t, "args"):
-            return type(t)(t.functor, tuple(rename(a) for a in t.args))
+        if isinstance(t, Compound):
+            args = tuple(map(rename, t.args))
+            if args != t.args:
+                return Compound(t.functor, args)
         return t
 
     return "|".join(sorted(str(rename(t)) for t in terms))

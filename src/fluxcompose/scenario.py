@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date as Date, datetime, time as Time
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .composer import (
     CompositionRequest,
@@ -545,13 +545,27 @@ def parse_record_line(line: str) -> tuple[int, LogRecord]:
         key, _, value = part.partition("=")
         values[key] = value
     kind = values.get("kind")
-    if kind not in _RECORD_TYPES or "id" not in values:
-        raise FluxError(f"malformed log line: {line!r}")
-    kwargs = {
-        name: _field_from_text(name, _unescape(values[name]))
-        for name in _RECORD_FIELDS[kind]
-    }
-    return int(values["id"]), _RECORD_TYPES[kind](**kwargs)
+    try:
+        kwargs = {
+            name: _field_from_text(name, _unescape(values[name]))
+            for name in _RECORD_FIELDS[kind]
+        }
+        return int(values["id"]), _RECORD_TYPES[kind](**kwargs)
+    except (KeyError, ValueError):
+        raise FluxError(f"malformed log line: {line!r}") from None
+
+
+def _read_records(path) -> Iterator[tuple[int, LogRecord]]:
+    """Parse a log file; a malformed line raises FluxError naming the file and line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+                record = parse_record_line(line) if line.strip() else None
+            except (UnicodeDecodeError, FluxError) as exc:
+                raise FluxError(f"event log {path}:{lineno}: {exc}") from None
+            if record is not None:
+                yield record
 
 
 class EventLog:
@@ -571,12 +585,13 @@ class EventLog:
             self._fh.close()
             raise LogLockedError(
                 f"event log {self.path} is held by another writer") from None
-        self._fh.seek(0)
         self._next_id = 1
-        for line in self._fh:
-            if line.strip():
-                rid, _ = parse_record_line(line)
+        try:
+            for rid, _ in _read_records(self.path):
                 self._next_id = max(self._next_id, rid + 1)
+        except FluxError:
+            self.close()
+            raise
 
     def append(self, record: LogRecord) -> int:
         rid = self._next_id
@@ -602,12 +617,7 @@ class EventLog:
 
 def read_event_log(path) -> list[tuple[int, LogRecord]]:
     """Read a log back into (id, record) pairs; safe while a writer is active."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(parse_record_line(line))
-    return out
+    return list(_read_records(path))
 
 
 # ---------------------------------------------------------------------------

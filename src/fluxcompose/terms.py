@@ -2,13 +2,22 @@
 
 A state is two duplicate-free sets of ground terms (its fluents): plain world
 fluents and knowledge fluents carrying the reserved outer functor ``know``.
+On its first query a state indexes each set once: the fluents in canonical
+(rendered text) order, and the same order grouped by fluent symbol (functor
+and arity; for knowledge, those of the term inside ``know``). `holds` and
+`knows_val` scan only the group of the pattern's symbol, or every fluent when
+the pattern is a bare variable. A compound renders its text once.
+
 Everything here is immutable; operations are pure functions returning new
-values, so states and substitutions can be shared freely across threads.
+values, and a term left unchanged by a substitution is returned as is. The
+index and the rendered text are computed lazily but always to the same value,
+so states, terms and substitutions can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import FluxError
@@ -62,7 +71,13 @@ class Compound:
     args: tuple["Term", ...]
 
     def __str__(self) -> str:
-        return "%s(%s)" % (self.functor, ",".join(str(a) for a in self.args))
+        # Rendered once, then kept beside the fields: equality and hashing
+        # never see it. (One frame per nesting level, unlike cached_property.)
+        cache = self.__dict__
+        text = cache.get("_text")
+        if text is None:
+            text = cache["_text"] = "%s(%s)" % (self.functor, ",".join(map(str, self.args)))
+        return text
 
 
 Term = Union[Constant, Variable, Placeholder, Compound]
@@ -126,10 +141,13 @@ class Substitution:
         return self.bindings.get(var)
 
     def apply(self, term: Term) -> Term:
+        """The term with bound variables replaced; an unchanged term is returned as is."""
         if isinstance(term, Variable):
             return self.bindings.get(term, term)
-        if isinstance(term, Compound):
-            return Compound(term.functor, tuple(self.apply(a) for a in term.args))
+        if isinstance(term, Compound) and self.bindings:
+            args = tuple(map(self.apply, term.args))
+            if args != term.args:
+                return Compound(term.functor, args)
         return term
 
     def bind(self, var: Variable, term: Term) -> Optional["Substitution"]:
@@ -137,11 +155,9 @@ class Substitution:
         resolved = self.apply(term)
         if _occurs(var, resolved):
             return None
-        single = {var: resolved}
-        updated = {
-            v: _substitute_one(t, var, resolved) for v, t in self.bindings.items()
-        }
-        updated.update(single)
+        single = Substitution({var: resolved})
+        updated = {v: single.apply(t) for v, t in self.bindings.items()}
+        updated[var] = resolved
         return Substitution(updated)
 
     def extend_all(self, pairs: Mapping[Variable, Term]) -> "Substitution":
@@ -172,14 +188,6 @@ def _occurs(var: Variable, term: Term) -> bool:
     if isinstance(term, Compound):
         return any(_occurs(var, a) for a in term.args)
     return False
-
-
-def _substitute_one(term: Term, var: Variable, value: Term) -> Term:
-    if isinstance(term, Variable):
-        return value if term == var else term
-    if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_substitute_one(a, var, value) for a in term.args))
-    return term
 
 
 def unify(t1: Term, t2: Term, subst: Substitution = EMPTY_SUBST) -> Optional[Substitution]:
@@ -234,11 +242,13 @@ class State:
                 world.add(t)
         return cls(frozenset(world), frozenset(knowledge))
 
-    def sorted_world(self) -> list[Term]:
-        return sorted(self.world, key=str)
+    @cached_property
+    def _world_index(self) -> "_Index":
+        return _index(self.world, functor_arity)
 
-    def sorted_knowledge(self) -> list[Term]:
-        return sorted(self.knowledge, key=str)
+    @cached_property
+    def _knowledge_index(self) -> "_Index":
+        return _index(self.knowledge, lambda t: functor_arity(t.args[0]))
 
     def all_terms(self) -> list[Term]:
         return sorted(self.world | self.knowledge, key=str)
@@ -261,6 +271,26 @@ class State:
         return term in self.knowledge if is_knowledge(term) else term in self.world
 
 
+# All fluents in canonical order, and the same order split by fluent symbol.
+_Index = tuple[tuple[Term, ...], dict[tuple[str, int], tuple[Term, ...]]]
+
+
+def _index(fluents: frozenset, symbol) -> _Index:
+    ordered = tuple(sorted(fluents, key=str))
+    groups: dict[tuple[str, int], list[Term]] = {}
+    for t in ordered:
+        groups.setdefault(symbol(t), []).append(t)
+    return ordered, {k: tuple(v) for k, v in groups.items()}
+
+
+def _candidates(pattern: Term, index: _Index) -> tuple[Term, ...]:
+    """The indexed fluents that can unify with a resolved pattern, in canonical order."""
+    ordered, groups = index
+    if isinstance(pattern, Variable):
+        return ordered
+    return groups.get(functor_arity(pattern), ())
+
+
 def canonicalize(state: State) -> str:
     """Canonical text key: equal states (as sets) map to byte-identical keys."""
     return "|".join(sorted(str(f) for f in state.world | state.knowledge))
@@ -273,7 +303,8 @@ def holds(pattern: Term, state: State,
     Enumeration follows canonical (sorted) fluent order, so results are
     deterministic. An empty sequence means the pattern does not hold.
     """
-    for f in state.sorted_world():
+    pattern = subst.apply(pattern)
+    for f in _candidates(pattern, state._world_index):
         got = unify(pattern, f, subst)
         if got is not None:
             yield got
@@ -286,8 +317,9 @@ def knows_val(pattern: Term, state: State,
     A binding to a Placeholder counts as known: the value will exist by the
     time the producing step has executed.
     """
+    pattern = subst.apply(pattern)
     target = know_wrap(pattern)
-    for f in state.sorted_knowledge():
+    for f in _candidates(pattern, state._knowledge_index):
         got = unify(target, f, subst)
         if got is not None:
             yield got

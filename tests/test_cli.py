@@ -201,6 +201,14 @@ def test_too_deep_fact_exit_2(capsys):
     assert err == "<--fact>:1:1: expected shallower nesting, found term nesting too deep\n"
 
 
+@pytest.mark.parametrize("depth", [300, 450])
+def test_fact_past_the_nesting_limit_exit_2(capsys, depth):
+    deep = "f(" * depth + "a" + ")" * depth
+    code, out, err = run(capsys, "compose", "--want", "ConfirmSend", "--fact", deep)
+    assert code == 2 and out == ""
+    assert err == "<--fact>:1:1: expected shallower nesting, found term nesting too deep\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--max-depth", "3"],
     ["validate", "--format", "lines"],

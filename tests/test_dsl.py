@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import randgen
 from fluxcompose import dsl
 from fluxcompose.errors import ParseError
-from fluxcompose.terms import Compound, Constant, Variable
+from fluxcompose.terms import Compound, Constant, Variable, is_ground
 
 TABLE_ACTION = (
     "fluent Profession/1. fluent Specialization/1. fluent availableRole/2.\n"
@@ -116,6 +116,28 @@ def test_too_deep_nesting_is_a_parse_error(parse, text):
         parse(text, "deep.src")
     assert exc.value.source_name == "deep.src"
     assert exc.value.found == "term nesting too deep"
+
+
+def _nested(depth, leaf="a"):
+    return "f(" * depth + leaf + ")" * depth
+
+
+def test_nesting_at_the_limit_parses_and_renders():
+    text = _nested(dsl.MAX_TERM_DEPTH)
+    term = dsl.parse_term_text(text)
+    assert is_ground(term)
+    assert str(term) == text
+    assert not is_ground(dsl.parse_term_text(_nested(dsl.MAX_TERM_DEPTH, "X")))
+
+
+def test_nesting_past_the_limit_names_the_outermost_term():
+    with pytest.raises(ParseError) as exc:
+        dsl.parse_term_text("\n  g(a, " + _nested(dsl.MAX_TERM_DEPTH) + ")", "deep.src")
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    assert str(exc.value) == (
+        "deep.src:2:3: expected shallower nesting, found term nesting too deep")
+    with pytest.raises(ParseError):
+        dsl.parse_term_text(_nested(dsl.MAX_TERM_DEPTH + 1))
 
 
 def test_comments_are_skipped():

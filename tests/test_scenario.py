@@ -347,6 +347,45 @@ def test_event_log_readable_while_locked(tmp_path):
         assert len(read_event_log(path)) == 1
 
 
+@pytest.mark.parametrize("bad", [
+    "kind=event\tid=3\tdate=2011",
+    record_to_line(1, sample_event_record()).replace("id=1", "id=one"),
+    record_to_line(1, sample_event_record()).replace("seat=21", "seat="),
+    "kind=memo\tid=2",
+])
+def test_malformed_log_line_names_file_and_line(tmp_path, bad):
+    path = tmp_path / "events.log"
+    path.write_text(record_to_line(1, sample_event_record()) + "\n\n" + bad + "\n",
+                    encoding="utf-8")
+    for open_log in (read_event_log, EventLog):
+        with pytest.raises(scenario.FluxError) as exc:
+            open_log(path)
+        assert f"{path}:3: malformed log line" in str(exc.value)
+    path.write_text(record_to_line(1, sample_event_record()) + "\n", encoding="utf-8")
+    with EventLog(path) as log:  # a failed open released the writer lock
+        assert log.append(sample_event_record()) == 2
+
+
+def test_event_log_cut_at_every_byte_opens_or_raises_flux_error(tmp_path):
+    data = "".join(record_to_line(i, sample_event_record(patient_name=name)) + "\n"
+                   for i, name in ((1, "Zoë"), (2, "Binu"))).encode("utf-8")
+    path = tmp_path / "events.log"
+    opened = 0
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        for open_log in (read_event_log, EventLog):
+            try:
+                got = open_log(path)
+            except scenario.FluxError as exc:
+                assert not isinstance(exc, LogLockedError)
+                assert f"{path}:" in str(exc)
+            else:
+                opened += 1
+                if isinstance(got, EventLog):
+                    got.close()
+    assert opened > 2  # whole-record prefixes, at least, open
+
+
 # ---------------------------------------------------------------------------
 # report_emergency
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fluxcompose.terms import (
+    EMPTY_SUBST,
     Compound,
     Constant,
     Placeholder,
     State,
+    Substitution,
     Variable,
     canonicalize,
     holds,
@@ -248,6 +250,87 @@ def test_knows_val_equals_brute_force_on_random_states(data):
         if s is not None:
             oracle.append(s.dedup_key())
     assert got == oracle
+
+
+# Mixed symbols: functors p/q/r at arities 0-3, constants and a placeholder
+# sharing a functor's name or a placeholder's id, and nested arguments.
+_PH = Placeholder("a", "P", 1)
+_LEAVES = [Constant(c) for c in "abc"] + [_PH, Constant("p"), Constant(_PH.id)]
+
+
+def _random_fluent(rng, depth=1):
+    if rng.random() < 0.15:
+        return rng.choice(_LEAVES)
+    args = tuple(_random_fluent(rng, depth - 1) if depth and rng.random() < 0.2
+                 else rng.choice(_LEAVES) for _ in range(rng.randint(0, 3)))
+    return Compound(rng.choice("pqr"), args)
+
+
+def _random_pattern(rng):
+    """A pattern headed by a compound, a constant, a placeholder or a bare variable."""
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice([X, P])
+    if roll < 0.25:
+        return rng.choice(_LEAVES)
+    pool = [X, P, SP, Variable("Y")] + _LEAVES
+    args = tuple(comp("p", rng.choice(pool)) if rng.random() < 0.15 else rng.choice(pool)
+                 for _ in range(rng.randint(0, 3)))
+    return Compound(rng.choice("pqr"), args)
+
+
+def _random_start(rng):
+    """A start substitution binding some pattern variables (X possibly to Y)."""
+    start = EMPTY_SUBST
+    for var in rng.sample([X, P, SP], rng.randint(0, 2)):
+        start = start.bind(var, rng.choice(_LEAVES + [Variable("Y"), comp("p", _PH)]))
+    return start
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_holds_equals_brute_force_over_mixed_symbols(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    state = State.from_terms(_random_fluent(rng) for _ in range(rng.randint(0, 40)))
+    pattern, start = _random_pattern(rng), _random_start(rng)
+    got = [s.bindings for s in holds(pattern, state, start)]
+    oracle = [s.bindings for s in (unify(pattern, f, start)
+                                   for f in sorted(state.world, key=str)) if s is not None]
+    assert got == oracle
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_knows_val_equals_brute_force_over_mixed_symbols(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    state = State.from_terms(know(_random_fluent(rng)) for _ in range(rng.randint(0, 40)))
+    pattern, start = _random_pattern(rng), _random_start(rng)
+    got = [s.bindings for s in knows_val(pattern, state, start)]
+    oracle = [s.bindings for s in (unify(know(pattern), f, start)
+                                   for f in sorted(state.knowledge, key=str)) if s is not None]
+    assert got == oracle
+
+
+@given(_terms())
+def test_apply_returns_an_unchanged_term_itself(t):
+    assert EMPTY_SUBST.apply(t) is t
+    unrelated = Substitution({Variable("Z"): doctor})
+    assert unrelated.apply(t) is t
+    if is_ground(t):
+        assert Substitution({X: nurse}).apply(t) is t
+
+
+def _render(t):
+    if isinstance(t, Compound):
+        return "%s(%s)" % (t.functor, ",".join(_render(a) for a in t.args))
+    return str(t)
+
+
+@given(_terms())
+def test_compound_text_equals_uncached_rendering(t):
+    twin = _rename_canonically(t, {v: v for v in (X, PR, SP)})  # equal, never rendered
+    assert str(t) == _render(t) == str(t)
+    assert t == twin and hash(t) == hash(twin)
 
 
 # ---------------------------------------------------------------------------
