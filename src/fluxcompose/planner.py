@@ -7,7 +7,10 @@ fluent not removed persists, which is the whole point of the update axioms.
 
 The search is breadth-first with canonical child ordering (action name, then
 rendered arguments), so the returned plan is the shortest, lexicographically
-first among equals; `plan` gives the soundness argument for its visited set.
+first among equals. Two rules shrink it: a goal symbol that no action sequence
+can produce fails at once, without a search, and in a domain without remove
+lists an application whose adds already hold is never made. `plan` gives the
+soundness argument for these and for its visited set.
 """
 
 from __future__ import annotations
@@ -37,10 +40,16 @@ from .terms import (
 
 
 class NoPlanFound(FluxError):
-    """No action sequence within the depth bound reaches the goal."""
+    """No action sequence within the depth bound reaches the goal.
 
-    def __init__(self, depth: int):
+    ``unreachable`` names the goal symbols no action sequence of any length
+    can produce, sorted (``name/arity``, or ``know(name/arity)`` for
+    knowledge); it is empty when the search itself ran out.
+    """
+
+    def __init__(self, depth: int, unreachable: tuple[str, ...] = ()):
         self.depth = depth
+        self.unreachable = unreachable
         super().__init__(f"no plan within depth {depth}")
 
 
@@ -176,17 +185,19 @@ def apply_update(schema: ActionSchema, subst: Substitution, state: State,
     return state.with_update(adds, removes)
 
 
+def _as_atoms(terms: Iterable[Term]) -> list[Atom]:
+    """Fluent patterns as queries: know(...) on knowledge, the rest on the world set."""
+    return [Atom(KNOWS_VAL, t.args[0]) if is_knowledge(t) else Atom(HOLDS, t)
+            for t in terms]
+
+
 def satisfies_goal(state: State, goal: Iterable[Term]) -> bool:
     """Existential conjunction over world and knowledge fluents.
 
     know(...) patterns query the knowledge set, everything else the world set;
     placeholder-valued fluents are admissible witnesses.
     """
-    atoms = [
-        Atom(KNOWS_VAL, t.args[0]) if is_knowledge(t) else Atom(HOLDS, t)
-        for t in goal
-    ]
-    return bool(_solve_atoms(atoms, state))
+    return bool(_solve_atoms(_as_atoms(goal), state))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +244,41 @@ def _children(actions: list[ActionSchema], state: State):
     return out
 
 
+def _symbol(atom: Atom) -> Optional[tuple[bool, str, int]]:
+    """The symbol an atom queries, tagged knowledge or world; None for a bare variable."""
+    if isinstance(atom.pattern, Variable):
+        return None
+    return (atom.kind == KNOWS_VAL,) + functor_arity(atom.pattern)
+
+
+def _unreachable_goal_symbols(problem: PlanningProblem) -> tuple[str, ...]:
+    """Goal symbols outside the closure of the initial symbols under the actions.
+
+    The closure ignores arguments and remove lists: an action fires once every
+    symbol its poss queries is present (a bare-variable pattern always is),
+    and then adds its add symbols. A bare-variable add could add any fluent,
+    so then nothing is reported missing.
+    """
+    have = {(False,) + functor_arity(t) for t in problem.initial.world}
+    have.update((True,) + functor_arity(t.args[0]) for t in problem.initial.knowledge)
+    waiting = [({_symbol(a) for a in schema.poss} - {None},
+                {_symbol(a) for a in _as_atoms(schema.adds)})
+               for schema in problem.actions]
+    grown = True
+    while grown:
+        grown = False
+        for needs, adds in list(waiting):
+            if needs <= have:
+                if None in adds:
+                    return ()
+                have |= adds
+                waiting.remove((needs, adds))
+                grown = True
+    missing = {_symbol(a) for a in _as_atoms(problem.goal)} - have - {None}
+    return tuple(sorted(f"know({name}/{arity})" if know else f"{name}/{arity}"
+                        for know, name, arity in missing))
+
+
 def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
          _prune: bool = True) -> Plan:
     """Shortest plan reaching the goal, lexicographically first among equals.
@@ -253,16 +299,46 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
       the lexicographically first shortest plan is never cut.
     - The queue runs dry before cfg.max_depth only if a layer adds no new
       state. Every deeper state is then a twin of one already goal-tested.
+
+    Two more rules apply under _prune:
+
+    - Early failure. If a goal symbol is missing from
+      `_unreachable_goal_symbols`' closure, NoPlanFound is raised before any
+      search, naming those symbols. Every fluent of every reachable state has
+      a symbol in the closure: an applied action's non-variable poss patterns
+      matched fluents of their own symbols, a substitution keeps a pattern's
+      symbol, and removes only shrink a state (Bonet & Geffner's delete
+      relaxation). A goal pattern likewise needs a fluent of its symbol, so
+      no plan of any length exists.
+    - Monotone skip. When no action has a remove list, a child is dropped
+      before it is built if the schema's adds already hold in the parent
+      under the poss binding, with the outputs left free. Map the step's
+      fresh placeholders to the witnesses of that match, and renumber the
+      later steps' placeholders: the child becomes its parent, and every
+      later poss and the goal, positive conjunctions without placeholders,
+      stay true. Deleting the step thus gives a valid, strictly shorter plan,
+      so no shortest plan contains such a step and none is cut. With remove
+      lists the mapping fails: a later remove of a fluent built from the
+      step's placeholder would remove the witness instead.
     """
     if satisfies_goal(problem.initial, problem.goal):
         return Plan(())
     actions = sorted(problem.actions, key=lambda a: a.name)
+    redundant = None
+    if _prune:
+        missing = _unreachable_goal_symbols(problem)
+        if missing:
+            raise NoPlanFound(cfg.max_depth, missing)
+        if not any(a.removes for a in actions):
+            redundant = {id(a): _as_atoms(a.adds) for a in actions}
     seen = {_pruning_key(problem.initial)}
     queue = deque([(problem.initial, ())])
     while queue:
         state, steps = queue.popleft()
         depth = len(steps) + 1
         for schema, subst, ga in _children(actions, state):
+            if redundant and _solve_atoms(redundant[id(schema)], state, subst):
+                continue
             child = apply_update(schema, subst, state, step=depth, _checked=True)
             path = steps + (ga,)
             if satisfies_goal(child, problem.goal):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import fcntl
 import io
+import os
 import shlex
 from dataclasses import dataclass, fields, replace
 from datetime import date as Date, datetime, time as Time
@@ -556,9 +557,15 @@ def parse_record_line(line: str) -> tuple[int, LogRecord]:
 
 
 def _read_records(path) -> Iterator[tuple[int, LogRecord]]:
-    """Parse a log file; a malformed line raises FluxError naming the file and line."""
+    """Parse a log file; a malformed line raises FluxError naming the file and line.
+
+    A final line without its newline is a write that stopped partway; it is
+    skipped, not read.
+    """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
+            if not raw.endswith(b"\n"):
+                break
             try:
                 line = raw.decode("utf-8")
                 record = parse_record_line(line) if line.strip() else None
@@ -568,12 +575,21 @@ def _read_records(path) -> Iterator[tuple[int, LogRecord]]:
                 yield record
 
 
+def _cut_torn_tail(fd: int) -> None:
+    """Truncate the file to its last complete line; only its last byte is read when whole."""
+    size = os.fstat(fd).st_size
+    if size == 0 or os.pread(fd, 1, size - 1) == b"\n":
+        return
+    os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
+
+
 class EventLog:
     """Append-only, single-writer event log with monotonically increasing ids.
 
     The writer holds an exclusive advisory lock on the log file for its whole
     lifetime; a second writer fails fast with LogLockedError. Readers never
-    take the lock.
+    take the lock. Opening cuts a torn final line (one without its newline,
+    left by a write that stopped partway) so the next record starts a line.
     """
 
     def __init__(self, path):
@@ -587,6 +603,7 @@ class EventLog:
                 f"event log {self.path} is held by another writer") from None
         self._next_id = 1
         try:
+            _cut_torn_tail(self._fh.fileno())
             for rid, _ in _read_records(self.path):
                 self._next_id = max(self._next_id, rid + 1)
         except FluxError:

@@ -307,6 +307,80 @@ def random_token_walk(rng: random.Random) -> PlanningProblem:
     return PlanningProblem(State.from_terms(initial), tuple(goal), tuple(actions))
 
 
+def random_registry_problem(rng: random.Random) -> PlanningProblem:
+    """Typed services over concepts c0..cL (L = 2..3), shaped as compiled registries.
+
+    A service takes 1-2 inputs, knows_val(C(X)), and gives 1-2 outputs,
+    know(D(O)); now and then one output value is filed under two concepts.
+    Some services also need a world fact (ready(X) or open) or add one. Each
+    concept c1..cL has one or two producers fed by earlier concepts, and
+    distractors lead into dead-end concepts. The goal asks for cL, sometimes
+    with a second concept or with ready of the same value. About one goal in
+    five wants a concept no service produces (lost). About one problem in
+    four is non-monotone: one service removes one of its input facts or a
+    world fact.
+    """
+    length = rng.randint(2, 3)
+    names = iter(rng.sample("abcdefghijklmnopqrstuvwxyz", 12))
+    xs, outs = (Variable("X0"), Variable("X1")), (Variable("O0"), Variable("O1"))
+    is_open = Constant("open")
+
+    def ready(value: Term) -> Compound:
+        return Compound("ready", (value,))
+
+    def know(concept: str, value: Term) -> Compound:
+        return Compound("know", (Compound(concept, (value,)),))
+
+    def service(label: str, ins: list[str], gives: list[str]) -> ActionSchema:
+        shared = len(gives) == 2 and rng.random() < 0.3
+        poss = [Atom(KNOWS_VAL, Compound(c, (xs[j],))) for j, c in enumerate(ins)]
+        adds: list[Term] = [know(c, outs[0 if shared else j]) for j, c in enumerate(gives)]
+        if rng.random() < 0.25:
+            poss.append(Atom(HOLDS, rng.choice((ready(xs[0]), is_open))))
+        if rng.random() < 0.25:
+            adds.append(rng.choice((ready(xs[0]), ready(outs[0]), is_open)))
+        return make_action_schema(next(names) + label, xs[:len(ins)], poss, adds, [])
+
+    def inputs(upto: int) -> list[str]:
+        return rng.sample([f"c{i}" for i in range(upto)], rng.randint(1, min(2, upto)))
+
+    actions = []
+    for i in range(1, length + 1):
+        for _ in range(rng.randint(1, 2)):
+            extra = [f"c{rng.randint(1, length)}"] if rng.random() < 0.3 else []
+            actions.append(service(str(i), inputs(i), list(dict.fromkeys([f"c{i}"] + extra))))
+    for j in range(rng.randint(0, 2)):
+        actions.append(service(f"dead{j}", inputs(length), [f"dead{j}"]))
+    if rng.random() < 0.25:
+        k = rng.randrange(len(actions))
+        victim = actions[k]
+        first_input = victim.poss[0].pattern
+        removed = rng.choice((Compound("know", (first_input,)), ready(xs[0]), is_open))
+        actions[k] = make_action_schema(victim.name, victim.params, victim.poss,
+                                        victim.adds, [removed])
+
+    initial: list[Term] = [know("c0", Constant("a"))]
+    if rng.random() < 0.5:
+        initial.append(know("c0", Constant("b")))
+    if rng.random() < 0.5:
+        initial.append(ready(Constant("a")))
+    if rng.random() < 0.5:
+        initial.append(is_open)
+    w = Variable("W")
+    goal: list[Term] = [know(f"c{length}", w)]
+    roll = rng.random()
+    if roll < 0.2:
+        goal.append(know("lost", Variable("W1")))
+    elif roll < 0.4:
+        goal.append(know(f"c{rng.randint(1, length)}", w))
+    elif roll < 0.55:
+        goal.append(ready(w))
+    elif roll < 0.7:
+        goal.append(know(f"c{rng.randint(1, length)}", Variable("W1")))
+    rng.shuffle(goal)
+    return PlanningProblem(State.from_terms(initial), tuple(goal), tuple(actions))
+
+
 # ---------------------------------------------------------------------------
 # Random domain files (for parser round trips)
 # ---------------------------------------------------------------------------

@@ -156,6 +156,75 @@ def test_plan_without_notify_is_no_plan(planning_problem, find_resource):
     assert exc.value.depth == 8
 
 
+def test_no_plan_found_names_unreachable_goal_symbols(planning_problem, find_resource):
+    # nothing adds know(ConfirmSend): the symbol pass says so
+    crippled = PlanningProblem(planning_problem.initial, planning_problem.goal,
+                               (find_resource,))
+    with pytest.raises(NoPlanFound) as exc:
+        plan(crippled, SearchConfig(max_depth=5))
+    assert exc.value.unreachable == ("know(ConfirmSend/0)",)
+    assert exc.value.depth == 5 and str(exc.value) == "no plan within depth 5"
+    # q/1 is reachable, q(a) is not: the search runs dry and names no symbol
+    x = Variable("X")
+    copy = dsl.make_action_schema(
+        "copy", [x], [dsl.Atom("holds", Compound("p", (x,)))],
+        [Compound("q", (Constant("b"),))], [])
+    problem = PlanningProblem(State.from_terms([Compound("p", (Constant("a"),))]),
+                              (Compound("q", (Constant("a"),)),), (copy,))
+    with pytest.raises(NoPlanFound) as exc:
+        plan(problem, SearchConfig(max_depth=3))
+    assert exc.value.unreachable == () and str(exc.value) == "no plan within depth 3"
+    assert NoPlanFound(4).unreachable == ()
+
+
+def test_early_failure_expands_no_state(monkeypatch, planning_problem, find_resource):
+    def no_children(actions, state):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(planner, "_children", no_children)
+    world_goal = (Compound("SendMsg", (Variable("P"), Variable("C"), Variable("M"))),)
+    for goal in (planning_problem.goal, world_goal, planning_problem.goal + world_goal):
+        crippled = PlanningProblem(planning_problem.initial, goal, (find_resource,))
+        with pytest.raises(NoPlanFound) as exc:
+            plan(crippled, SearchConfig(max_depth=8))
+        assert exc.value.depth == 8 and exc.value.unreachable
+    assert exc.value.unreachable == ("SendMsg/3", "know(ConfirmSend/0)")
+
+
+def test_bare_variable_patterns_reach_every_symbol():
+    # learn(X) copies any world fact into knowledge: a bare-variable poss
+    # pattern is satisfied by any fluent, and a bare-variable add makes any
+    # symbol reachable
+    x = Variable("X")
+    learn = dsl.make_action_schema(
+        "learn", [x], [dsl.Atom("holds", x)], [Compound("know", (x,))], [])
+    fact = Compound("c", (Constant("w"),))
+    for goal_value in (Variable("W"), Constant("w")):
+        problem = PlanningProblem(State.from_terms([fact]),
+                                  (Compound("know", (Compound("c", (goal_value,)),)),),
+                                  (learn,))
+        got = plan(problem, SearchConfig(max_depth=2))
+        assert got.steps == (planner.GroundAction("learn", (fact,)),)
+        assert got == enumerate_plans(problem, 2)[0]
+
+
+def test_monotone_skip_is_off_when_a_remove_list_exists():
+    # a() would be skipped at the root of a monotone domain (know(c(w))
+    # already holds), but b(X) removes know(c(X)): renaming a()'s output to
+    # w would make that remove hit the witness, so skipping a() is unsound
+    w, x, y = Variable("W"), Variable("X"), Variable("Y")
+    know_c = lambda t: Compound("know", (Compound("c", (t,)),))
+    a = dsl.make_action_schema("a", [], [], [know_c(y)], [])
+    b = dsl.make_action_schema("b", [x], [dsl.Atom("knows_val", Compound("c", (x,)))],
+                               [Constant("flag")], [know_c(x)])
+    problem = PlanningProblem(State.from_terms([know_c(Constant("w"))]),
+                              (know_c(w), Constant("flag")), (a, b))
+    expected = enumerate_plans(problem, 2)[0]
+    assert str(expected) == "a(); b(#out_a_Y_1)"
+    for prune in (True, False):
+        assert plan(problem, SearchConfig(max_depth=2), _prune=prune) == expected
+
+
 def test_enumerate_emergency_depth2_is_unique(planning_problem):
     plans = enumerate_plans(planning_problem, 2)
     assert len(plans) == 1
@@ -352,3 +421,57 @@ def test_unreachable_walks_stop_before_max_depth(monkeypatch):
         assert len(expanded) <= len(states) < depth, seed
         checked += 1
     assert checked >= 40
+
+
+REGISTRY_SEEDS = range(150)
+
+
+def _plan_or_exception(problem, cfg, prune=True):
+    try:
+        return plan(problem, cfg, _prune=prune)
+    except NoPlanFound as exc:
+        return exc
+
+
+def test_plan_agrees_with_oracle_on_registry_family(monkeypatch):
+    expansions = []  # [children made, children applied] per expanded state
+    children, apply = planner._children, planner.apply_update
+
+    def counting_children(actions, state):
+        out = children(actions, state)
+        expansions.append([len(out), 0])
+        return out
+
+    def counting_apply(*args, **kwargs):
+        expansions[-1][1] += 1
+        return apply(*args, **kwargs)
+
+    symbol_caught = skipped = monotone = 0
+    cfg = SearchConfig(max_depth=3)
+    for seed in REGISTRY_SEEDS:
+        problem = randgen.random_registry_problem(random.Random(seed))
+        all_plans = enumerate_plans(problem, 3)
+        expansions.clear()
+        with monkeypatch.context() as m:
+            m.setattr(planner, "_children", counting_children)
+            m.setattr(planner, "apply_update", counting_apply)
+            got = _plan_or_exception(problem, cfg)
+        for result in (got, _plan_or_exception(problem, cfg, prune=False)):
+            if all_plans:
+                assert result == all_plans[0], seed
+            else:
+                assert isinstance(result, NoPlanFound) and result.depth == 3, seed
+        if isinstance(got, NoPlanFound):
+            symbol_caught += bool(got.unreachable)
+        else:
+            expansions.pop()  # the goal was met partway through its children
+        if any(a.removes for a in problem.actions):
+            # no skip without monotonicity: every child made is built
+            assert all(made == applied for made, applied in expansions), seed
+        else:
+            monotone += 1
+            skipped += sum(made - applied for made, applied in expansions)
+    # the family is only worth its run time while it keeps its bias
+    assert symbol_caught >= len(REGISTRY_SEEDS) // 10
+    assert len(REGISTRY_SEEDS) // 2 <= monotone < len(REGISTRY_SEEDS)
+    assert skipped >= len(REGISTRY_SEEDS)

@@ -366,24 +366,27 @@ def test_malformed_log_line_names_file_and_line(tmp_path, bad):
         assert log.append(sample_event_record()) == 2
 
 
-def test_event_log_cut_at_every_byte_opens_or_raises_flux_error(tmp_path):
-    data = "".join(record_to_line(i, sample_event_record(patient_name=name)) + "\n"
-                   for i, name in ((1, "Zoë"), (2, "Binu"))).encode("utf-8")
+def test_event_log_cut_at_every_byte_keeps_whole_records(tmp_path, schedule):
+    # a final line without its newline is a torn write: readers skip it and a
+    # writer cuts it off before its first append
+    records = [sample_event_record(patient_name="Zoë"),
+               scenario.fallback_station_notice(medical_event(), schedule,
+                                                datetime(2011, 11, 5, 7, 0))]
+    lines = [(record_to_line(i, r) + "\n").encode("utf-8")
+             for i, r in enumerate(records, 1)]
+    data = b"".join(lines)
     path = tmp_path / "events.log"
-    opened = 0
     for cut in range(len(data) + 1):
+        whole = [(i, r) for i, r in enumerate(records, 1)
+                 if len(b"".join(lines[:i])) <= cut]
         path.write_bytes(data[:cut])
-        for open_log in (read_event_log, EventLog):
-            try:
-                got = open_log(path)
-            except scenario.FluxError as exc:
-                assert not isinstance(exc, LogLockedError)
-                assert f"{path}:" in str(exc)
-            else:
-                opened += 1
-                if isinstance(got, EventLog):
-                    got.close()
-    assert opened > 2  # whole-record prefixes, at least, open
+        assert read_event_log(path) == whole, cut
+        with EventLog(path) as log:
+            assert log.append(records[0]) == len(whole) + 1
+        after = whole + [(len(whole) + 1, records[0])]
+        assert read_event_log(path) == after, cut
+        with EventLog(path) as log:
+            assert log.append(records[1]) == len(after) + 1
 
 
 # ---------------------------------------------------------------------------
