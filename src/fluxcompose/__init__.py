@@ -88,7 +88,6 @@ from .terms import (
     Substitution,
     Term,
     Variable,
-    canonicalize,
     holds,
     knows_val,
     unify,

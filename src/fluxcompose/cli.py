@@ -37,7 +37,15 @@ DEFAULTS = {
 
 
 def _read(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise  # `run` reports it
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise FluxError(f"unreadable input file: {path} ({reason})")
 
 
 def _path_arg(args: argparse.Namespace, name: str) -> Path:

@@ -9,8 +9,9 @@ The search is breadth-first with canonical child ordering (action name, then
 rendered arguments), so the returned plan is the shortest, lexicographically
 first among equals. Two rules shrink it: a goal symbol that no action sequence
 can produce fails at once, without a search, and in a domain without remove
-lists an application whose adds already hold is never made. `plan` gives the
-soundness argument for these and for its visited set.
+lists an application whose adds already hold is never made. The visited set
+holds states, with placeholders renamed; no state or substitution is named by
+its text. `plan` gives the soundness argument for these and for its visited set.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ from .terms import (
     Variable,
     functor_arity,
     holds,
-    is_ground,
     is_knowledge,
     knows_val,
-    variables_in,
 )
 
 
@@ -143,22 +142,14 @@ def _solve_atoms(atoms: Iterable[Atom], state: State,
 def check_poss(schema: ActionSchema, state: State) -> list[Substitution]:
     """All substitutions under which the schema's poss conjunction holds.
 
-    Every returned substitution grounds the schema's non-output variables; an
-    empty list means the action is not applicable.
+    Each grounds the schema's params and poss variables, and none repeats; an
+    empty list means the action is not applicable. Keeping those that bind
+    every param suffices: every state fluent is ground, so every poss variable
+    ends up ground; and two different solutions first differ at an atom that
+    matched two different fluents, so they bind its variables differently.
     """
-    needed = set(schema.params)
-    for atom in schema.poss:
-        needed.update(variables_in(atom.pattern))
-    out: list[Substitution] = []
-    seen: set[tuple] = set()
-    for subst in _solve_atoms(schema.poss, state):
-        if not all(is_ground(subst.apply(v)) for v in needed):
-            continue
-        key = subst.dedup_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(subst)
-    return out
+    return [subst for subst in _solve_atoms(schema.poss, state)
+            if all(p in subst.bindings for p in schema.params)]
 
 
 def output_binding(schema: ActionSchema, step: int) -> dict[Variable, Placeholder]:
@@ -174,11 +165,9 @@ def apply_update(schema: ActionSchema, subst: Substitution, state: State,
     the update is applied: Z2 = (Z1 minus removes) union adds. Raises
     PreconditionViolation when subst does not satisfy poss in this state.
     """
-    if not _checked:
-        key = subst.dedup_key()
-        if key not in {s.dedup_key() for s in check_poss(schema, state)}:
-            raise PreconditionViolation(
-                f"substitution {subst} does not satisfy poss of {schema.name}")
+    if not _checked and subst not in check_poss(schema, state):
+        raise PreconditionViolation(
+            f"substitution {subst} does not satisfy poss of {schema.name}")
     full = subst.extend_all(output_binding(schema, step))
     adds = [full.apply(t) for t in schema.adds]
     removes = [full.apply(t) for t in schema.removes]
@@ -207,16 +196,23 @@ def satisfies_goal(state: State, goal: Iterable[Term]) -> bool:
 _PLACEHOLDER_MARK = re.compile(r"#out_\w+")
 
 
-def _pruning_key(state: State) -> str:
-    """Canonical key with placeholders renamed to position-based indices.
+def _has_placeholder(term: Term) -> bool:
+    if isinstance(term, Compound):
+        return any(map(_has_placeholder, term.args))
+    return isinstance(term, Placeholder)
 
-    States differing only in placeholder identity collapse to one key, so
-    trips through differently-numbered but isomorphic states are pruned.
+
+def _pruning_key(state: State) -> State:
+    """The state with placeholders renamed by first appearance; itself if it has none.
+
+    Fluents with placeholders are taken in order of their text, placeholders
+    masked, so twins differing only in placeholder identity mostly share a key;
+    the renaming is one-to-one, so states sharing a key are always twins.
     """
-    terms = sorted(
-        state.world | state.knowledge,
-        key=lambda t: (_PLACEHOLDER_MARK.sub("#?", str(t)), str(t)),
-    )
+    marked = sorted((t for t in state.world | state.knowledge if _has_placeholder(t)),
+                    key=lambda t: (_PLACEHOLDER_MARK.sub("#?", str(t)), str(t)))
+    if not marked:
+        return state
     mapping: dict[Placeholder, Placeholder] = {}
 
     def rename(t: Term) -> Term:
@@ -230,7 +226,9 @@ def _pruning_key(state: State) -> str:
                 return Compound(t.functor, args)
         return t
 
-    return "|".join(sorted(str(rename(t)) for t in terms))
+    renamed = {t: rename(t) for t in marked}
+    return State(frozenset(renamed.get(t, t) for t in state.world),
+                 frozenset(renamed.get(t, t) for t in state.knowledge))
 
 
 def _children(actions: list[ActionSchema], state: State):
@@ -285,7 +283,8 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
 
     Breadth-first over a FIFO queue: children come in `_children` order and
     are goal-tested as they are made; a child is queued if it is shallower
-    than cfg.max_depth and its `_pruning_key` is new. Raises NoPlanFound
+    than cfg.max_depth and its `_pruning_key`, the child with placeholders
+    renamed, is not yet in the visited set of states. Raises NoPlanFound
     (carrying cfg.max_depth) when no plan of at most that length exists.
     Soundness, against the enumerate_plans oracle:
 

@@ -137,9 +137,6 @@ class Substitution:
 
     bindings: Mapping[Variable, Term] = field(default_factory=dict)
 
-    def get(self, var: Variable) -> Optional[Term]:
-        return self.bindings.get(var)
-
     def apply(self, term: Term) -> Term:
         """The term with bound variables replaced; an unchanged term is returned as is."""
         if isinstance(term, Variable):
@@ -165,9 +162,6 @@ class Substitution:
         updated = dict(self.bindings)
         updated.update(pairs)
         return Substitution(updated)
-
-    def dedup_key(self) -> tuple:
-        return tuple(sorted((v.name, str(t)) for v, t in self.bindings.items()))
 
     def __len__(self) -> int:
         return len(self.bindings)
@@ -289,11 +283,6 @@ def _candidates(pattern: Term, index: _Index) -> tuple[Term, ...]:
     if isinstance(pattern, Variable):
         return ordered
     return groups.get(functor_arity(pattern), ())
-
-
-def canonicalize(state: State) -> str:
-    """Canonical text key: equal states (as sets) map to byte-identical keys."""
-    return "|".join(sorted(str(f) for f in state.world | state.knowledge))
 
 
 def holds(pattern: Term, state: State,

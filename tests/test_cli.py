@@ -161,6 +161,23 @@ def test_missing_file_exit_2(capsys):
     assert "x.fcd" in err
 
 
+@pytest.mark.parametrize("command, flag, content, reason", [
+    ("plan", "--domain", None, "Is a directory"),
+    ("plan", "--domain", b"\xff\xfe", "not UTF-8 text"),
+    ("simulate", "--script", None, "Is a directory"),
+])
+def test_unreadable_file_exit_2(tmp_path, capsys, command, flag, content, reason):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    extra = ["--log", str(tmp_path / "log")] if command == "simulate" else []
+    code, out, err = run(capsys, command, flag, str(path), *extra)
+    assert code == 2 and out == ""
+    assert err == f"unreadable input file: {path} ({reason})\n"
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--no-such-flag"])

@@ -26,6 +26,8 @@ from fluxcompose.terms import (
     Placeholder,
     State,
     Variable,
+    is_ground,
+    variables_in,
 )
 
 
@@ -275,12 +277,80 @@ def test_plan_breaks_ties_lexicographically():
     assert plan(problem).steps[0].args == (Constant("a"),)
 
 
+def test_states_that_render_alike_are_not_merged():
+    # p("x,y") and p(x,y) print the same but are different fluents: a1's
+    # state must not cut a2's, whose p(x,y) alone lets a3 reach the goal
+    X, Y = Variable("X"), Variable("Y")
+    s, q = Constant("s"), Constant("q")
+    has_s = [dsl.Atom("holds", s)]
+    problem = PlanningProblem(State.from_terms([s]), (q,), (
+        dsl.make_action_schema("a1", [], has_s, [Compound("p", (Constant("x,y"),))], []),
+        dsl.make_action_schema("a2", [], has_s,
+                               [Compound("p", (Constant("x"), Constant("y")))], []),
+        dsl.make_action_schema("a3", [X, Y],
+                               [dsl.Atom("holds", Compound("p", (X, Y)))], [q], []),
+    ))
+    expected = enumerate_plans(problem, 3)[0]
+    assert str(expected) == "a2(); a3(x,y)"
+    assert plan(problem) == expected
+
+
 def test_goal_matches_placeholder_valued_fluents(planning_problem, find_resource):
     z2 = apply_update(find_resource, check_poss(find_resource,
                                                 planning_problem.initial)[0],
                       planning_problem.initial, step=1)
     goal = (Compound("know", (Compound("Name", (Variable("N"),)),)),)
     assert satisfies_goal(z2, goal)
+
+
+# ---------------------------------------------------------------------------
+# the visited-set key
+# ---------------------------------------------------------------------------
+
+
+def test_pruning_key_of_a_placeholder_free_state_is_the_state():
+    state = State.from_terms([Constant("flag"),
+                              Compound("know", (Compound("p", (Constant("a"),)),))])
+    assert planner._pruning_key(state) is state
+
+
+def test_pruning_key_ignores_placeholder_numbering():
+    # a;b and b;a make the same fluents with their step numbers swapped
+    X, Y = Variable("X"), Variable("Y")
+    a = dsl.make_action_schema("a", [], [], [Compound("p", (X,))], [])
+    b = dsl.make_action_schema("b", [], [], [Compound("q", (Y,))], [])
+
+    def run(*schemas):
+        state = State()
+        for step, schema in enumerate(schemas, 1):
+            state = apply_update(schema, check_poss(schema, state)[0], state, step=step)
+        return state
+
+    ab, ba = run(a, b), run(b, a)
+    assert ab != ba
+    assert planner._pruning_key(ab) == planner._pruning_key(ba)
+
+
+_P1, _CN1 = Placeholder("findResource", "P", 1), Placeholder("findResource", "CN", 1)
+
+
+@given(st.permutations([
+    Compound("availableRole", (Constant("doctor"), Constant("orthopedics"))),
+    Compound("know", (Compound("Name", (_P1,)),)),
+    Compound("know", (Compound("CoachNum", (_CN1,)),)),
+    Compound("availableAt", (_P1, _CN1)),
+    Constant("flag"),
+]))
+def test_pruning_key_insertion_order_invariant(perm):
+    # masked texts sort availableAt(#?,#?) first, so P is renamed before CN
+    ph0, ph1 = Placeholder("ph", "v", 0), Placeholder("ph", "v", 1)
+    assert planner._pruning_key(State.from_terms(perm)) == State.from_terms([
+        Compound("availableRole", (Constant("doctor"), Constant("orthopedics"))),
+        Compound("know", (Compound("Name", (ph0,)),)),
+        Compound("know", (Compound("CoachNum", (ph1,)),)),
+        Compound("availableAt", (ph0, ph1)),
+        Constant("flag"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +384,15 @@ def test_frame_property_random_domains(seed):
     problem = randgen.random_problem(rng)
     state = problem.initial
     for step in range(1, 4):
-        options = [(a, s) for a in problem.actions for s in check_poss(a, state)]
+        options = []
+        for a in problem.actions:
+            got = check_poss(a, state)
+            # check_poss filters neither duplicates nor non-ground poss
+            # variables: its docstring argues neither can occur
+            assert len({frozenset(s.bindings.items()) for s in got}) == len(got)
+            needed = set(a.params).union(*(variables_in(x.pattern) for x in a.poss))
+            assert all(is_ground(s.apply(v)) for s in got for v in needed)
+            options += [(a, s) for s in got]
         if not options:
             break
         schema, subst = rng.choice(options)
@@ -381,17 +459,17 @@ def test_plan_agrees_with_oracle_on_multistep_family():
 
 def _reachable_states(problem):
     """Every state reachable from the initial one, for placeholder-free domains."""
-    from fluxcompose.terms import canonicalize
-    seen = {canonicalize(problem.initial): problem.initial}
+    seen = {problem.initial}
     todo = [problem.initial]
     while todo:
         state = todo.pop()
         for schema in problem.actions:
             for subst in check_poss(schema, state):
                 nxt = apply_update(schema, subst, state, _checked=True)
-                if seen.setdefault(canonicalize(nxt), nxt) is nxt:
+                if nxt not in seen:
+                    seen.add(nxt)
                     todo.append(nxt)
-    return list(seen.values())
+    return list(seen)
 
 
 def test_unreachable_walks_stop_before_max_depth(monkeypatch):

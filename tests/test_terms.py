@@ -1,4 +1,4 @@
-"""Unification, holds/knows_val enumeration, and state canonicalization."""
+"""Unification, holds/knows_val enumeration, and states."""
 
 import random
 
@@ -13,7 +13,6 @@ from fluxcompose.terms import (
     State,
     Substitution,
     Variable,
-    canonicalize,
     holds,
     is_ground,
     knows_val,
@@ -220,12 +219,12 @@ def test_holds_equals_brute_force_on_random_states(data):
     pattern = Compound(rng.choice("pqr"), pattern_args) if pattern_args \
         else Constant(rng.choice("pqr"))
 
-    got = [s.dedup_key() for s in holds(pattern, state)]
+    got = list(holds(pattern, state))
     oracle = []
     for f in sorted(state.world, key=str):
         s = unify(pattern, f)
         if s is not None:
-            oracle.append(s.dedup_key())
+            oracle.append(s)
     assert got == oracle
 
 
@@ -243,12 +242,12 @@ def test_knows_val_equals_brute_force_on_random_states(data):
     pattern = Compound(rng.choice("pq"), tuple(
         rng.choice([X, P] + consts) for _ in range(rng.randint(0, 2))))
 
-    got = [s.dedup_key() for s in knows_val(pattern, state)]
+    got = list(knows_val(pattern, state))
     oracle = []
     for f in sorted(state.knowledge, key=str):
         s = unify(know(pattern), f)
         if s is not None:
-            oracle.append(s.dedup_key())
+            oracle.append(s)
     assert got == oracle
 
 
@@ -334,7 +333,7 @@ def test_compound_text_equals_uncached_rendering(t):
 
 
 # ---------------------------------------------------------------------------
-# canonicalize
+# states
 # ---------------------------------------------------------------------------
 
 
@@ -344,30 +343,3 @@ def test_states_reject_non_ground_fluents():
         State.from_terms([comp("f", X)])
     with pytest.raises(NotGroundError):
         State().with_update([comp("f", X)], [])
-
-
-def test_canonicalize_sorts():
-    assert canonicalize(_state(Constant("b"), Constant("a"))) == "a|b"
-
-
-def test_canonicalize_dedups_via_sets():
-    assert canonicalize(_state(Constant("a"), Constant("a"))) == "a"
-
-
-def test_canonicalize_empty():
-    assert canonicalize(State()) == ""
-
-
-@given(st.permutations([
-    comp("availableRole", doctor, orthopedics),
-    know(comp("Name", Placeholder("findResource", "P", 1))),
-    know(comp("CoachNum", Placeholder("findResource", "CN", 1))),
-    comp("availableAt", Placeholder("findResource", "P", 1),
-         Placeholder("findResource", "CN", 1)),
-    Constant("flag"),
-]))
-def test_canonicalize_insertion_order_invariant(perm):
-    reference = State.from_terms(perm)
-    # oracle: sort-then-join over the rendered fluents
-    expected = "|".join(sorted(str(t) for t in perm))
-    assert canonicalize(reference) == expected
