@@ -36,6 +36,10 @@ DEFAULTS = {
 }
 
 
+def _unreadable(path: Path, reason: str) -> FluxError:
+    return FluxError(f"unreadable input file: {path} ({reason})")
+
+
 def _read(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
@@ -45,7 +49,7 @@ def _read(path: Path) -> str:
         reason = exc.strerror
     except UnicodeDecodeError:
         reason = "not UTF-8 text"
-    raise FluxError(f"unreadable input file: {path} ({reason})")
+    raise _unreadable(path, reason)
 
 
 def _path_arg(args: argparse.Namespace, name: str) -> Path:
@@ -131,13 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _log_path(args: argparse.Namespace) -> Path:
-    env = os.environ.get("FLUXCOMPOSE_LOG")
-    if env:
-        return Path(env)
-    if args.log:
-        return Path(args.log)
-    raise FluxError("an event log path is required (--log or FLUXCOMPOSE_LOG)")
+def _open_log(args: argparse.Namespace) -> scenario.EventLog:
+    """Open the event log named by FLUXCOMPOSE_LOG or --log."""
+    path = os.environ.get("FLUXCOMPOSE_LOG") or args.log
+    if not path:
+        raise FluxError("an event log path is required (--log or FLUXCOMPOSE_LOG)")
+    path = Path(path)
+    try:
+        return scenario.EventLog(path)
+    except FileNotFoundError:
+        raise  # `run` reports it
+    except OSError as exc:
+        raise _unreadable(path, exc.strerror) from None
 
 
 def _load_context(args: argparse.Namespace, log: scenario.EventLog
@@ -282,7 +291,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         now = datetime.fromisoformat(args.now)
     except ValueError:
         raise FluxError(f"--now expects an ISO timestamp, found {args.now!r}") from None
-    with scenario.EventLog(_log_path(args)) as log:
+    with _open_log(args) as log:
         ctx = _load_context(args, log)
         info = scenario.EmergencyInfo(
             event_type=scenario.EventType(args.type),
@@ -309,7 +318,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     script_path = Path(args.script)
-    with scenario.EventLog(_log_path(args)) as log:
+    with _open_log(args) as log:
         ctx = _load_context(args, log)
         steps = scenario.run_script(ctx, _read(script_path), str(script_path))
     for step in steps:

@@ -17,10 +17,13 @@ import csv
 import fcntl
 import io
 import os
+import re
 import shlex
+from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
 from datetime import date as Date, datetime, time as Time
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
@@ -147,16 +150,83 @@ class MedicalDetails:
     specialization: Optional[str] = None
 
 
-@dataclass(frozen=True)
+# Passengers per block of a roster's storage: an update copies one block and
+# the tuple of blocks, never the whole passenger list.
+_BLOCK = 128
+
+
+def _is_ready(p: Passenger) -> bool:
+    """Whether p can be traced as a responder, given a matching profession."""
+    return (p.role is Role.DELIVERY_PERSONNEL and p.registered_for_service
+            and p.travel.validated)
+
+
 class Roster:
-    passengers: tuple[Passenger, ...]
-    coach_order: tuple[str, ...]
+    """An immutable passenger list and the train's coach sequence.
+
+    The passengers are kept in blocks of _BLOCK, so with_passenger copies one
+    block and the tuple of blocks; `passengers` joins the blocks when first
+    read, once per roster. Two indexes are built with the first roster of a
+    list: pnr -> position (the first passenger with that pnr; later
+    duplicates are never returned or updated) and the positions of the ready
+    personnel (delivery personnel registered for service with a validated
+    travel plan), in roster order. Positions never move, so a roster made by
+    with_passenger shares its parent's pnr map, and shares its ready pool
+    unless the update makes the passenger ready or no longer ready; then one
+    position is inserted or removed. Equality and hashing see only
+    passengers and coach_order.
+    """
+
+    __slots__ = ("coach_order", "_blocks", "_positions", "_ready", "_passengers")
+
+    def __init__(self, passengers: tuple[Passenger, ...], coach_order: tuple[str, ...]):
+        passengers = tuple(passengers)
+        positions: dict[str, int] = {}
+        for i, p in enumerate(passengers):
+            positions.setdefault(p.pnr, i)
+        self._set(coach_order,
+                  tuple(passengers[i:i + _BLOCK] for i in range(0, len(passengers), _BLOCK)),
+                  positions,
+                  tuple(i for i, p in enumerate(passengers) if _is_ready(p)),
+                  passengers)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Roster is immutable: cannot set {name}")
+
+    @property
+    def passengers(self) -> tuple[Passenger, ...]:
+        if self._passengers is None:
+            object.__setattr__(self, "_passengers", tuple(chain.from_iterable(self._blocks)))
+        return self._passengers
+
+    def __eq__(self, other):
+        if not isinstance(other, Roster):
+            return NotImplemented
+        return (self.coach_order, self.passengers) == (other.coach_order, other.passengers)
+
+    def __hash__(self):
+        return hash((self.passengers, self.coach_order))
+
+    def __repr__(self):
+        return f"Roster(passengers={self.passengers!r}, coach_order={self.coach_order!r})"
+
+    def _at(self, i: int) -> Passenger:
+        return self._blocks[i // _BLOCK][i % _BLOCK]
 
     def get(self, pnr: str) -> Passenger:
-        for p in self.passengers:
-            if p.pnr == pnr:
-                return p
-        raise UnknownPassengerError(pnr)
+        try:
+            return self._at(self._positions[pnr])
+        except KeyError:
+            raise UnknownPassengerError(pnr) from None
+
+    def ready_personnel(self) -> Iterator[Passenger]:
+        """The delivery personnel registered for service with a validated
+        travel plan, in roster order."""
+        return map(self._at, self._ready)
 
     def coach_index(self, coach: str) -> int:
         try:
@@ -165,9 +235,21 @@ class Roster:
             raise FluxError(f"unknown coach {coach!r} (not in #coach-order)") from None
 
     def with_passenger(self, updated: Passenger) -> "Roster":
-        return replace(self, passengers=tuple(
-            updated if p.pnr == updated.pnr else p for p in self.passengers
-        ))
+        """The roster with the passenger of updated's pnr replaced; unchanged if none."""
+        i = self._positions.get(updated.pnr)
+        if i is None:
+            return self
+        b, j = divmod(i, _BLOCK)
+        block = self._blocks[b]
+        ready, now_ready = self._ready, _is_ready(updated)
+        if now_ready != _is_ready(block[j]):
+            k = bisect_left(ready, i)
+            ready = ready[:k] + (i,) + ready[k:] if now_ready else ready[:k] + ready[k + 1:]
+        block = block[:j] + (updated,) + block[j + 1:]
+        new = object.__new__(Roster)
+        new._set(self.coach_order, self._blocks[:b] + (block,) + self._blocks[b + 1:],
+                 self._positions, ready, None)
+        return new
 
 
 # characters that survive the log's line format unescaped
@@ -364,9 +446,7 @@ def trace_resources(roster: Roster, event: EmergencyEvent,
         else frozenset()
     patient_pos = roster.coach_index(event.coach)
     eligible = []
-    for p in roster.passengers:
-        if p.role is not Role.DELIVERY_PERSONNEL:
-            continue
+    for p in roster.ready_personnel():
         if not p.registered_for_service or not p.travel.validated:
             continue
         if p.profession not in category:
@@ -492,19 +572,16 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+_UNESCAPED = {"t": "\t", "n": "\n"}
+
+
 def _unescape(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        c = value[i]
-        if c == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            out.append({"t": "\t", "n": "\n", "\\": "\\"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    """Undo _escape; any other escaped character stands for itself, and a
+    lone trailing backslash reads back as itself."""
+    if "\\" not in value:
+        return value
+    return _ESCAPED.sub(lambda m: _UNESCAPED.get(m[1], m[1]), value)
 
 
 def _field_to_text(name: str, value) -> str:

@@ -1,8 +1,9 @@
 """Independent oracles the implementation is checked against.
 
 These deliberately avoid the package's own code paths: reachability is a
-plain recursive DFS, responder ranking is a pairwise-comparator sort, and the
-next-station rule is a linear scan.
+plain recursive DFS, responder ranking is a pairwise-comparator sort, the
+next-station rule is a linear scan, and log-field unescaping is a walk over
+the characters.
 """
 
 from __future__ import annotations
@@ -62,3 +63,19 @@ def scan_next_station(stops: list[tuple[str, Time]], now: Time) -> str:
             chosen = station
             break
     return chosen
+
+
+def walk_unescape(value: str) -> str:
+    """Undo the event log's field escaping one character at a time."""
+    out = []
+    i = 0
+    while i < len(value):
+        c = value[i]
+        if c == "\\" and i + 1 < len(value):
+            nxt = value[i + 1]
+            out.append({"t": "\t", "n": "\n", "\\": "\\"}.get(nxt, nxt))
+            i += 2
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)

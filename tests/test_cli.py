@@ -178,6 +178,17 @@ def test_unreadable_file_exit_2(tmp_path, capsys, command, flag, content, reason
     assert err == f"unreadable input file: {path} ({reason})\n"
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("report", ["--pnr", "P003", "--type", "Medical", "--now", "2011-11-05T09:20"]),
+    ("simulate", ["--script", str(data_path("emergency.scn"))]),
+])
+def test_log_directory_exit_2(tmp_path, capsys, monkeypatch, command, extra):
+    monkeypatch.delenv("FLUXCOMPOSE_LOG", raising=False)
+    code, out, err = run(capsys, command, "--log", str(tmp_path), *extra)
+    assert code == 2 and out == ""
+    assert err == f"unreadable input file: {tmp_path} (Is a directory)\n"
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--no-such-flag"])

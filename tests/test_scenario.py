@@ -1,6 +1,7 @@
 """Roster handling, responder ranking, the report flow, and the event log."""
 
 import random
+from dataclasses import replace
 from datetime import date as Date, datetime, time as Time
 
 import pytest
@@ -241,6 +242,80 @@ def test_trace_resources_matches_comparator_oracle(seed):
         assert p.registered_for_service and p.travel.validated
 
 
+def test_roster_with_duplicate_pnrs_keeps_the_first():
+    # load_roster rejects duplicates; a roster built directly looks up and
+    # updates only the first passenger with a pnr
+    first, second = passenger("P1", "First", "S1"), passenger("P1", "Second", "S2")
+    roster = Roster((first, second), ("S1", "S2"))
+    assert roster.get("P1") == first
+    updated = replace(first, name="Updated")
+    assert roster.with_passenger(updated).passengers == (updated, second)
+    assert roster.with_passenger(passenger("P9", "Nobody", "S1")) == roster
+
+
+def test_roster_is_immutable():
+    roster = Roster((passenger("P1", "Doc", "S1"),), ("S1",))
+    with pytest.raises(AttributeError):
+        roster.coach_order = ("S2",)
+    assert roster.coach_order == ("S1",)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_roster_index_follows_updates(taxonomy, seed):
+    # updated rosters share their parent's index and blocks; after every
+    # update, lookups and ranking must agree with scans of the passengers.
+    # Rosters of up to 300 span several storage blocks.
+    rng = random.Random(seed)
+    roster = randgen.random_roster(rng, max_passengers=300, max_coaches=8)
+    model = list(roster.passengers)
+    graph = taxonomy
+    steps = ["validate", "register"] * 6
+    steps.insert(rng.randrange(len(steps) + 1), "role")
+    for step in steps:
+        i = rng.randrange(len(model))
+        pnr = model[i].pnr
+        if step == "validate":
+            try:
+                roster, updated = validate_travel_plan(
+                    roster, pnr, "A", "B", Date(2011, 11, 5))
+            except NotRegisteredError:
+                assert not model[i].registered_for_service
+                continue
+        elif step == "register":
+            roster, graph, updated = register_passenger(
+                roster, graph, pnr, rng.random() < 0.7, scenario.MedicalDetails())
+        elif model[i].role is Role.DELIVERY_PERSONNEL:
+            updated = replace(model[i], role=Role.NONE)
+            roster = roster.with_passenger(updated)
+        else:
+            updated = replace(model[i], role=Role.DELIVERY_PERSONNEL, profession="doctor",
+                              registered_for_service=True,
+                              travel=replace(model[i].travel, validated=True))
+            roster = roster.with_passenger(updated)
+        model[i] = updated
+        fresh = Roster(tuple(model), roster.coach_order)
+        assert roster == fresh and hash(roster) == hash(fresh)
+        first = {}
+        for q in roster.passengers:
+            first.setdefault(q.pnr, q)
+        for p in model:
+            assert roster.get(p.pnr) == first[p.pnr]
+        with pytest.raises(UnknownPassengerError):
+            roster.get("NOPE")
+        event = medical_event(
+            coach=rng.choice(roster.coach_order),
+            spec=rng.choice(("Orthopedics", "Cardiology", None)),
+            patient_name=rng.choice(model).name if rng.random() < 0.3 else "")
+        expected = oracles.rank_responders(roster, event)
+        try:
+            got = trace_resources(roster, event)
+        except FallbackRequired:
+            assert expected == []
+        else:
+            assert [(r.name, r.coach, r.distance) for r in got] == expected
+
+
 # ---------------------------------------------------------------------------
 # schedule and fallback
 # ---------------------------------------------------------------------------
@@ -303,6 +378,17 @@ def test_record_round_trip_with_escapes():
     rec = sample_event_record(case_history="fell\tdown\nhard\\ly")
     _, back = parse_record_line(record_to_line(1, rec))
     assert back.case_history == "fell\tdown\nhard\\ly"
+
+
+@given(st.one_of(st.text(alphabet="\\tn\t\nx"), st.text()))
+def test_unescape_matches_the_character_walk(value):
+    assert scenario._unescape(value) == oracles.walk_unescape(value)
+    assert scenario._unescape(scenario._escape(value)) == value
+
+
+def test_unescape_keeps_a_lone_trailing_backslash():
+    assert scenario._unescape("ab\\") == "ab\\"
+    assert scenario._unescape("a\\\\\\") == "a\\\\"
 
 
 def test_fallback_record_round_trip(schedule):
