@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import fcntl
-import io
 import os
 import re
 import shlex
@@ -252,21 +251,40 @@ class Roster:
         return new
 
 
-# characters that survive the log's line format unescaped
-_SAFE_TEXT = set(" .,'-")
+# characters that survive the log's line format unescaped, as a table that
+# deletes them
+_SAFE_TEXT = str.maketrans("", "", " .,'-")
+
+# a roster's role cell; an empty one is Role.NONE
+_ROLES = {role.value: role for role in Role} | {"": Role.NONE}
 
 
 def _checked_text(value: str) -> bool:
-    return all(c.isalnum() or c in _SAFE_TEXT for c in value)
+    """Whether every character of value is alphanumeric or in _SAFE_TEXT."""
+    rest = value.translate(_SAFE_TEXT)
+    return rest == "" or rest.isalnum()
 
 
 def load_roster(source: str, source_name: str = "<string>") -> Roster:
-    """Parse and validate a roster file; all bad rows are reported together."""
+    """Parse and validate a roster file; all bad rows are reported together.
+
+    A row is split on its commas unless it holds a quote or a NUL or is
+    longer than csv's field size limit; only those rows go through csv, and
+    a row csv refuses is a row error. The split gives csv's fields: a row is
+    one line of splitlines, so it holds no line break, and without a quote
+    character csv's default dialect ends a field at each comma and nowhere
+    else. csv refuses such a row only for a NUL (on Python 3.10) or a field
+    over the limit, and those rows are the ones sent to it. Rows with equal
+    origin, destination and date cells share one immutable TravelPlan.
+    """
     errors: list[tuple[int, str]] = []
     coach_order: tuple[str, ...] = ()
+    coaches: frozenset[str] = frozenset()
     header_seen = False
     passengers: list[Passenger] = []
     seen_pnrs: set[str] = set()
+    plans: dict[tuple[str, str, str], TravelPlan] = {}
+    field_limit = csv.field_size_limit()
 
     lines = source.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -277,6 +295,7 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
             coach_order = tuple(
                 c.strip() for c in line.split(":", 1)[1].split(",") if c.strip()
             )
+            coaches = frozenset(coach_order)
             continue
         if line.startswith("#"):
             continue
@@ -286,7 +305,14 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
                                source_name)
             header_seen = True
             continue
-        row = next(csv.reader(io.StringIO(line)))
+        if '"' in line or "\0" in line or len(line) > field_limit:
+            try:
+                row = next(csv.reader((line,)))
+            except csv.Error as exc:
+                errors.append((lineno, f"bad row: {exc}"))
+                continue
+        else:
+            row = line.split(",")
         if len(row) != 14:
             errors.append((lineno, f"expected 14 fields, found {len(row)}"))
             continue
@@ -300,29 +326,28 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
             errors.append((lineno, f"duplicate pnr {pnr}"))
         if not name or not _checked_text(name):
             errors.append((lineno, f"bad passenger name {name!r}"))
-        if coach not in coach_order:
+        if coach not in coaches:
             errors.append((lineno, f"unknown coach {coach!r} (not in #coach-order)"))
         try:
             seat_num = int(seat)
         except ValueError:
             errors.append((lineno, f"bad seat {seat!r}"))
-            seat_num = 0
-        try:
-            role_val = Role(role) if role else Role.NONE
-        except ValueError:
+        role_val = _ROLES.get(role)
+        if role_val is None:
             errors.append((lineno, f"bad role {role!r}"))
-            role_val = Role.NONE
-        if role_val is Role.DELIVERY_PERSONNEL and not profession:
+        elif role_val is Role.DELIVERY_PERSONNEL and not profession:
             errors.append((lineno, "delivery personnel must have a registered profession"))
         if registered not in ("yes", "no"):
             errors.append((lineno, f"registered must be yes or no, found {registered!r}"))
         if origin == destination:
             errors.append((lineno, "origin and destination must differ"))
-        try:
-            journey_date = Date.fromisoformat(journey)
-        except ValueError:
-            errors.append((lineno, f"bad journey date {journey!r}"))
-            journey_date = Date(1970, 1, 1)
+        travel = plans.get((origin, destination, journey))
+        if travel is None:
+            try:
+                travel = plans[origin, destination, journey] = TravelPlan(
+                    origin, destination, Date.fromisoformat(journey))
+            except ValueError:
+                errors.append((lineno, f"bad journey date {journey!r}"))
         if len(errors) > row_errors:
             continue
         seen_pnrs.add(pnr)
@@ -331,8 +356,7 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
             profession=profession or None, specialization=specialization or None,
             registered_for_service=(registered == "yes"),
             illness=illness or None, medication=medication or None,
-            medicine_in_hand=medicine or None,
-            travel=TravelPlan(origin, destination, journey_date),
+            medicine_in_hand=medicine or None, travel=travel,
         ))
     if not header_seen:
         errors.append((len(lines) + 1, "missing roster header row"))
@@ -633,31 +657,98 @@ def parse_record_line(line: str) -> tuple[int, LogRecord]:
         raise FluxError(f"malformed log line: {line!r}") from None
 
 
-def _read_records(path) -> Iterator[tuple[int, LogRecord]]:
-    """Parse a log file; a malformed line raises FluxError naming the file and line.
+# The exact line record_to_line writes, one alternative per record kind: the
+# id and the seat in ASCII digits, every other value free of tab and newline.
+_LINE_SHAPE = re.compile("id=([0-9]+)\t(?:%s)\n" % "|".join(
+    "\t".join([f"kind={kind}"] + [
+        f"{name}=" + ("[0-9]+" if name == "seat" else "[^\t\n]*") for name in names])
+    for kind, names in _RECORD_FIELDS.items()))
+
+
+def _whole_lines(fh) -> Iterator[tuple[int, bytes]]:
+    """Numbered lines of a log opened in binary.
 
     A final line without its newline is a write that stopped partway; it is
     skipped, not read.
     """
+    for lineno, raw in enumerate(fh, 1):
+        if not raw.endswith(b"\n"):
+            return
+        yield lineno, raw
+
+
+def _parse_log_line(path, lineno: int, raw: bytes) -> Optional[tuple[int, LogRecord]]:
+    """One whole line of a log: None if blank; a malformed line raises
+    FluxError naming the file and line."""
+    try:
+        line = raw.decode("utf-8")
+        return parse_record_line(line) if line.strip() else None
+    except (UnicodeDecodeError, FluxError) as exc:
+        raise FluxError(f"event log {path}:{lineno}: {exc}") from None
+
+
+def _read_records(path) -> Iterator[tuple[int, LogRecord]]:
+    """Parse a log file; a malformed line raises FluxError naming the file and line."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.endswith(b"\n"):
-                break
-            try:
-                line = raw.decode("utf-8")
-                record = parse_record_line(line) if line.strip() else None
-            except (UnicodeDecodeError, FluxError) as exc:
-                raise FluxError(f"event log {path}:{lineno}: {exc}") from None
+        for lineno, raw in _whole_lines(fh):
+            record = _parse_log_line(path, lineno, raw)
             if record is not None:
                 yield record
 
 
+def _next_record_id(fh, path) -> int:
+    """One past the largest id of a log opened in binary (1 if it has none).
+
+    The file is read one line at a time and every line is checked. A line
+    that is valid UTF-8 and matches _LINE_SHAPE is one parse_record_line
+    accepts, with the id the pattern captures: it is not blank; no value in
+    the pattern holds a tab, so with its final newline stripped, splitting
+    it at its tabs gives exactly the pattern's parts; no key holds "=", so
+    each part's key is the one the pattern puts before its first "="; the
+    keys are distinct, so the kind and every field of that kind are present
+    once; and of the values only id and seat are converted in a way that
+    can fail, and both are ASCII digits, which int accepts. Any other line
+    goes through _parse_log_line, as in read_event_log, which alone skips a
+    blank line or rejects a line and names it.
+    """
+    next_id = 1
+    for lineno, raw in _whole_lines(fh):
+        try:
+            shape = _LINE_SHAPE.fullmatch(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            shape = None
+        if shape is not None:
+            rid = int(shape[1])
+        else:
+            record = _parse_log_line(path, lineno, raw)
+            if record is None:
+                continue
+            rid = record[0]
+        next_id = max(next_id, rid + 1)
+    return next_id
+
+
+# Bytes read at a time while looking back for the end of a torn final line.
+_TAIL_CHUNK = 1 << 16
+
+
 def _cut_torn_tail(fd: int) -> None:
-    """Truncate the file to its last complete line; only its last byte is read when whole."""
-    size = os.fstat(fd).st_size
-    if size == 0 or os.pread(fd, 1, size - 1) == b"\n":
+    """Truncate the file to its last complete line.
+
+    Only its last byte is read when it ends in a newline; otherwise it is
+    read back from the end in chunks of _TAIL_CHUNK up to the last newline.
+    """
+    end = os.fstat(fd).st_size
+    if end == 0 or os.pread(fd, 1, end - 1) == b"\n":
         return
-    os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
+    while end > 0:
+        start = max(end - _TAIL_CHUNK, 0)
+        newline = os.pread(fd, end - start, start).rfind(b"\n")
+        if newline >= 0:
+            end = start + newline + 1
+            break
+        end = start
+    os.ftruncate(fd, end)
 
 
 class EventLog:
@@ -666,24 +757,26 @@ class EventLog:
     The writer holds an exclusive advisory lock on the log file for its whole
     lifetime; a second writer fails fast with LogLockedError. Readers never
     take the lock. Opening cuts a torn final line (one without its newline,
-    left by a write that stopped partway) so the next record starts a line.
+    left by a write that stopped partway) so the next record starts a line,
+    then reads the ids through the locked descriptor, checking every line.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._fh = open(self.path, "a+", encoding="utf-8")
+        fd = self._fh.fileno()
         try:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
             self._fh.close()
             raise LogLockedError(
                 f"event log {self.path} is held by another writer") from None
-        self._next_id = 1
         try:
-            _cut_torn_tail(self._fh.fileno())
-            for rid, _ in _read_records(self.path):
-                self._next_id = max(self._next_id, rid + 1)
-        except FluxError:
+            _cut_torn_tail(fd)
+            os.lseek(fd, 0, os.SEEK_SET)
+            with open(fd, "rb", closefd=False) as fh:
+                self._next_id = _next_record_id(fh, self.path)
+        except BaseException:
             self.close()
             raise
 

@@ -1,7 +1,8 @@
 """Roster handling, responder ranking, the report flow, and the event log."""
 
+import csv
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date as Date, datetime, time as Time
 
 import pytest
@@ -106,6 +107,103 @@ def test_load_roster_same_origin_destination():
     src = HEADER + "P1,Asha,S1,1,Patient,,,yes,,,,A,A,2011-11-05\n"
     with pytest.raises(LoadError):
         load_roster(src)
+
+
+def test_load_roster_travel_plans_follow_each_row():
+    src = HEADER + ("P1,Asha,S1,1,Patient,,,yes,,,,A,B,2011-11-05\n"
+                    "P2,Binu,S2,2,Patient,,,yes,,,,A,B,2011-11-06\n"
+                    "P3,Chitra,S3,3,Patient,,,yes,,,,A,C,2011-11-05\n"
+                    "P4,Devi,S3,4,Patient,,,yes,,,,A,B,2011-11-05\n")
+    roster = load_roster(src)
+    assert [(p.travel.destination, p.travel.journey_date.day)
+            for p in roster.passengers] == [("B", 5), ("B", 6), ("C", 5), ("B", 5)]
+
+
+def test_load_roster_nul_in_a_quoted_cell_is_a_row_error():
+    # csv refuses a NUL on Python 3.10 and passes it on from 3.11; the row is
+    # rejected either way
+    src = HEADER + ('P1,"As\0ha",S1,1,Patient,,,yes,,,,A,B,2011-11-05\n'
+                    'P2,Binu,S2,2,Patient,,,yes,,,,A,B,2011-11-05\n')
+    with pytest.raises(LoadError) as exc:
+        load_roster(src)
+    assert [line for line, _ in exc.value.errors] == [3]
+
+
+def test_load_roster_field_over_the_csv_limit_is_a_row_error():
+    long_cell = "x" * (csv.field_size_limit() + 1)
+    src = HEADER + f"P1,Asha,S1,1,Patient,,,yes,{long_cell},,,A,B,2011-11-05\n"
+    with pytest.raises(LoadError) as exc:
+        load_roster(src)
+    assert exc.value.errors == [(3, "bad row: field larger than field limit "
+                                    f"({csv.field_size_limit()})")]
+
+
+# (valid cells, invalid cells) per roster column. An invalid cell makes its
+# row an error; so can valid cells together: a duplicate pnr, delivery
+# personnel without a profession, or equal origin and destination.
+ROSTER_CELLS = (
+    (tuple(f"P{i}" for i in range(1, 13)), ("",)),
+    (("Asha", "Zoë", "O'Neil", "Ravi K.", "Ana-Maria", "李雷", "Asha, Jr.", "-. '"),
+     ("", "Bad;Name", "x\0y", "Tab\tbed")),
+    (("S1", "S2", "S3"), ("S9", "s1")),
+    (("1", "42", "٣"), ("x", "", "4.5")),
+    (("", "Patient", "None", "DeliveryPersonnel"), ("Doctor", "patient")),
+    (("doctor", "nurse"), ("",)),
+    (("", "Orthopedics"), ()),
+    (("yes", "no"), ("YES", "")),
+    (("", "asthma", "café", "x\0", "", "flu", "a,b", 'say "hi"'), ()),
+    (("", "insulin"), ()),
+    (("", "inhaler"), ()),
+    (("A", "Agra"), ("",)),
+    (("B", "Bhopal"), ("A",)),
+    (("2011-11-05", "2012-02-29"), ("2011-02-30", "11/05/2011", "")),
+)
+
+
+@st.composite
+def roster_rows(draw):
+    bad = draw(st.sampled_from([None] * 56 + list(range(len(ROSTER_CELLS)))))
+    cells = [draw(st.sampled_from(bad_values if i == bad and bad_values else good))
+             for i, (good, bad_values) in enumerate(ROSTER_CELLS)]
+    width = draw(st.sampled_from([14] * 28 + [13, 15]))
+    cells = (cells + ["extra"])[:width]
+    forms = st.sampled_from(["plain", "plain", "plain", "quoted", "padded"])
+    out = []
+    for cell in cells:
+        form = draw(forms)
+        if form == "quoted":
+            cell = '"' + cell.replace('"', '""') + '"'
+        elif form == "padded":
+            cell = f" {cell}\t"
+        out.append(cell)
+    return ",".join(out)
+
+
+@st.composite
+def roster_sources(draw):
+    lines = [draw(st.sampled_from(["#coach-order: S1,S2,S3",
+                                   "#coach-order:  S1 , S2,,S3 "] * 3
+                                  + ["#coach-order: S2"]))]
+    lines.append(draw(st.sampled_from([scenario.ROSTER_HEADER] * 12
+                                      + ["", "pnr,name", "# no header"])))
+    for _ in range(draw(st.integers(0, 8))):
+        lines.append(draw(st.one_of(roster_rows(), roster_rows(), roster_rows(),
+                                    st.sampled_from(["", "   ", "# comment"]))))
+    return "\n".join(lines) + "\n"
+
+
+def _roster_or_errors(load, src):
+    try:
+        return load(src, "r.csv")
+    except LoadError as exc:
+        return exc.errors
+
+
+@given(roster_sources())
+@settings(max_examples=300, deadline=None)
+def test_load_roster_matches_the_csv_oracle(src):
+    assert _roster_or_errors(load_roster, src) == \
+        _roster_or_errors(oracles.csv_load_roster, src)
 
 
 def test_bundled_roster(roster):
@@ -450,6 +548,79 @@ def test_malformed_log_line_names_file_and_line(tmp_path, bad):
     path.write_text(record_to_line(1, sample_event_record()) + "\n", encoding="utf-8")
     with EventLog(path) as log:  # a failed open released the writer lock
         assert log.append(sample_event_record()) == 2
+
+
+LOG_TEXT = st.text(alphabet="ab =\\\t\né", max_size=6)
+
+
+@st.composite
+def log_lines(draw):
+    """A line record_to_line writes, then maybe one mutation of it, as bytes."""
+    rec = sample_event_record(patient_name=draw(LOG_TEXT), case_history=draw(LOG_TEXT),
+                              seat=draw(st.integers(-3, 99)))
+    if draw(st.booleans()):
+        rec = FallbackRecord(**{f.name: getattr(rec, f.name)
+                                for f in fields(scenario._RecordCommon)},
+                             station=draw(LOG_TEXT), reason="none")
+    parts = record_to_line(draw(st.integers(0, 10**6)), rec).split("\t")
+    i = draw(st.integers(0, len(parts) - 1))
+    mutation = draw(st.sampled_from([None, None, "reorder", "duplicate", "equals",
+                                     "digits", "blank", "kind", "missing", "bytes"]))
+    if mutation == "reorder":
+        parts = draw(st.permutations(parts))
+    elif mutation == "duplicate":
+        key = draw(st.sampled_from(["id", "kind", "seat", parts[i].split("=")[0]]))
+        parts.insert(draw(st.integers(0, len(parts))), key + "=7")
+    elif mutation == "equals":
+        parts[i] += "=1"
+    elif mutation == "digits":
+        digits = draw(st.sampled_from(["٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９"]))
+        j = 0 if draw(st.booleans()) else [p.split("=")[0] for p in parts].index("seat")
+        parts[j] = parts[j].translate(str.maketrans("0123456789", digits))
+    elif mutation == "blank":
+        parts = [draw(st.sampled_from(["", " ", "\t", "\r", "\x1c", "\u3000"]))]
+    elif mutation == "kind":
+        parts[1] = "kind=memo"
+    elif mutation == "missing":
+        del parts[i]
+    line = "\t".join(parts).encode("utf-8")
+    if mutation == "bytes":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + line[at:]
+    return line + b"\n"
+
+
+@given(st.lists(log_lines(), max_size=6), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_event_log_open_agrees_with_the_full_parse(tmp_path_factory, lines, torn):
+    # the writer's next id is one past the largest id read_event_log returns,
+    # and a log read_event_log rejects fails to open with the same message
+    data = b"".join(lines)
+    data = data[:len(data) - torn] if torn < len(data) else data
+    path = tmp_path_factory.mktemp("logs") / "events.log"
+    path.write_bytes(data)
+    try:
+        expected = max([1] + [rid + 1 for rid, _ in read_event_log(path)])
+    except scenario.FluxError as exc:
+        with pytest.raises(scenario.FluxError) as got:
+            EventLog(path)
+        assert str(got.value) == str(exc)
+    else:
+        with EventLog(path) as log:
+            assert log.append(sample_event_record()) == expected
+
+
+@pytest.mark.parametrize("before", [0, 2])
+@pytest.mark.parametrize("torn", [1, scenario._TAIL_CHUNK - 1, scenario._TAIL_CHUNK,
+                                  scenario._TAIL_CHUNK + 1, 3 * scenario._TAIL_CHUNK + 5])
+def test_event_log_cuts_a_torn_line_longer_than_a_chunk(tmp_path, before, torn):
+    whole = b"".join((record_to_line(i, sample_event_record()) + "\n").encode("utf-8")
+                     for i in range(1, before + 1))
+    path = tmp_path / "events.log"
+    path.write_bytes(whole + b"x" * torn)
+    with EventLog(path) as log:
+        assert path.read_bytes() == whole
+        assert log.append(sample_event_record()) == before + 1
 
 
 def test_event_log_cut_at_every_byte_keeps_whole_records(tmp_path, schedule):
