@@ -242,6 +242,21 @@ class _Parser:
             return Variable(tok.text), tok
         return Constant(tok.text), tok
 
+    def parse_atom(self, expected: str) -> tuple[Atom, _Token]:
+        """Parse holds(pattern) or knows_val(pattern); expected names what
+        may come first, for the error when something else does. The pattern
+        is a bare fluent: holds queries world fluents and knows_val wraps in
+        know itself, so a know(...) pattern could never be satisfied."""
+        kind_tok = self.expect_ident(expected)
+        if kind_tok.text not in (HOLDS, KNOWS_VAL):
+            raise self.fail(expected, kind_tok)
+        self.expect_punct("(")
+        pattern, pat_tok = self.parse_term()
+        self.expect_punct(")")
+        if functor_arity(pattern)[0] == KNOW:
+            raise self.fail("a bare fluent pattern", pat_tok)
+        return Atom(kind_tok.text, pattern), pat_tok
+
     def parse_term_list(self, closer: str) -> list[tuple[Term, _Token]]:
         items: list[tuple[Term, _Token]] = []
         if self.at_punct(closer):
@@ -332,21 +347,9 @@ def parse_domain(source: str, source_name: str = "<string>") -> DomainFile:
             poss: list[Atom] = []
 
             def parse_atom() -> None:
-                kind_tok = p.expect_ident("'holds', 'knows_val' or 'update'")
-                if kind_tok.text not in (HOLDS, KNOWS_VAL):
-                    raise ParseError(kind_tok.line, kind_tok.col,
-                                     "'holds', 'knows_val' or 'update'",
-                                     repr(kind_tok.text), source_name)
-                p.expect_punct("(")
-                pattern, pat_tok = p.parse_term()
-                p.expect_punct(")")
-                name, _ = functor_arity(pattern)
-                if name == KNOW:
-                    # holds queries world fluents; knows_val wraps in know itself
-                    raise ParseError(pat_tok.line, pat_tok.col,
-                                     "a bare fluent pattern", repr(KNOW), source_name)
-                usages.append(_fluent_usage(pattern, pat_tok, source_name))
-                poss.append(Atom(kind_tok.text, pattern))
+                atom, pat_tok = p.parse_atom("'holds', 'knows_val' or 'update'")
+                usages.append(_fluent_usage(atom.pattern, pat_tok, source_name))
+                poss.append(atom)
 
             if not p.at_keyword("update"):
                 parse_atom()
@@ -469,13 +472,7 @@ def parse_term_text(text: str, source_name: str = "<string>") -> Term:
 def parse_atom_text(text: str, source_name: str = "<string>") -> Atom:
     """Parse one holds(...)/knows_val(...) atom from a text fragment."""
     p = _Parser(text, source_name)
-    kind_tok = p.expect_ident("'holds' or 'knows_val'")
-    if kind_tok.text not in (HOLDS, KNOWS_VAL):
-        raise ParseError(kind_tok.line, kind_tok.col, "'holds' or 'knows_val'",
-                         repr(kind_tok.text), source_name)
-    p.expect_punct("(")
-    pattern, _ = p.parse_term()
-    p.expect_punct(")")
+    atom, _ = p.parse_atom("'holds' or 'knows_val'")
     if p.peek().kind != "eof":
         raise p.fail("end of atom")
-    return Atom(kind_tok.text, pattern)
+    return atom

@@ -100,9 +100,6 @@ class TaxonomyGraph:
         return replace(self, individuals=updated)
 
 
-EMPTY_TAXONOMY = TaxonomyGraph(frozenset(), {}, {})
-
-
 def load_taxonomy(source: str, source_name: str = "<string>") -> TaxonomyGraph:
     """Parse and validate a taxonomy; rejects cycles and undeclared references."""
     concepts: set[str] = set()

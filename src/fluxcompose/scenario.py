@@ -268,14 +268,16 @@ def _checked_text(value: str) -> bool:
 def load_roster(source: str, source_name: str = "<string>") -> Roster:
     """Parse and validate a roster file; all bad rows are reported together.
 
-    A row is split on its commas unless it holds a quote or a NUL or is
-    longer than csv's field size limit; only those rows go through csv, and
-    a row csv refuses is a row error. The split gives csv's fields: a row is
-    one line of splitlines, so it holds no line break, and without a quote
-    character csv's default dialect ends a field at each comma and nowhere
-    else. csv refuses such a row only for a NUL (on Python 3.10) or a field
-    over the limit, and those rows are the ones sent to it. Rows with equal
-    origin, destination and date cells share one immutable TravelPlan.
+    A row holding a NUL is a row error on every Python version (csv refuses
+    it on 3.10 and passes it on from 3.11). Any other row is split on its
+    commas unless it holds a quote or is longer than csv's field size limit;
+    only those rows go through csv, and a row csv refuses is a row error.
+    The split gives csv's fields: a row is one line of splitlines, so it
+    holds no line break, and without a quote character csv's default
+    dialect ends a field at each comma and nowhere else. csv refuses such a
+    row only for a field over the limit, and those rows are the ones sent to
+    it. Rows with equal origin, destination and date cells share one
+    immutable TravelPlan.
     """
     errors: list[tuple[int, str]] = []
     coach_order: tuple[str, ...] = ()
@@ -305,7 +307,10 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
                                source_name)
             header_seen = True
             continue
-        if '"' in line or "\0" in line or len(line) > field_limit:
+        if "\0" in line:
+            errors.append((lineno, "bad row: line contains NUL"))
+            continue
+        if '"' in line or len(line) > field_limit:
             try:
                 row = next(csv.reader((line,)))
             except csv.Error as exc:
@@ -471,8 +476,6 @@ def trace_resources(roster: Roster, event: EmergencyEvent,
     patient_pos = roster.coach_index(event.coach)
     eligible = []
     for p in roster.ready_personnel():
-        if not p.registered_for_service or not p.travel.validated:
-            continue
         if p.profession not in category:
             continue
         if p.name == event.patient_name:
@@ -640,29 +643,36 @@ def record_to_line(record_id: int, record: LogRecord) -> str:
     return "\t".join(parts)
 
 
-def parse_record_line(line: str) -> tuple[int, LogRecord]:
-    parts = line.rstrip("\n").split("\t")
-    values: dict[str, str] = {}
-    for part in parts:
-        key, _, value = part.partition("=")
-        values[key] = value
-    kind = values.get("kind")
-    try:
-        kwargs = {
-            name: _field_from_text(name, _unescape(values[name]))
-            for name in _RECORD_FIELDS[kind]
-        }
-        return int(values["id"]), _RECORD_TYPES[kind](**kwargs)
-    except (KeyError, ValueError):
-        raise FluxError(f"malformed log line: {line!r}") from None
+# A field's values where they are narrower than text free of tab and newline:
+# the seat's int and payment_collected's bool as _field_to_text writes them.
+_VALUE_SHAPES = {"seat": "-?[0-9]+", "payment_collected": "true|false"}
 
-
-# The exact line record_to_line writes, one alternative per record kind: the
-# id and the seat in ASCII digits, every other value free of tab and newline.
-_LINE_SHAPE = re.compile("id=([0-9]+)\t(?:%s)\n" % "|".join(
-    "\t".join([f"kind={kind}"] + [
-        f"{name}=" + ("[0-9]+" if name == "seat" else "[^\t\n]*") for name in names])
+# The one grammar of a log line: exactly what record_to_line writes, with or
+# without its newline, one alternative per record kind; the id is in ASCII
+# digits. Group 1 is the id; the matched alternative's groups are its kind
+# and then its values in _RECORD_FIELDS order, and the other alternatives'
+# groups are None.
+_LINE_SHAPE = re.compile("id=([0-9]+)\t(?:%s)\n?" % "|".join(
+    "\t".join([f"kind=({kind})"] + [
+        f"{name}=(" + _VALUE_SHAPES.get(name, "[^\t\n]*") + ")" for name in names])
     for kind, names in _RECORD_FIELDS.items()))
+
+
+def _record_of(shape: re.Match) -> tuple[int, LogRecord]:
+    """The id and record of a _LINE_SHAPE match."""
+    rid, kind, *texts = [g for g in shape.groups() if g is not None]
+    return int(rid), _RECORD_TYPES[kind](**{
+        name: _field_from_text(name, _unescape(text))
+        for name, text in zip(_RECORD_FIELDS[kind], texts)})
+
+
+def parse_record_line(line: str) -> tuple[int, LogRecord]:
+    """The id and record of a line record_to_line wrote, with or without its
+    newline; any other line raises FluxError."""
+    shape = _LINE_SHAPE.fullmatch(line)
+    if shape is None:
+        raise FluxError(f"malformed log line: {line!r}")
+    return _record_of(shape)
 
 
 def _whole_lines(fh) -> Iterator[tuple[int, bytes]]:
@@ -677,55 +687,27 @@ def _whole_lines(fh) -> Iterator[tuple[int, bytes]]:
         yield lineno, raw
 
 
-def _parse_log_line(path, lineno: int, raw: bytes) -> Optional[tuple[int, LogRecord]]:
-    """One whole line of a log: None if blank; a malformed line raises
-    FluxError naming the file and line."""
-    try:
-        line = raw.decode("utf-8")
-        return parse_record_line(line) if line.strip() else None
-    except (UnicodeDecodeError, FluxError) as exc:
-        raise FluxError(f"event log {path}:{lineno}: {exc}") from None
+def _log_shapes(fh, path) -> Iterator[re.Match]:
+    """The _LINE_SHAPE match of each whole line of a log opened in binary.
 
-
-def _read_records(path) -> Iterator[tuple[int, LogRecord]]:
-    """Parse a log file; a malformed line raises FluxError naming the file and line."""
-    with open(path, "rb") as fh:
-        for lineno, raw in _whole_lines(fh):
-            record = _parse_log_line(path, lineno, raw)
-            if record is not None:
-                yield record
+    Blank lines are skipped; any other line that does not match, or is not
+    UTF-8, raises FluxError naming the file and line.
+    """
+    for lineno, raw in _whole_lines(fh):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FluxError(f"event log {path}:{lineno}: {exc}") from None
+        shape = _LINE_SHAPE.fullmatch(line)
+        if shape is not None:
+            yield shape
+        elif line.strip():
+            raise FluxError(f"event log {path}:{lineno}: malformed log line: {line!r}")
 
 
 def _next_record_id(fh, path) -> int:
-    """One past the largest id of a log opened in binary (1 if it has none).
-
-    The file is read one line at a time and every line is checked. A line
-    that is valid UTF-8 and matches _LINE_SHAPE is one parse_record_line
-    accepts, with the id the pattern captures: it is not blank; no value in
-    the pattern holds a tab, so with its final newline stripped, splitting
-    it at its tabs gives exactly the pattern's parts; no key holds "=", so
-    each part's key is the one the pattern puts before its first "="; the
-    keys are distinct, so the kind and every field of that kind are present
-    once; and of the values only id and seat are converted in a way that
-    can fail, and both are ASCII digits, which int accepts. Any other line
-    goes through _parse_log_line, as in read_event_log, which alone skips a
-    blank line or rejects a line and names it.
-    """
-    next_id = 1
-    for lineno, raw in _whole_lines(fh):
-        try:
-            shape = _LINE_SHAPE.fullmatch(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            shape = None
-        if shape is not None:
-            rid = int(shape[1])
-        else:
-            record = _parse_log_line(path, lineno, raw)
-            if record is None:
-                continue
-            rid = record[0]
-        next_id = max(next_id, rid + 1)
-    return next_id
+    """One past the largest id of a log opened in binary (1 if it has none)."""
+    return max((int(shape[1]) for shape in _log_shapes(fh, path)), default=0) + 1
 
 
 # Bytes read at a time while looking back for the end of a torn final line.
@@ -804,7 +786,8 @@ class EventLog:
 
 def read_event_log(path) -> list[tuple[int, LogRecord]]:
     """Read a log back into (id, record) pairs; safe while a writer is active."""
-    return list(_read_records(path))
+    with open(path, "rb") as fh:
+        return [_record_of(shape) for shape in _log_shapes(fh, path)]
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ def walk_unescape(value: str) -> str:
 
 def csv_load_roster(source: str, source_name: str = "<string>") -> Roster:
     """Parse and validate a roster with csv on every row and a per-character
-    name check; as in load_roster, a row csv refuses is a row error and all
-    bad rows are reported together."""
+    name check; as in load_roster, a row holding a NUL or one csv refuses is
+    a row error and all bad rows are reported together."""
     errors: list[tuple[int, str]] = []
     coach_order: tuple[str, ...] = ()
     header_seen = False
@@ -115,6 +115,9 @@ def csv_load_roster(source: str, source_name: str = "<string>") -> Roster:
                 raise LoadError([(lineno, f"expected header {ROSTER_HEADER!r}")],
                                 source_name)
             header_seen = True
+            continue
+        if "\0" in line:
+            errors.append((lineno, "bad row: line contains NUL"))
             continue
         try:
             row = next(csv.reader(io.StringIO(line)))

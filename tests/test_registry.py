@@ -68,6 +68,17 @@ def test_too_deep_precondition_is_a_parse_error(taxonomy):
     assert str(exc.value).startswith("deep.reg:2:")
 
 
+def test_know_precondition_pattern_rejected_as_in_domains(taxonomy):
+    # knows_val wraps its pattern in know itself and holds reads world
+    # fluents, so a know(...) pattern could never fire
+    for kind in ("holds", "knows_val"):
+        src = f"service s\n  precondition: {kind}(know(Message(M)))\n  grounding: x\nend\n"
+        with pytest.raises(ParseError) as exc:
+            load_registry(src, taxonomy, "s.reg")
+        assert exc.value.line == 2
+        assert str(exc.value).endswith("expected a bare fluent pattern, found 'know'")
+
+
 def test_compiled_find_resource_matches_axiom_shape(service_registry):
     schema = compile_service_to_action(service_registry.get("findResource"))
     assert schema.name == "findResource"

@@ -121,12 +121,20 @@ def test_load_roster_travel_plans_follow_each_row():
 
 def test_load_roster_nul_in_a_quoted_cell_is_a_row_error():
     # csv refuses a NUL on Python 3.10 and passes it on from 3.11; the row is
-    # rejected either way
+    # rejected with one message either way
     src = HEADER + ('P1,"As\0ha",S1,1,Patient,,,yes,,,,A,B,2011-11-05\n'
                     'P2,Binu,S2,2,Patient,,,yes,,,,A,B,2011-11-05\n')
     with pytest.raises(LoadError) as exc:
         load_roster(src)
-    assert [line for line, _ in exc.value.errors] == [3]
+    assert exc.value.errors == [(3, "bad row: line contains NUL")]
+
+
+def test_load_roster_nul_in_an_unquoted_cell_is_a_row_error():
+    # an illness cell takes any text, so only the NUL rule rejects this row
+    src = HEADER + "P1,Asha,S1,1,Patient,,,yes,asth\0ma,,,A,B,2011-11-05\n"
+    with pytest.raises(LoadError) as exc:
+        load_roster(src)
+    assert exc.value.errors == [(3, "bad row: line contains NUL")]
 
 
 def test_load_roster_field_over_the_csv_limit_is_a_row_error():
@@ -151,7 +159,7 @@ ROSTER_CELLS = (
     (("doctor", "nurse"), ("",)),
     (("", "Orthopedics"), ()),
     (("yes", "no"), ("YES", "")),
-    (("", "asthma", "café", "x\0", "", "flu", "a,b", 'say "hi"'), ()),
+    (("", "asthma", "café", "", "flu", "a,b", 'say "hi"'), ("x\0",)),
     (("", "insulin"), ()),
     (("", "inhaler"), ()),
     (("A", "Agra"), ("",)),
@@ -506,6 +514,16 @@ def test_event_log_append_and_read_back(tmp_path):
     assert got[1][1].patient_name == "Binu"
 
 
+def test_event_log_round_trips_a_negative_seat(tmp_path):
+    path = tmp_path / "events.log"
+    rec = sample_event_record(seat=-4)
+    with EventLog(path) as log:
+        assert log.append(rec) == 1
+    with EventLog(path) as log:
+        assert log.append(rec) == 2
+    assert read_event_log(path) == [(1, rec), (2, rec)]
+
+
 def test_event_log_ids_continue_after_reopen(tmp_path):
     path = tmp_path / "events.log"
     with EventLog(path) as log:
@@ -536,6 +554,14 @@ def test_event_log_readable_while_locked(tmp_path):
     record_to_line(1, sample_event_record()).replace("id=1", "id=one"),
     record_to_line(1, sample_event_record()).replace("seat=21", "seat="),
     "kind=memo\tid=2",
+    # every field of a record is there, but not as record_to_line writes it
+    record_to_line(1, sample_event_record()).replace(
+        "date=2011-11-05\ttime=09:20", "time=09:20\tdate=2011-11-05"),
+    record_to_line(1, sample_event_record()) + "\textra=1",
+    record_to_line(3, sample_event_record()).replace("id=3", "id=\u0663"),
+    record_to_line(1, sample_event_record()).replace("seat=21", "seat=+3"),
+    record_to_line(1, sample_event_record()).replace("payment_collected=false",
+                                                     "payment_collected=no"),
 ])
 def test_malformed_log_line_names_file_and_line(tmp_path, bad):
     path = tmp_path / "events.log"
