@@ -885,8 +885,13 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
     registered first with the payment-collected flag set. Medical events are
     dispatched through the composed findResource/notifyResource workflow; when
     no responder is aboard (or the event type has no responder category) a
-    fallback notice naming the next station is logged instead.
+    fallback notice naming the next station is logged instead. A symptom that
+    is empty or holds a comma is rejected before anything changes: the log
+    joins symptoms with commas, so its record would read back as another.
     """
+    for symptom in sorted(info.symptoms):
+        if not symptom or "," in symptom:
+            raise FluxError(f"symptom {symptom!r} is empty or holds a comma")
     if now is None:
         if ctx.clock is None:
             raise FluxError("report_emergency needs an explicit time or a clock")

@@ -8,6 +8,15 @@ and arity; for knowledge, those of the term inside ``know``). `holds` and
 `knows_val` scan only the group of the pattern's symbol, or every fluent when
 the pattern is a bare variable. A compound renders its text once.
 
+A query matches one way: it walks the pattern against a ground fluent, and
+only the pattern's variables get bound. This yields exactly what `unify` of
+the pattern and the fluent would. The fluent is ground, and the substitution
+is idempotent, so the pattern resolved by it holds only variables it leaves
+unbound. Each is bound to a ground subterm of the fluent: no variable is ever
+bound to another variable, and no occurs check can fire. Stored values that
+mention a newly bound variable are re-resolved, as `Substitution.bind` does,
+so the result stays idempotent. `unify` itself has no caller at run time.
+
 Everything here is immutable; operations are pure functions returning new
 values, and a term left unchanged by a substitution is returned as is. The
 index and the rendered text are computed lazily but always to the same value,
@@ -112,10 +121,6 @@ def functor_arity(term: Term) -> tuple[str, int]:
     return term.name, 0
 
 
-def know_wrap(term: Term) -> Compound:
-    return Compound(KNOW, (term,))
-
-
 def is_knowledge(term: Term) -> bool:
     """True for terms with outer functor know/1."""
     return isinstance(term, Compound) and term.functor == KNOW and len(term.args) == 1
@@ -189,6 +194,9 @@ def unify(t1: Term, t2: Term, subst: Substitution = EMPTY_SUBST) -> Optional[Sub
 
     None signals a failed match (functor/arity clash or occurs check), not a
     fault; applying a successful result to both terms yields equal trees.
+    Nothing in the package calls it at run time (queries match one way, see
+    `holds`). It is kept as the tests' oracle for that matching and as a span
+    target of perfbench's tracer.
     """
     a = subst.apply(t1)
     b = subst.apply(t2)
@@ -278,23 +286,67 @@ def _index(fluents: frozenset, symbol) -> _Index:
 
 
 def _candidates(pattern: Term, index: _Index) -> tuple[Term, ...]:
-    """The indexed fluents that can unify with a resolved pattern, in canonical order."""
+    """The indexed fluents that can match a resolved pattern, in canonical order."""
     ordered, groups = index
     if isinstance(pattern, Variable):
         return ordered
     return groups.get(functor_arity(pattern), ())
 
 
+def _match(pattern: Term, fluent: Term, new: dict) -> bool:
+    """Match a resolved pattern against a ground fluent, adding bindings to new.
+
+    A variable binds to the fluent's subterm at its first occurrence and must
+    meet an equal one at every other. Any other leaf, a constant or a
+    placeholder, must equal the subterm, so ``Constant("p")`` does not match
+    ``p()`` and a placeholder does not match a constant named by its id.
+    """
+    if isinstance(pattern, Variable):
+        bound = new.setdefault(pattern, fluent)
+        return bound is fluent or bound == fluent
+    if isinstance(pattern, Compound):
+        if (not isinstance(fluent, Compound) or pattern.functor != fluent.functor
+                or len(pattern.args) != len(fluent.args)):
+            return False
+        for p, f in zip(pattern.args, fluent.args):
+            if not _match(p, f, new):
+                return False
+        return True
+    return pattern == fluent
+
+
+def _extend(subst: Substitution, pattern: Term, fluent: Term) -> Optional[Substitution]:
+    """subst extended so that the resolved pattern equals the ground fluent, or None.
+
+    subst itself when the match binds nothing. Otherwise each stored value is
+    re-resolved under the new (ground) bindings, as `Substitution.bind` does,
+    so a start of {X: Y} matched through Y binds X too.
+    """
+    new: dict = {}
+    if not _match(pattern, fluent, new):
+        return None
+    if not new:
+        return subst
+    if not subst.bindings:
+        return Substitution(new)
+    resolve = Substitution(new).apply
+    updated = {v: resolve(t) for v, t in subst.bindings.items()}
+    updated.update(new)
+    return Substitution(updated)
+
+
 def holds(pattern: Term, state: State,
           subst: Substitution = EMPTY_SUBST) -> Iterator[Substitution]:
     """Yield every extension of subst under which pattern matches a world fluent.
 
-    Enumeration follows canonical (sorted) fluent order, so results are
-    deterministic. An empty sequence means the pattern does not hold.
+    Each result equals ``unify(pattern, fluent, subst)`` for a world fluent it
+    succeeds on (see the module docstring), and they come in canonical
+    (sorted) fluent order, so results are deterministic. An empty sequence
+    means the pattern does not hold.
     """
     pattern = subst.apply(pattern)
     for f in _candidates(pattern, state._world_index):
-        got = unify(pattern, f, subst)
+        got = _extend(subst, pattern, f)
         if got is not None:
             yield got
 
@@ -303,12 +355,13 @@ def knows_val(pattern: Term, state: State,
               subst: Substitution = EMPTY_SUBST) -> Iterator[Substitution]:
     """Yield extensions of subst under which know(pattern) matches a knowledge fluent.
 
+    The pattern is matched against the term inside each ``know``, which gives
+    ``unify(know(pattern), fluent, subst)`` in canonical order, as in `holds`.
     A binding to a Placeholder counts as known: the value will exist by the
     time the producing step has executed.
     """
     pattern = subst.apply(pattern)
-    target = know_wrap(pattern)
     for f in _candidates(pattern, state._knowledge_index):
-        got = unify(target, f, subst)
+        got = _extend(subst, pattern, f.args[0])
         if got is not None:
             yield got

@@ -738,6 +738,20 @@ def test_report_needs_a_time_source(dispatch_context):
         report_emergency(dispatch_context, "P003", info())
 
 
+@pytest.mark.parametrize("symptoms", [("",), ("chest pain, mild",), ("pain", ",")])
+def test_report_rejects_a_symptom_that_would_not_read_back(dispatch_context, symptoms):
+    # P004 is unregistered: a rejected report must not register him either
+    ctx = dispatch_context
+    roster, taxonomy = ctx.roster, ctx.taxonomy
+    before = ctx.log.path.read_bytes()
+    with pytest.raises(scenario.FluxError, match="empty or holds a comma"):
+        report_emergency(ctx, "P004", info(symptoms=symptoms), NOW)
+    assert ctx.roster is roster and ctx.taxonomy is taxonomy
+    assert not ctx.roster.get("P004").registered_for_service
+    assert ctx.log.path.read_bytes() == before
+    assert ctx.message_sink.entries == []
+
+
 def test_report_always_appends_exactly_one_record(dispatch_context):
     report_emergency(dispatch_context, "P003", info(), NOW)
     report_emergency(dispatch_context, "P001", info(), NOW)  # fallback

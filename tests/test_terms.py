@@ -1,4 +1,4 @@
-"""Unification, holds/knows_val enumeration, and states."""
+"""Unification, holds/knows_val matching, and states."""
 
 import random
 
@@ -308,6 +308,52 @@ def test_knows_val_equals_brute_force_over_mixed_symbols(data):
     oracle = [s.bindings for s in (unify(know(pattern), f, start)
                                    for f in sorted(state.knowledge, key=str)) if s is not None]
     assert got == oracle
+
+
+# Named cases of one-way matching, each checked against the unify oracle too.
+Y = Variable("Y")
+
+
+def _both_ways(pattern, fluents, start=EMPTY_SUBST):
+    """holds over the fluents and knows_val over their know() twins, which must agree."""
+    got = list(holds(pattern, State.from_terms(fluents), start))
+    known = list(knows_val(pattern, State.from_terms(map(know, fluents)), start))
+    assert known == got
+    assert got == [s for s in (unify(pattern, f, start) for f in sorted(fluents, key=str))
+                   if s is not None]
+    return got
+
+
+def test_match_through_a_start_binding_rebinds_its_owner():
+    start = EMPTY_SUBST.bind(X, Y)
+    got = _both_ways(comp("p", Y), [comp("p", doctor)], start)
+    assert [s.bindings for s in got] == [{X: doctor, Y: doctor}]
+
+
+def test_match_repeated_variable_needs_equal_arguments():
+    got = _both_ways(comp("p", X, X), [comp("p", doctor, doctor)])
+    assert [s.bindings for s in got] == [{X: doctor}]
+    assert _both_ways(comp("p", X, X), [comp("p", doctor, nurse)]) == []
+
+
+def test_match_placeholder_is_not_the_constant_named_by_its_id():
+    assert _both_ways(_PH, [Constant(_PH.id)]) == []
+    assert _both_ways(comp("p", _PH), [comp("p", Constant(_PH.id))]) == []
+    assert len(_both_ways(comp("p", _PH), [comp("p", _PH)])) == 1
+
+
+def test_match_constant_is_not_the_nullary_compound():
+    assert _both_ways(Constant("p"), [comp("p")]) == []
+    assert _both_ways(comp("p"), [Constant("p")]) == []
+
+
+def test_match_ground_pattern_yields_the_start_itself():
+    start = EMPTY_SUBST.bind(X, doctor)
+    state = _state(comp("p", doctor, nurse), comp("p", nurse, nurse))
+    got = list(holds(comp("p", X, nurse), state, start))
+    assert len(got) == 1 and got[0] is start
+    got = list(knows_val(comp("p", X, nurse), _state(know(comp("p", doctor, nurse))), start))
+    assert len(got) == 1 and got[0] is start
 
 
 @given(_terms())
