@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain-level failure (no plan, fallback required),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from datetime import datetime
@@ -66,73 +67,8 @@ def _load(args: argparse.Namespace, name: str, parse, *extra):
     return parse(_read(path), *extra, str(path))
 
 
-def _add_path_flags(sub: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        sub.add_argument(f"--{name}", help=f"{name} file (default: bundled)")
-
-
 def _search_config(args: argparse.Namespace) -> planner.SearchConfig:
     return planner.SearchConfig(max_depth=args.max_depth)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fluxcompose",
-        description="fluent-calculus planning and service composition",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="parse and check input files")
-    _add_path_flags(p_validate, "domain", "problem", "taxonomy", "registry",
-                    "roster", "schedule")
-
-    p_plan = sub.add_parser("plan", help="plan a domain/problem pair")
-    _add_path_flags(p_plan, "domain", "problem")
-
-    p_compose = sub.add_parser("compose", help="compose a workflow for a request")
-    _add_path_flags(p_compose, "taxonomy", "registry")
-    p_compose.add_argument("--have", action="append", default=[],
-                           metavar="CONCEPT=VALUE")
-    p_compose.add_argument("--want", action="append", default=[], metavar="CONCEPT")
-    p_compose.add_argument("--fact", action="append", default=[], metavar="FLUENT")
-
-    p_trace = sub.add_parser("trace", help="rank responders for an event")
-    _add_path_flags(p_trace, "roster")
-    p_trace.add_argument("--coach", required=True)
-    p_trace.add_argument("--spec")
-    p_trace.add_argument("--type", default="Medical", choices=("Medical", "Robbery"))
-    p_trace.add_argument("--patient", default="", help="patient name (excluded)")
-    p_trace.add_argument("--symptoms", default="")
-    p_trace.add_argument("--validate-all", action="store_true",
-                         help="validate every registered passenger's travel plan "
-                              "against the roster before ranking")
-
-    p_sev = sub.add_parser("severity", help="classify severity from symptoms")
-    p_sev.add_argument("--spec", required=True)
-    p_sev.add_argument("--symptoms", default="")
-    p_sev.add_argument("--rules", help="severity rules file (default: bundled)")
-
-    p_report = sub.add_parser("report", help="run the full report-emergency flow")
-    _add_path_flags(p_report, "taxonomy", "registry", "roster", "schedule")
-    p_report.add_argument("--log", help="event log path (FLUXCOMPOSE_LOG overrides)")
-    p_report.add_argument("--pnr", required=True)
-    p_report.add_argument("--type", default="Medical", choices=("Medical", "Robbery"))
-    p_report.add_argument("--spec")
-    p_report.add_argument("--symptoms", default="")
-    p_report.add_argument("--case", default="")
-    p_report.add_argument("--now", required=True, help="ISO timestamp of the report")
-
-    p_sim = sub.add_parser("simulate", help="replay a scripted scenario file")
-    _add_path_flags(p_sim, "taxonomy", "registry", "roster", "schedule")
-    p_sim.add_argument("--log", help="event log path (FLUXCOMPOSE_LOG overrides)")
-    p_sim.add_argument("--script", required=True)
-
-    # Each command gets only the flags it reads.
-    for p in (p_plan, p_compose, p_report, p_sim):
-        p.add_argument("--max-depth", type=int, default=8)
-    for p in (p_plan, p_compose, p_trace, p_report, p_sim):
-        p.add_argument("--format", choices=("text", "lines"), default="text")
-    return parser
 
 
 def _open_log(args: argparse.Namespace) -> scenario.EventLog:
@@ -248,13 +184,12 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def _event_from_args(args: argparse.Namespace,
                      rules: tuple) -> scenario.EmergencyEvent:
-    symptoms = frozenset(s for s in args.symptoms.split(",") if s)
-    severity = ontology.classify_severity(args.spec, symptoms, rules)
+    severity = ontology.classify_severity(args.spec, args.symptoms, rules)
     return scenario.EmergencyEvent(
         date="-", time="-", patient_name=args.patient, case_history="",
         coach=args.coach, seat=0, delivery_personnel=None,
         event_type=scenario.EventType(args.type), specialization=args.spec,
-        symptoms=symptoms, severity=severity,
+        symptoms=args.symptoms, severity=severity,
     )
 
 
@@ -281,8 +216,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_severity(args: argparse.Namespace) -> int:
     rules = _load(args, "rules", ontology.load_severity_rules)
-    symptoms = frozenset(s for s in args.symptoms.split(",") if s)
-    print(ontology.classify_severity(args.spec, symptoms, rules))
+    print(ontology.classify_severity(args.spec, args.symptoms, rules))
     return 0
 
 
@@ -296,7 +230,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         info = scenario.EmergencyInfo(
             event_type=scenario.EventType(args.type),
             specialization=args.spec,
-            symptoms=frozenset(s for s in args.symptoms.split(",") if s),
+            symptoms=args.symptoms,
             case_history=args.case,
         )
         outcome = scenario.report_emergency(ctx, args.pnr, info, now=now)
@@ -330,21 +264,73 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "plan": cmd_plan,
-    "compose": cmd_compose,
-    "trace": cmd_trace,
-    "severity": cmd_severity,
-    "report": cmd_report,
-    "simulate": cmd_simulate,
+_MAX_DEPTH = ("--max-depth", {"type": int, "default": 8})
+_FORMAT = ("--format", {"choices": ("text", "lines"), "default": "text"})
+_TYPE = ("--type", {"default": "Medical", "choices": ("Medical", "Robbery")})
+_SYMPTOMS = ("--symptoms", {"type": scenario.parse_symptoms, "default": ""})
+_LOG = ("--log", {"help": "event log path (FLUXCOMPOSE_LOG overrides)"})
+
+# name: (handler, help, input-file flags (default: bundled), other flags).
+# A command takes only the flags it reads, in the order listed here.
+COMMANDS = {
+    "validate": (cmd_validate, "parse and check input files",
+                 ("domain", "problem", "taxonomy", "registry", "roster", "schedule"),
+                 ()),
+    "plan": (cmd_plan, "plan a domain/problem pair", ("domain", "problem"),
+             (_MAX_DEPTH, _FORMAT)),
+    "compose": (cmd_compose, "compose a workflow for a request",
+                ("taxonomy", "registry"),
+                (("--have", {"action": "append", "default": [],
+                             "metavar": "CONCEPT=VALUE"}),
+                 ("--want", {"action": "append", "default": [], "metavar": "CONCEPT"}),
+                 ("--fact", {"action": "append", "default": [], "metavar": "FLUENT"}),
+                 _MAX_DEPTH, _FORMAT)),
+    "trace": (cmd_trace, "rank responders for an event", ("roster",),
+              (("--coach", {"required": True}), ("--spec", {}), _TYPE,
+               ("--patient", {"default": "", "help": "patient name (excluded)"}),
+               _SYMPTOMS,
+               ("--validate-all", {"action": "store_true",
+                                   "help": "validate every registered passenger's "
+                                           "travel plan against the roster before "
+                                           "ranking"}),
+               _FORMAT)),
+    "severity": (cmd_severity, "classify severity from symptoms", (),
+                 (("--spec", {"required": True}), _SYMPTOMS,
+                  ("--rules", {"help": "severity rules file (default: bundled)"}))),
+    "report": (cmd_report, "run the full report-emergency flow",
+               ("taxonomy", "registry", "roster", "schedule"),
+               (_LOG, ("--pnr", {"required": True}), _TYPE, ("--spec", {}), _SYMPTOMS,
+                ("--case", {"default": ""}),
+                ("--now", {"required": True, "help": "ISO timestamp of the report"}),
+                _MAX_DEPTH, _FORMAT)),
+    "simulate": (cmd_simulate, "replay a scripted scenario file",
+                 ("taxonomy", "registry", "roster", "schedule"),
+                 (_LOG, ("--script", {"required": True}), _MAX_DEPTH, _FORMAT)),
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command in COMMANDS, built once per process."""
+    parser = argparse.ArgumentParser(
+        prog="fluxcompose",
+        description="fluent-calculus planning and service composition",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, paths, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        for path in paths:
+            command.add_argument(f"--{path}", help=f"{path} file (default: bundled)")
+        for flag, options in flags:
+            command.add_argument(flag, **options)
+    return parser
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except planner.NoPlanFound as exc:
         print(f"no plan within depth {exc.depth}", file=sys.stderr)
         return 1
@@ -359,9 +345,5 @@ def run(argv=None) -> int:
         return 2
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

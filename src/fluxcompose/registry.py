@@ -64,9 +64,6 @@ class Registry:
         return len(self.services)
 
 
-EMPTY_REGISTRY = Registry({})
-
-
 def load_registry(source: str, g: TaxonomyGraph,
                   source_name: str = "<string>") -> Registry:
     """Parse a registry file, validating every concept against the taxonomy."""

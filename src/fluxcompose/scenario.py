@@ -425,6 +425,11 @@ def validate_travel_plan(roster: Roster, pnr: str, origin: str, destination: str
 # ---------------------------------------------------------------------------
 
 
+def parse_symptoms(text: str) -> frozenset[str]:
+    """The symptoms in a comma-separated list; empty items are dropped."""
+    return frozenset(s for s in text.split(",") if s)
+
+
 @dataclass(frozen=True)
 class EmergencyEvent:
     date: str
@@ -623,7 +628,7 @@ def _field_to_text(name: str, value) -> str:
 
 def _field_from_text(name: str, text: str):
     if name == "symptoms":
-        return frozenset(s for s in text.split(",") if s)
+        return parse_symptoms(text)
     if name == "responders":
         return tuple(s for s in text.split(";") if s)
     if name == "payment_collected":
@@ -1035,7 +1040,7 @@ def run_script(ctx: DispatchContext, script: str,
             info = EmergencyInfo(
                 event_type=event_type,
                 specialization=kv.get("spec"),
-                symptoms=frozenset(s for s in kv.get("symptoms", "").split(",") if s),
+                symptoms=parse_symptoms(kv.get("symptoms", "")),
                 case_history=kv.get("case", ""),
             )
             outcome = report_emergency(ctx, kv["pnr"], info, now=now)

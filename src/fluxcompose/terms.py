@@ -252,9 +252,6 @@ class State:
     def _knowledge_index(self) -> "_Index":
         return _index(self.knowledge, lambda t: functor_arity(t.args[0]))
 
-    def all_terms(self) -> list[Term]:
-        return sorted(self.world | self.knowledge, key=str)
-
     def with_update(self, adds: Iterable[Term], removes: Iterable[Term]) -> "State":
         """Apply a state update: (self minus removes) union adds, per fluent set."""
         world = set(self.world)

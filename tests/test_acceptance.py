@@ -15,7 +15,7 @@ import pytest
 import oracles
 import randgen
 from fluxcompose import dsl, ontology, scenario
-from fluxcompose.cli import data_path, main
+from fluxcompose.cli import data_path, run
 from fluxcompose.dsl import Atom
 from fluxcompose.ontology import MatchDegree, Severity, classify_severity
 from fluxcompose.planner import (
@@ -229,7 +229,7 @@ def test_criterion_8_end_to_end_golden(tmp_path, capsys):
         contents = []
         for name in ("first.log", "second.log"):
             log = tmp_path / name
-            assert main(["simulate", "--script", script, "--log", str(log)]) == 0
+            assert run(["simulate", "--script", script, "--log", str(log)]) == 0
             contents.append(log.read_bytes())
         capsys.readouterr()
         assert contents[0] == contents[1], "event logs differ across runs"

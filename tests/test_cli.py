@@ -1,12 +1,23 @@
 """Exit codes, output contracts, and golden stability of the CLI."""
 
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from fluxcompose.cli import data_path, main
+from fluxcompose import cli
+from fluxcompose.cli import data_path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -191,10 +202,10 @@ def test_log_directory_exit_2(tmp_path, capsys, monkeypatch, command, extra):
 
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
-        main(["plan", "--no-such-flag"])
+        cli.run(["plan", "--no-such-flag"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main([])
+        cli.run([])
     assert exc.value.code == 2
 
 
@@ -246,5 +257,26 @@ def test_fact_past_the_nesting_limit_exit_2(capsys, depth):
 ])
 def test_flag_the_command_does_not_take_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        cli.run(argv)
     assert exc.value.code == 2
+
+
+def test_module_entry_point_plans_in_a_fresh_process():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "fluxcompose.cli", "plan"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    golden = Path(__file__).with_name("cli_golden.json")
+    expected = json.loads(golden.read_text(encoding="utf-8"))
+    assert (done.returncode, done.stdout) == (expected["plan"]["exit"],
+                                              expected["plan"]["stdout"])
+
+
+def test_console_script_names_a_callable_in_the_cli():
+    # a regex, not tomllib: the package supports Python 3.10
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^\[project\.scripts\]\n+fluxcompose = "([\w.]+):(\w+)"$',
+                       pyproject, re.MULTILINE)
+    assert target is not None
+    module, attr = target.groups()
+    assert module == "fluxcompose.cli"
+    assert callable(getattr(importlib.import_module(module), attr, None))

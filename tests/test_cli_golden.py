@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from fluxcompose.cli import data_path, main
+from fluxcompose.cli import data_path, run
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -50,7 +50,7 @@ def run_case(argv: list[str], log: Path) -> dict:
               for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(filled)
+        code = run(filled)
 
     def unfill(text):
         return text.replace(str(log), "{log}").replace(data, "{data}")
@@ -69,6 +69,19 @@ def test_cli_golden(name, tmp_path, monkeypatch):
     monkeypatch.delenv("FLUXCOMPOSE_LOG", raising=False)
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     assert run_case(CASES[name], tmp_path / "events.log") == expected
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    # the parser is built once per process; its append-flag defaults must not fill up
+    monkeypatch.delenv("FLUXCOMPOSE_LOG", raising=False)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    log = tmp_path / "events.log"
+    assert run_case(CASES["compose"], log) == golden["compose"]
+    assert run_case(CASES["compose-no-plan"], log) == golden["compose-no-plan"]
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        run(["plan", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert run_case(CASES["plan"], log) == golden["plan"]
 
 
 if __name__ == "__main__":

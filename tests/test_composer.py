@@ -16,7 +16,7 @@ from fluxcompose.composer import (
 )
 from fluxcompose.ontology import MatchDegree, UnknownConceptError, load_taxonomy
 from fluxcompose.planner import NoPlanFound, enumerate_plans, validate_plan
-from fluxcompose.registry import EMPTY_REGISTRY, load_registry
+from fluxcompose.registry import Registry, load_registry
 from fluxcompose.terms import Compound, Constant
 
 EMERGENCY_REQUEST = CompositionRequest(
@@ -108,7 +108,7 @@ def test_compose_want_subset_of_have_is_empty(service_registry, taxonomy):
 
 def test_compose_empty_registry_fails(taxonomy):
     with pytest.raises(NoPlanFound):
-        compose(CompositionRequest(want=("ConfirmSend",)), EMPTY_REGISTRY, taxonomy)
+        compose(CompositionRequest(want=("ConfirmSend",)), Registry({}), taxonomy)
 
 
 def test_compose_plugin_degree_input_wiring():
@@ -231,7 +231,7 @@ def test_execution_agrees_with_plan_and_goal(service_registry, taxonomy,
             return Compound(t.functor, tuple(substitute(a) for a in t.args))
         return t
 
-    concrete = State.from_terms([substitute(t) for t in state.all_terms()])
+    concrete = State.from_terms([substitute(t) for t in state.world | state.knowledge])
     assert satisfies_goal(concrete, problem.goal)
     assert trace.resolved_values()["ACK"].startswith("msg-")
 
