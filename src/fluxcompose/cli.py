@@ -187,9 +187,8 @@ def _event_from_args(args: argparse.Namespace,
     severity = ontology.classify_severity(args.spec, args.symptoms, rules)
     return scenario.EmergencyEvent(
         date="-", time="-", patient_name=args.patient, case_history="",
-        coach=args.coach, seat=0, delivery_personnel=None,
-        event_type=scenario.EventType(args.type), specialization=args.spec,
-        symptoms=args.symptoms, severity=severity,
+        coach=args.coach, seat=0, event_type=scenario.EventType(args.type),
+        specialization=args.spec, symptoms=args.symptoms, severity=severity,
     )
 
 

@@ -40,7 +40,8 @@ from .terms import (
     variables_in,
 )
 
-_VAR_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
+# A variable name, in domain files and registry parameters alike.
+VAR_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 # Deepest compound nesting a term may have. Code downstream (rendering,
 # unification, groundness) recurses a few frames per level, so this stays far
@@ -238,7 +239,7 @@ class _Parser:
                     args.append(self.parse_term(depth + 1, top)[0])
             self.expect_punct(")")
             return Compound(tok.text, tuple(args)), tok
-        if _VAR_RE.match(tok.text):
+        if VAR_RE.match(tok.text):
             return Variable(tok.text), tok
         return Constant(tok.text), tok
 
@@ -330,7 +331,7 @@ def parse_domain(source: str, source_name: str = "<string>") -> DomainFile:
             if not p.at_punct(")"):
                 while True:
                     ptok = p.expect_ident("a variable parameter")
-                    if not _VAR_RE.match(ptok.text):
+                    if not VAR_RE.match(ptok.text):
                         raise ParseError(ptok.line, ptok.col, "a variable parameter",
                                          repr(ptok.text), source_name)
                     if Variable(ptok.text) in params:

@@ -231,14 +231,15 @@ def _pruning_key(state: State) -> State:
                  frozenset(renamed.get(t, t) for t in state.knowledge))
 
 
-def _children(actions: list[ActionSchema], state: State):
-    """Applicable (schema, substitution, ground action) triples in canonical order."""
+def _children(actions: list[ActionSchema], states: Iterable[State]):
+    """Applicable (state, schema, substitution, ground action) of states, canonically sorted."""
     out = []
-    for schema in actions:
-        for subst in check_poss(schema, state):
-            args = tuple(subst.apply(p) for p in schema.params)
-            out.append((schema, subst, GroundAction(schema.name, args)))
-    out.sort(key=lambda triple: triple[2].sort_key())
+    for state in states:
+        for schema in actions:
+            for subst in check_poss(schema, state):
+                args = tuple(subst.apply(p) for p in schema.params)
+                out.append((state, schema, subst, GroundAction(schema.name, args)))
+    out.sort(key=lambda child: child[3].sort_key())
     return out
 
 
@@ -288,13 +289,16 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
     (carrying cfg.max_depth) when no plan of at most that length exists.
     Soundness, against the enumerate_plans oracle:
 
-    - FIFO order over sorted children keeps each layer in lexicographic path
-      order, so the first goal met is the first among the shortest plans
-      that pruning leaves.
+    - Applications of one ground action to one state under different poss
+      bindings share one path object, and the queue entries of a path are
+      expanded together, their children sorted as one list. So each layer
+      stays in lexicographic path order, and the first goal met is the first
+      among the shortest plans that pruning leaves.
     - A child with a seen key is a placeholder-renamed twin of a state reached
-      by a shorter path, or an equally long, lexicographically earlier one.
-      Renaming preserves poss, updates and the placeholder-free goal, so each
-      plan through the child has a twin that is shorter or equal and earlier:
+      by a shorter path, or by an equally long one that is the same or
+      lexicographically earlier. Renaming preserves poss, updates and the
+      placeholder-free goal, so each plan through the child has a twin that
+      is shorter, or equally long and no later:
       the lexicographically first shortest plan is never cut.
     - The queue runs dry before cfg.max_depth only if a layer adds no new
       state. Every deeper state is then a twin of one already goal-tested.
@@ -334,12 +338,17 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
     queue = deque([(problem.initial, ())])
     while queue:
         state, steps = queue.popleft()
+        group = [state]
+        while queue and queue[0][1] is steps:
+            group.append(queue.popleft()[0])
         depth = len(steps) + 1
-        for schema, subst, ga in _children(actions, state):
+        path = None
+        for state, schema, subst, ga in _children(actions, group):
             if redundant and _solve_atoms(redundant[id(schema)], state, subst):
                 continue
             child = apply_update(schema, subst, state, step=depth, _checked=True)
-            path = steps + (ga,)
+            if path is None or path[-1] != ga:
+                path = steps + (ga,)
             if satisfies_goal(child, problem.goal):
                 return Plan(path)
             if depth == cfg.max_depth:
@@ -368,7 +377,7 @@ def enumerate_plans(problem: PlanningProblem, max_depth: int) -> list[Plan]:
             found.append(Plan(steps))
         if len(steps) == max_depth:
             return
-        for schema, subst, ga in _children(actions, state):
+        for _, schema, subst, ga in _children(actions, (state,)):
             rec(apply_update(schema, subst, state, step=len(steps) + 1, _checked=True),
                 steps + (ga,))
 
@@ -379,24 +388,26 @@ def enumerate_plans(problem: PlanningProblem, max_depth: int) -> list[Plan]:
 def validate_plan(problem: PlanningProblem, p: Plan) -> PlanCheck:
     """Simulate a plan from the initial state; report the first failing step.
 
-    The check passes when each step's poss holds in the progressed state and
-    the final state satisfies the goal (failed_step == len(steps) marks a
-    goal failure).
+    A step is its ground action, so it is applied under every substitution of
+    its poss that binds its params to its arguments, and the simulation
+    follows every state that reaches. The check passes when each step's poss
+    holds in one of the progressed states and one final state satisfies the
+    goal (failed_step == len(steps) marks a goal failure).
     """
     schemas = {a.name: a for a in problem.actions}
-    state = problem.initial
+    states = [problem.initial]
     for i, ga in enumerate(p.steps):
         schema = schemas.get(ga.name)
         if schema is None or len(ga.args) != len(schema.params):
             return PlanCheck(False, i)
-        matching = [
-            subst for subst in check_poss(schema, state)
+        states = list(dict.fromkeys(
+            apply_update(schema, subst, state, step=i + 1, _checked=True)
+            for state in states
+            for subst in check_poss(schema, state)
             if all(subst.apply(param) == arg
-                   for param, arg in zip(schema.params, ga.args))
-        ]
-        if not matching:
+                   for param, arg in zip(schema.params, ga.args))))
+        if not states:
             return PlanCheck(False, i)
-        state = apply_update(schema, matching[0], state, step=i + 1, _checked=True)
-    if not satisfies_goal(state, problem.goal):
+    if not any(satisfies_goal(state, problem.goal) for state in states):
         return PlanCheck(False, len(p.steps))
     return PlanCheck(True, None)

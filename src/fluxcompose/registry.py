@@ -20,7 +20,6 @@ outputs to know(...) add-effects whose variables are outputs of the action.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -28,8 +27,6 @@ from . import dsl
 from .errors import FluxError, ParseError
 from .ontology import Concept, MatchDegree, TaxonomyGraph, UnknownConceptError, match_degree
 from .terms import Compound, Term, Variable
-
-_PARAM_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
 class DuplicateServiceError(FluxError):
@@ -78,7 +75,7 @@ def load_registry(source: str, g: TaxonomyGraph,
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise fail(lineno, "<PARAM> : <Concept>", repr(rest))
         param, concept = parts
-        if not _PARAM_RE.match(param):
+        if not dsl.VAR_RE.match(param):
             raise fail(lineno, "an all-caps parameter name", repr(param))
         if not g.declares(concept):
             raise UnknownConceptError(concept)

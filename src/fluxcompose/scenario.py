@@ -24,7 +24,7 @@ from datetime import date as Date, datetime, time as Time
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .composer import (
     CompositionRequest,
@@ -47,7 +47,8 @@ ROSTER_HEADER = (
     "illness,medication,medicine_in_hand,origin,destination,date"
 )
 
-DEFAULT_MEDICAL_PROFESSIONS = frozenset({"doctor", "nurse", "paramedic", "pharmacist"})
+# The professions that answer a Medical event; no other event type has any.
+MEDICAL_PROFESSIONS = frozenset({"doctor", "nurse", "paramedic", "pharmacist"})
 
 # Concepts the report flow wires into composition requests; they must exist in
 # the loaded taxonomy (the bundled domain taxonomy declares all of them).
@@ -438,7 +439,6 @@ class EmergencyEvent:
     case_history: str
     coach: str
     seat: int
-    delivery_personnel: Optional[str]
     event_type: EventType
     specialization: Optional[str]
     symptoms: frozenset
@@ -466,9 +466,7 @@ def responder_sort_key(r: Responder, event: EmergencyEvent) -> tuple:
     return (tier, r.distance, r.coach, r.name)
 
 
-def trace_resources(roster: Roster, event: EmergencyEvent,
-                    medical_professions: frozenset = DEFAULT_MEDICAL_PROFESSIONS
-                    ) -> tuple[Responder, ...]:
+def trace_resources(roster: Roster, event: EmergencyEvent) -> tuple[Responder, ...]:
     """Ranked responders for an event, nearest qualified personnel first.
 
     Eligible responders are validated, service-registered delivery personnel
@@ -476,7 +474,7 @@ def trace_resources(roster: Roster, event: EmergencyEvent,
     never their own responder. Raises FallbackRequired when nobody qualifies,
     which routes the event to the next-station notice.
     """
-    category = medical_professions if event.event_type is EventType.MEDICAL \
+    category = MEDICAL_PROFESSIONS if event.event_type is EventType.MEDICAL \
         else frozenset()
     patient_pos = roster.coach_index(event.coach)
     eligible = []
@@ -834,9 +832,7 @@ class DispatchContext:
     schedule: RouteSchedule
     log: EventLog
     message_sink: "MessageSink"
-    medical_professions: frozenset = DEFAULT_MEDICAL_PROFESSIONS
     search_config: SearchConfig = SearchConfig()
-    clock: Optional[Callable[[], datetime]] = None
 
 
 class MessageSink:
@@ -858,7 +854,8 @@ class MessageSink:
         return len(self.entries)
 
 
-def build_grounding_env(ctx: DispatchContext, event: EmergencyEvent) -> GroundingEnv:
+def build_grounding_env(roster: Roster, sink: MessageSink,
+                        event: EmergencyEvent) -> GroundingEnv:
     """Bundled stubs: roster lookup via trace_resources and a message-sink send.
 
     The lookup stub returns the top-ranked responder and stashes the full
@@ -868,13 +865,13 @@ def build_grounding_env(ctx: DispatchContext, event: EmergencyEvent) -> Groundin
     env = GroundingEnv(stubs={})
 
     def roster_lookup(inputs: dict) -> StubResult:
-        ranked = trace_resources(ctx.roster, event, ctx.medical_professions)
+        ranked = trace_resources(roster, event)
         env.extras["ranked"] = ranked
         top = ranked[0]
         return StubResult({"P": top.name, "CN": top.coach})
 
     def message_send(inputs: dict) -> StubResult:
-        seq = ctx.message_sink.append(inputs["P"], inputs["CN"], inputs["MSG"])
+        seq = sink.append(inputs["P"], inputs["CN"], inputs["MSG"])
         return StubResult({"ACK": f"msg-{seq}"}, outcome="ConfirmSend")
 
     env.stubs["roster-lookup"] = roster_lookup
@@ -883,88 +880,77 @@ def build_grounding_env(ctx: DispatchContext, event: EmergencyEvent) -> Groundin
 
 
 def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
-                     now: Optional[datetime] = None) -> ReportOutcome:
+                     now: datetime) -> ReportOutcome:
     """Handle one reported emergency end to end and append exactly one record.
 
     Registered callers go straight to dispatch; unregistered callers are
-    registered first with the payment-collected flag set. Medical events are
+    registered with the payment-collected flag set. Medical events are
     dispatched through the composed findResource/notifyResource workflow; when
     no responder is aboard (or the event type has no responder category) a
     fallback notice naming the next station is logged instead. A symptom that
-    is empty or holds a comma is rejected before anything changes: the log
-    joins symptoms with commas, so its record would read back as another.
+    is empty or holds a comma is rejected: the log joins symptoms with commas,
+    so its record would read back as another.
+
+    ctx.roster and ctx.taxonomy are rebound only after the record is
+    appended: a report that raises leaves them and the log as they were, but
+    a message it already sent stays sent.
     """
     for symptom in sorted(info.symptoms):
         if not symptom or "," in symptom:
             raise FluxError(f"symptom {symptom!r} is empty or holds a comma")
-    if now is None:
-        if ctx.clock is None:
-            raise FluxError("report_emergency needs an explicit time or a clock")
-        now = ctx.clock()
-    p = ctx.roster.get(pnr)
-    payment_collected = False
-    if not p.registered_for_service:
-        details = MedicalDetails(illness=info.case_history)
-        ctx.roster, ctx.taxonomy, p = register_passenger(
-            ctx.roster, ctx.taxonomy, pnr, True, details)
-        payment_collected = True
+    roster, taxonomy = ctx.roster, ctx.taxonomy
+    p = roster.get(pnr)
+    payment_collected = not p.registered_for_service
+    if payment_collected:
+        roster, taxonomy, p = register_passenger(
+            roster, taxonomy, pnr, True, MedicalDetails(illness=info.case_history))
 
     severity = classify_severity(info.specialization, info.symptoms,
                                  ctx.severity_rules)
     event = EmergencyEvent(
         date=now.date().isoformat(), time=now.strftime("%H:%M"),
         patient_name=p.name, case_history=info.case_history,
-        coach=p.coach, seat=p.seat, delivery_personnel=None,
-        event_type=info.event_type, specialization=info.specialization,
-        symptoms=info.symptoms, severity=severity,
+        coach=p.coach, seat=p.seat, event_type=info.event_type,
+        specialization=info.specialization, symptoms=info.symptoms, severity=severity,
     )
 
-    if info.event_type is not EventType.MEDICAL:
-        return _log_fallback(ctx, event, now, payment_collected,
-                             "no responder category for event type "
-                             + info.event_type.value)
+    reason = "no responder category for event type " + info.event_type.value
+    trace = None
+    if info.event_type is EventType.MEDICAL:
+        spec_value = info.specialization or "Medical"
+        message = (f"{severity.value} {spec_value} emergency coach {p.coach} "
+                   f"seat {p.seat}: {info.case_history}")
+        request = CompositionRequest(
+            have=((PROFESSION_CONCEPT, "doctor"),
+                  (SPECIALIZATION_CONCEPT, spec_value),
+                  (MESSAGE_CONCEPT, message)),
+            want=(CONFIRM_CONCEPT,),
+            world_facts=(Compound("availableRole",
+                                  (Constant("doctor"), Constant(spec_value))),),
+        )
+        env = build_grounding_env(roster, ctx.message_sink, event)
+        workflow = compose(request, ctx.registry, taxonomy, ctx.search_config)
+        try:
+            trace = execute(workflow, env, ctx.registry)
+        except ExecutionError as exc:
+            if not isinstance(exc.__cause__, FallbackRequired):
+                raise
+            reason = exc.reason
 
-    spec_value = info.specialization or "Medical"
-    message = (f"{severity.value} {spec_value} emergency coach {p.coach} "
-               f"seat {p.seat}: {info.case_history}")
-    request = CompositionRequest(
-        have=((PROFESSION_CONCEPT, "doctor"),
-              (SPECIALIZATION_CONCEPT, spec_value),
-              (MESSAGE_CONCEPT, message)),
-        want=(CONFIRM_CONCEPT,),
-        world_facts=(Compound("availableRole",
-                              (Constant("doctor"), Constant(spec_value))),),
-    )
-    env = build_grounding_env(ctx, event)
-    workflow = compose(request, ctx.registry, ctx.taxonomy, ctx.search_config)
-    try:
-        trace = execute(workflow, env, ctx.registry)
-    except ExecutionError as exc:
-        if isinstance(exc.__cause__, FallbackRequired):
-            return _log_fallback(ctx, event, now, payment_collected,
-                                 exc.reason)
-        raise
-
-    ranked = env.extras["ranked"]
-    confirmation = trace.records[-1].outcome if trace.records else "ok"
-    resolved = trace.resolved_values()
-    record = EventRecord(
-        **_common_fields(event, ranked[0].name, payment_collected),
-        responders=tuple(f"{r.name}@{r.coach}" for r in ranked),
-        confirmation=resolved.get("ACK", confirmation),
-    )
+    if trace is None:
+        kind, ranked = OutcomeKind.FALLBACK_NOTICE, ()
+        record = fallback_station_notice(event, ctx.schedule, now, payment_collected, reason)
+    else:
+        kind, ranked = OutcomeKind.RESPONDER_ASSIGNED, env.extras["ranked"]
+        confirmation = trace.records[-1].outcome if trace.records else "ok"
+        record = EventRecord(
+            **_common_fields(event, ranked[0].name, payment_collected),
+            responders=tuple(f"{r.name}@{r.coach}" for r in ranked),
+            confirmation=trace.resolved_values().get("ACK", confirmation),
+        )
     rid = ctx.log.append(record)
-    return ReportOutcome(OutcomeKind.RESPONDER_ASSIGNED, rid, record,
-                         responders=ranked, trace=trace)
-
-
-def _log_fallback(ctx: DispatchContext, event: EmergencyEvent, now: datetime,
-                  payment_collected: bool, reason: str) -> ReportOutcome:
-    notice = fallback_station_notice(event, ctx.schedule, now,
-                                     payment_collected=payment_collected,
-                                     reason=reason)
-    rid = ctx.log.append(notice)
-    return ReportOutcome(OutcomeKind.FALLBACK_NOTICE, rid, notice)
+    ctx.roster, ctx.taxonomy = roster, taxonomy
+    return ReportOutcome(kind, rid, record, responders=ranked, trace=trace)
 
 
 def fallback_station_notice(event: EmergencyEvent, schedule: RouteSchedule,

@@ -14,7 +14,6 @@ import io
 from datetime import date as Date, time as Time
 
 from fluxcompose.scenario import (
-    DEFAULT_MEDICAL_PROFESSIONS,
     ROSTER_HEADER,
     EventType,
     LoadError,
@@ -32,13 +31,18 @@ def reachable(parents: dict[str, set], child: str, ancestor: str) -> bool:
     return any(reachable(parents, p, ancestor) for p in parents[child])
 
 
-def rank_responders(roster, event, professions=DEFAULT_MEDICAL_PROFESSIONS):
+# The professions that answer a Medical event, written out here rather than
+# imported, so a change to the package's set shows up as a disagreement.
+MEDICAL_PROFESSIONS = frozenset({"doctor", "nurse", "paramedic", "pharmacist"})
+
+
+def rank_responders(roster, event):
     """Filter and comparator-sort, independent of trace_resources."""
     pool = [p for p in roster.passengers
             if p.role is Role.DELIVERY_PERSONNEL
             and p.registered_for_service and p.travel.validated
             and (event.event_type is EventType.MEDICAL
-                 and p.profession in professions)
+                 and p.profession in MEDICAL_PROFESSIONS)
             and p.name != event.patient_name]
 
     def tier(p):

@@ -191,7 +191,7 @@ def test_criterion_6_trace_ranking(schedule):
                 patient_name=(rng.choice(roster.passengers).name
                               if rng.random() < 0.4 else ""),
                 case_history="case", coach=rng.choice(roster.coach_order), seat=1,
-                delivery_personnel=None, event_type=EventType.MEDICAL,
+                event_type=EventType.MEDICAL,
                 specialization=rng.choice(("Orthopedics", "Cardiology", None)),
                 symptoms=frozenset(), severity=Severity.EMERGENCY)
             expected = oracles.rank_responders(roster, event)

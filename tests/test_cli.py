@@ -12,6 +12,7 @@ import pytest
 
 from fluxcompose import cli
 from fluxcompose.cli import data_path
+from test_cli_golden import CASES, GOLDEN
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -261,14 +262,20 @@ def test_flag_the_command_does_not_take_is_usage_error(argv):
     assert exc.value.code == 2
 
 
-def test_module_entry_point_plans_in_a_fresh_process():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-m", "fluxcompose.cli", "plan"],
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+@pytest.mark.parametrize("name", ["plan", "compose", "trace-validate-all", "simulate"])
+def test_module_entry_point_plans_in_a_fresh_process(name, hash_seed, tmp_path):
+    # a fresh interpreter per hash seed: the golden bytes must not depend on
+    # the seed this test process happens to run under
+    data, log = str(data_path("")), str(tmp_path / "events.log")
+    argv = [a.replace("{data}", data).replace("{log}", log) for a in CASES[name]]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
+    env.pop("FLUXCOMPOSE_LOG", None)
+    done = subprocess.run([sys.executable, "-m", "fluxcompose.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    golden = Path(__file__).with_name("cli_golden.json")
-    expected = json.loads(golden.read_text(encoding="utf-8"))
-    assert (done.returncode, done.stdout) == (expected["plan"]["exit"],
-                                              expected["plan"]["stdout"])
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    stdout = done.stdout.replace(log, "{log}").replace(data, "{data}")
+    assert (done.returncode, stdout) == (expected["exit"], expected["stdout"])
 
 
 def test_console_script_names_a_callable_in_the_cli():

@@ -32,14 +32,12 @@ EMERGENCY_REQUEST = CompositionRequest(
 def grounded_env(validated_roster):
     event = scenario.EmergencyEvent(
         date="2011-11-05", time="09:20", patient_name="Arjun",
-        case_history="fell", coach="S5", seat=21, delivery_personnel=None,
+        case_history="fell", coach="S5", seat=21,
         event_type=scenario.EventType.MEDICAL, specialization="Orthopedics",
         symptoms=frozenset({"fracture"}),
         severity=scenario.Severity.EMERGENCY)
     sink = scenario.MessageSink()
-    ctx = type("Deps", (), {"roster": validated_roster, "message_sink": sink,
-                            "medical_professions": scenario.DEFAULT_MEDICAL_PROFESSIONS})()
-    return scenario.build_grounding_env(ctx, event), sink
+    return scenario.build_grounding_env(validated_roster, sink, event), sink
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +162,10 @@ def test_execute_no_matching_resource(service_registry, taxonomy, roster):
     # nobody on the roster has a validated travel plan, so the lookup fails
     event = scenario.EmergencyEvent(
         date="2011-11-05", time="09:20", patient_name="Arjun",
-        case_history="fell", coach="S5", seat=21, delivery_personnel=None,
+        case_history="fell", coach="S5", seat=21,
         event_type=scenario.EventType.MEDICAL, specialization="Orthopedics",
         symptoms=frozenset(), severity=scenario.Severity.EMERGENCY)
-    ctx = type("Deps", (), {"roster": roster, "message_sink": scenario.MessageSink(),
-                            "medical_professions": scenario.DEFAULT_MEDICAL_PROFESSIONS})()
-    env = scenario.build_grounding_env(ctx, event)
+    env = scenario.build_grounding_env(roster, scenario.MessageSink(), event)
     wf = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
     with pytest.raises(ExecutionError) as exc:
         execute(wf, env, service_registry)
@@ -247,13 +243,10 @@ def test_grounding_determinism(service_registry, taxonomy, validated_roster):
     def run():
         event = scenario.EmergencyEvent(
             date="2011-11-05", time="09:20", patient_name="Arjun",
-            case_history="fell", coach="S5", seat=21, delivery_personnel=None,
+            case_history="fell", coach="S5", seat=21,
             event_type=scenario.EventType.MEDICAL, specialization="Orthopedics",
             symptoms=frozenset(), severity=scenario.Severity.EMERGENCY)
-        ctx = type("Deps", (), {
-            "roster": validated_roster, "message_sink": scenario.MessageSink(),
-            "medical_professions": scenario.DEFAULT_MEDICAL_PROFESSIONS})()
-        env = scenario.build_grounding_env(ctx, event)
+        env = scenario.build_grounding_env(validated_roster, scenario.MessageSink(), event)
         wf = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
         return execute(wf, env, service_registry).to_lines()
 

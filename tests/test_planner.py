@@ -227,6 +227,23 @@ def test_monotone_skip_is_off_when_a_remove_list_exists():
         assert plan(problem, SearchConfig(max_depth=2), _prune=prune) == expected
 
 
+def test_one_ground_action_reaching_two_states_keeps_plans_in_order():
+    # a(k) binds Y to m or n, so the one path a(k) reaches two states; b(z1)
+    # applies only in the second, and must still come first
+    domain = dsl.parse_domain(
+        "fluent p/2.\nfluent q/1.\nfluent r/2.\nfluent done/0.\n"
+        "action a(X) poss: holds(p(X,Y)) update: add [q(Y)] remove [].\n"
+        "action b(Z) poss: holds(q(Y)), holds(r(Y,Z)) update: add [done] remove [].\n")
+    problem = planner.make_problem(domain, dsl.parse_problem(
+        "init: p(k,m), p(k,n), r(m,z2), r(n,z1).\ngoal: done.\n"))
+    all_plans = enumerate_plans(problem, 2)
+    assert [str(p) for p in all_plans] == ["a(k); b(z1)", "a(k); b(z2)"]
+    for prune in (True, False):
+        assert plan(problem, SearchConfig(max_depth=2), _prune=prune) == all_plans[0]
+    for p in all_plans:
+        assert validate_plan(problem, p), p
+
+
 def test_enumerate_emergency_depth2_is_unique(planning_problem):
     plans = enumerate_plans(planning_problem, 2)
     assert len(plans) == 1

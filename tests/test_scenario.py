@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import randgen
-from fluxcompose import scenario
+from fluxcompose import registry, scenario
 from fluxcompose.ontology import Severity
+from fluxcompose.planner import NoPlanFound
 from fluxcompose.scenario import (
     EmergencyEvent,
     EmergencyInfo,
@@ -48,7 +49,7 @@ HEADER = ("#coach-order: S1,S2,S3\n" + scenario.ROSTER_HEADER + "\n")
 def medical_event(coach="S2", spec="Orthopedics", patient_name="", etype=EventType.MEDICAL):
     return EmergencyEvent(
         date="2011-11-05", time="10:00", patient_name=patient_name,
-        case_history="case", coach=coach, seat=1, delivery_personnel=None,
+        case_history="case", coach=coach, seat=1,
         event_type=etype, specialization=spec, symptoms=frozenset(),
         severity=Severity.EMERGENCY)
 
@@ -733,9 +734,37 @@ def test_report_unknown_pnr(dispatch_context):
         report_emergency(dispatch_context, "P999", info(), NOW)
 
 
-def test_report_needs_a_time_source(dispatch_context):
-    with pytest.raises(scenario.FluxError):
-        report_emergency(dispatch_context, "P003", info())
+def test_report_that_cannot_compose_changes_nothing(dispatch_context, service_registry):
+    # without notifyResource no workflow reaches ConfirmSend; P004 is unregistered
+    ctx = dispatch_context
+    ctx.registry = registry.Registry({name: s for name, s in service_registry.services.items()
+                                      if name != "notifyResource"})
+    roster, taxonomy = ctx.roster, ctx.taxonomy
+    with pytest.raises(NoPlanFound):
+        report_emergency(ctx, "P004", info(), NOW)
+    assert ctx.roster is roster and ctx.taxonomy is taxonomy
+    assert not ctx.roster.get("P004").registered_for_service
+    assert "P004" not in ctx.taxonomy.individuals
+    assert ctx.log.path.read_bytes() == b""
+    assert ctx.message_sink.entries == []
+
+
+def test_report_whose_append_fails_changes_nothing_but_the_sent_message(
+        dispatch_context, monkeypatch):
+    ctx = dispatch_context
+    roster, taxonomy = ctx.roster, ctx.taxonomy
+
+    def append(record):
+        raise scenario.FluxError("disk full")
+
+    monkeypatch.setattr(ctx.log, "append", append)
+    with pytest.raises(scenario.FluxError, match="disk full"):
+        report_emergency(ctx, "P004", info(), NOW)
+    assert ctx.roster is roster and ctx.taxonomy is taxonomy
+    assert not ctx.roster.get("P004").registered_for_service
+    assert "P004" not in ctx.taxonomy.individuals
+    assert ctx.log.path.read_bytes() == b""
+    assert [name for name, _, _ in ctx.message_sink.entries] == ["Ravi"]
 
 
 @pytest.mark.parametrize("symptoms", [("",), ("chest pain, mild",), ("pain", ",")])
