@@ -13,7 +13,7 @@ for golden tests; the field order is documented in the README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from .errors import FluxError
@@ -133,15 +133,13 @@ Executor = Callable[[dict[str, str]], StubResult]
 
 @dataclass
 class GroundingEnv:
-    """In-process stand-in for service groundings.
+    """In-process stand-in for service groundings: the stub map only.
 
-    Maps stub ids to executors over bound inputs; stubs close over whatever
-    they work against. ``extras`` is a side channel stubs may use to surface
-    structured results (e.g. a ranked responder list).
+    Maps stub ids to executors over bound inputs; a stub closes over whatever
+    it works against and returns its outputs, with no other channel back.
     """
 
     stubs: dict[str, Executor]
-    extras: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from typing import Iterator, Optional, Union
 
 from .composer import (
     CompositionRequest,
-    ExecutionError,
     ExecutionTrace,
     GroundingEnv,
     GroundingFailure,
@@ -854,29 +853,24 @@ class MessageSink:
         return len(self.entries)
 
 
-def build_grounding_env(roster: Roster, sink: MessageSink,
-                        event: EmergencyEvent) -> GroundingEnv:
-    """Bundled stubs: roster lookup via trace_resources and a message-sink send.
-
-    The lookup stub returns the top-ranked responder and stashes the full
-    ranked list in env.extras["ranked"]; the send stub appends to the message
-    sink and returns a confirmation token.
+def build_grounding_env(ranked: tuple[Responder, ...],
+                        sink: MessageSink) -> GroundingEnv:
+    """Bundled stubs over one report's ranking (nonempty, as trace_resources
+    returns it): the lookup names the top-ranked responder and their coach; the
+    send appends to the message sink and returns a confirmation token.
     """
-    env = GroundingEnv(stubs={})
-
-    def roster_lookup(inputs: dict) -> StubResult:
-        ranked = trace_resources(roster, event)
-        env.extras["ranked"] = ranked
-        top = ranked[0]
-        return StubResult({"P": top.name, "CN": top.coach})
+    top = ranked[0]
 
     def message_send(inputs: dict) -> StubResult:
+        if not {"P", "CN", "MSG"} <= inputs.keys():
+            raise GroundingFailure("message-send needs inputs P, CN and MSG")
         seq = sink.append(inputs["P"], inputs["CN"], inputs["MSG"])
         return StubResult({"ACK": f"msg-{seq}"}, outcome="ConfirmSend")
 
-    env.stubs["roster-lookup"] = roster_lookup
-    env.stubs["message-send"] = message_send
-    return env
+    return GroundingEnv(stubs={
+        "roster-lookup": lambda inputs: StubResult({"P": top.name, "CN": top.coach}),
+        "message-send": message_send,
+    })
 
 
 def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
@@ -884,12 +878,14 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
     """Handle one reported emergency end to end and append exactly one record.
 
     Registered callers go straight to dispatch; unregistered callers are
-    registered with the payment-collected flag set. Medical events are
-    dispatched through the composed findResource/notifyResource workflow; when
-    no responder is aboard (or the event type has no responder category) a
-    fallback notice naming the next station is logged instead. A symptom that
-    is empty or holds a comma is rejected: the log joins symptoms with commas,
-    so its record would read back as another.
+    registered with the payment-collected flag set. A Medical event composes
+    the findResource/notifyResource workflow, then ranks the responders once
+    and executes the workflow with stubs that close over that ranking; the
+    record names the ranked responders. When nobody is ranked (or the event
+    type has no responder category) no stub runs and a fallback notice naming
+    the next station is logged instead. A symptom that is empty or holds a
+    comma is rejected: the log joins symptoms with commas, so its record would
+    read back as another.
 
     ctx.roster and ctx.taxonomy are rebound only after the record is
     appended: a report that raises leaves them and the log as they were, but
@@ -928,20 +924,20 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
             world_facts=(Compound("availableRole",
                                   (Constant("doctor"), Constant(spec_value))),),
         )
-        env = build_grounding_env(roster, ctx.message_sink, event)
         workflow = compose(request, ctx.registry, taxonomy, ctx.search_config)
         try:
+            ranked = trace_resources(roster, event)
+        except FallbackRequired as exc:
+            reason = str(exc)
+        else:
+            env = build_grounding_env(ranked, ctx.message_sink)
             trace = execute(workflow, env, ctx.registry)
-        except ExecutionError as exc:
-            if not isinstance(exc.__cause__, FallbackRequired):
-                raise
-            reason = exc.reason
 
     if trace is None:
         kind, ranked = OutcomeKind.FALLBACK_NOTICE, ()
         record = fallback_station_notice(event, ctx.schedule, now, payment_collected, reason)
     else:
-        kind, ranked = OutcomeKind.RESPONDER_ASSIGNED, env.extras["ranked"]
+        kind = OutcomeKind.RESPONDER_ASSIGNED
         confirmation = trace.records[-1].outcome if trace.records else "ok"
         record = EventRecord(
             **_common_fields(event, ranked[0].name, payment_collected),

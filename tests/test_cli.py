@@ -167,6 +167,47 @@ def test_simulate_byte_identical_on_fresh_logs(tmp_path, capsys):
     assert logs[0] == logs[1]
 
 
+def broadcast_registry(tmp_path, *inputs):
+    path = tmp_path / "broadcast.reg"
+    path.write_text("service broadcast\n"
+                    + "".join(f"  hasInput: {param}\n" for param in inputs)
+                    + "  hasOutput: ACK : ConfirmSend\n"
+                      "  grounding: message-send\nend\n", encoding="utf-8")
+    return path
+
+
+def test_send_step_missing_its_inputs_exit_2(tmp_path, capsys):
+    log = tmp_path / "events.log"
+    code, _, err = run(capsys, "simulate", "--log", str(log),
+                       "--registry", str(broadcast_registry(tmp_path, "MSG : Message")),
+                       "--script", str(data_path("emergency.scn")))
+    assert code == 2
+    assert err == "execution failed at step 0: message-send needs inputs P, CN and MSG\n"
+    assert log.read_bytes() == b""
+    assert not Path(f"{log}.messages").exists()
+
+
+def test_workflow_without_a_lookup_step_logs_the_ranking(tmp_path, capsys):
+    # the one step sends to the request's own values; the records still name
+    # the ranked responders, exactly as with the bundled registry
+    reg = broadcast_registry(tmp_path, "P : Profession", "CN : Specialization",
+                             "MSG : Message")
+    logs = {}
+    for name, extra in (("broadcast", ("--registry", str(reg))), ("bundled", ())):
+        log = tmp_path / f"{name}.log"
+        code, _, _ = run(capsys, "simulate", "--log", str(log), *extra,
+                         "--script", str(data_path("emergency.scn")))
+        assert code == 0
+        logs[name] = log.read_text(encoding="utf-8")
+    kinds = re.findall(r"\tkind=(\w+)\t", logs["broadcast"])
+    assert kinds == ["event", "event", "fallback"]
+    assert logs["broadcast"].count("\tresponders=Ravi@S7\t") == 2
+    assert logs["broadcast"] == logs["bundled"]
+    sent = (tmp_path / "broadcast.log.messages").read_text(encoding="utf-8")
+    assert [line.split("\t")[:2] for line in sent.splitlines()] == [
+        ["doctor", "Orthopedics"]] * 2
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "plan", "--domain", "/nonexistent/x.fcd")
     assert code == 2

@@ -28,16 +28,19 @@ EMERGENCY_REQUEST = CompositionRequest(
 )
 
 
+ORTHOPEDIC_EVENT = scenario.EmergencyEvent(
+    date="2011-11-05", time="09:20", patient_name="Arjun",
+    case_history="fell", coach="S5", seat=21,
+    event_type=scenario.EventType.MEDICAL, specialization="Orthopedics",
+    symptoms=frozenset({"fracture"}),
+    severity=scenario.Severity.EMERGENCY)
+
+
 @pytest.fixture()
 def grounded_env(validated_roster):
-    event = scenario.EmergencyEvent(
-        date="2011-11-05", time="09:20", patient_name="Arjun",
-        case_history="fell", coach="S5", seat=21,
-        event_type=scenario.EventType.MEDICAL, specialization="Orthopedics",
-        symptoms=frozenset({"fracture"}),
-        severity=scenario.Severity.EMERGENCY)
+    ranked = scenario.trace_resources(validated_roster, ORTHOPEDIC_EVENT)
     sink = scenario.MessageSink()
-    return scenario.build_grounding_env(validated_roster, sink, event), sink
+    return scenario.build_grounding_env(ranked, sink), sink
 
 
 # ---------------------------------------------------------------------------
@@ -158,20 +161,24 @@ def test_execute_empty_workflow(service_registry, grounded_env):
     assert execute(wf, env, service_registry).records == ()
 
 
-def test_execute_no_matching_resource(service_registry, taxonomy, roster):
-    # nobody on the roster has a validated travel plan, so the lookup fails
-    event = scenario.EmergencyEvent(
-        date="2011-11-05", time="09:20", patient_name="Arjun",
-        case_history="fell", coach="S5", seat=21,
-        event_type=scenario.EventType.MEDICAL, specialization="Orthopedics",
-        symptoms=frozenset(), severity=scenario.Severity.EMERGENCY)
-    env = scenario.build_grounding_env(roster, scenario.MessageSink(), event)
-    wf = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
+def test_execute_send_missing_its_inputs(taxonomy, validated_roster):
+    # a send step wired to the message alone: the stub fails, nothing is sent
+    reg = load_registry(
+        "service broadcast\n"
+        "  hasInput: MSG : Message\n"
+        "  hasOutput: ACK : ConfirmSend\n"
+        "  grounding: message-send\nend\n", taxonomy)
+    wf = compose(CompositionRequest(have=(("Message", "help"),),
+                                    want=("ConfirmSend",)), reg, taxonomy)
+    sink = scenario.MessageSink()
+    env = scenario.build_grounding_env(
+        scenario.trace_resources(validated_roster, ORTHOPEDIC_EVENT), sink)
     with pytest.raises(ExecutionError) as exc:
-        execute(wf, env, service_registry)
+        execute(wf, env, reg)
     assert exc.value.step == 0
-    assert exc.value.reason == "no matching resource"
+    assert exc.value.reason == "message-send needs inputs P, CN and MSG"
     assert exc.value.trace.records == ()
+    assert sink.entries == []
 
 
 def test_execute_missing_stub(service_registry, taxonomy):
@@ -241,12 +248,8 @@ def test_data_flow_sources_precede_consumers(service_registry, taxonomy):
 
 def test_grounding_determinism(service_registry, taxonomy, validated_roster):
     def run():
-        event = scenario.EmergencyEvent(
-            date="2011-11-05", time="09:20", patient_name="Arjun",
-            case_history="fell", coach="S5", seat=21,
-            event_type=scenario.EventType.MEDICAL, specialization="Orthopedics",
-            symptoms=frozenset(), severity=scenario.Severity.EMERGENCY)
-        env = scenario.build_grounding_env(validated_roster, scenario.MessageSink(), event)
+        ranked = scenario.trace_resources(validated_roster, ORTHOPEDIC_EVENT)
+        env = scenario.build_grounding_env(ranked, scenario.MessageSink())
         wf = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
         return execute(wf, env, service_registry).to_lines()
 

@@ -1,5 +1,5 @@
-"""The runtime imports nothing outside the standard library, and the
-benchmark's tracer finds every function it wraps."""
+"""The runtime imports nothing outside the standard library and uses every
+name it imports, and the benchmark's tracer finds every function it wraps."""
 
 import ast
 import importlib
@@ -49,3 +49,22 @@ def test_every_traced_function_exists_in_the_package():
         if not inspect.isfunction(found):
             missing.append(f"{owner_name}.{attr}")
     assert missing == []
+
+
+def test_runtime_modules_use_every_name_they_import():
+    package = Path(fluxcompose.__file__).parent
+    sources = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    assert len(sources) > 5
+    unused = []
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{source.name}: {name}" for name in names if name not in used]
+    assert unused == []

@@ -2,17 +2,19 @@
 
 import csv
 import random
+import re
 from dataclasses import fields, replace
 from datetime import date as Date, datetime, time as Time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 import randgen
 from fluxcompose import registry, scenario
+from fluxcompose.cli import data_path
 from fluxcompose.ontology import Severity
-from fluxcompose.planner import NoPlanFound
+from fluxcompose.planner import NoPlanFound, SearchConfig
 from fluxcompose.scenario import (
     EmergencyEvent,
     EmergencyInfo,
@@ -718,6 +720,8 @@ def test_report_no_responder_falls_back_to_station(dispatch_context):
     assert outcome.kind is OutcomeKind.FALLBACK_NOTICE
     assert outcome.record.station == "Nagpur"
     assert outcome.record.reason == "no matching resource"
+    assert outcome.trace is None and outcome.responders == ()
+    assert dispatch_context.message_sink.entries == []
 
 
 def test_report_robbery_routes_to_fallback(dispatch_context):
@@ -820,13 +824,65 @@ def test_report_trichotomy_on_random_rosters(taxonomy, service_registry,
     assert len(logged) == 1 and logged[0][1] == outcome.record
 
 
+BUNDLED_SERVICES = tuple(re.findall(r"(?ms)^service .*?^end\n",
+                                    data_path("services.reg").read_text()))
+
+
+@st.composite
+def service_registries(draw):
+    # services typed over the report flow's parameter names and the six
+    # ServiceParameter concepts, grounded by a bundled stub or by one no stub
+    # serves; a bundled service may join them, so some workflows succeed
+    typed_param = st.tuples(
+        st.sampled_from(("P", "CN", "MSG", "PR", "SP", "X")),
+        st.sampled_from(("Profession", "Specialization", "Name", "Coach",
+                         "Message", "ConfirmSend")),
+        st.sampled_from(("hasInput", "hasOutput")))
+    size = draw(st.integers(1, 3))
+    blocks = draw(st.permutations(BUNDLED_SERVICES))[:draw(st.integers(0, min(size, 2)))]
+    for i in range(size - len(blocks)):
+        params = draw(st.lists(typed_param, max_size=4, unique_by=lambda t: t[0]))
+        grounding = draw(st.sampled_from(("roster-lookup", "message-send", "no-such-stub")))
+        blocks.append(f"service s{i}\n"
+                      + "".join(f"  {field}: {param} : {concept}\n"
+                                for param, concept, field in params)
+                      + f"  grounding: {grounding}\nend\n")
+    return "".join(blocks)
+
+
+@given(service_registries(), st.sampled_from(("P003", "P004", "P001")))
+@settings(max_examples=200, deadline=None)
+def test_report_on_random_registries_returns_or_raises_flux_error(
+        taxonomy, severity_rules, schedule, tmp_path_factory, source, pnr):
+    try:
+        reg = registry.load_registry(source, taxonomy)
+    except scenario.FluxError:
+        assume(False)
+    roster, _ = validate_travel_plan(load_roster(data_path("roster.csv").read_text()),
+                                     "P001", "Chennai", "Delhi", Date(2011, 11, 5))
+    log_path = tmp_path_factory.mktemp("logs") / "events.log"
+    with EventLog(log_path) as log:
+        ctx = scenario.DispatchContext(
+            roster=roster, taxonomy=taxonomy, registry=reg,
+            severity_rules=severity_rules, schedule=schedule, log=log,
+            message_sink=scenario.MessageSink(),
+            search_config=SearchConfig(max_depth=3))
+        try:
+            outcome = report_emergency(ctx, pnr, info(), NOW)
+        except scenario.FluxError:
+            assert read_event_log(log_path) == []
+            assert ctx.roster is roster
+            return
+    logged = read_event_log(log_path)
+    assert len(logged) == 1 and logged[0][1] == outcome.record
+
+
 # ---------------------------------------------------------------------------
 # scripted replay
 # ---------------------------------------------------------------------------
 
 
 def test_run_script_bundled(dispatch_context):
-    from fluxcompose.cli import data_path
     # the bundled script starts from an unvalidated roster
     dispatch_context.roster = load_roster(data_path("roster.csv").read_text())
     steps = scenario.run_script(dispatch_context,
