@@ -10,8 +10,9 @@ rendered arguments), so the returned plan is the shortest, lexicographically
 first among equals. Two rules shrink it: a goal symbol that no action sequence
 can produce fails at once, without a search, and in a domain without remove
 lists an application whose adds already hold is never made. The visited set
-holds states, with placeholders renamed; no state or substitution is named by
-its text. `plan` gives the soundness argument for these and for its visited set.
+holds states, with placeholders renamed when the problem can make any; no
+state or substitution is named by its text. `plan` gives the soundness
+argument for these and for its visited set.
 """
 
 from __future__ import annotations
@@ -302,6 +303,13 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
       the lexicographically first shortest plan is never cut.
     - The queue runs dry before cfg.max_depth only if a layer adds no new
       state. Every deeper state is then a twin of one already goal-tested.
+    - The key is the child itself, with no renaming walk, when no action has
+      outputs, no action's adds name a placeholder and the initial state
+      holds none. A child's fluents are then its parent's, or adds whose
+      variables the poss binding maps to subterms of the parent's fluents;
+      so by induction no reachable state holds a placeholder, and
+      `_pruning_key` would return every state unchanged. This is read once
+      from the problem, not set by the caller.
 
     Two more rules apply under _prune:
 
@@ -334,8 +342,11 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
             raise NoPlanFound(cfg.max_depth, missing)
         if not any(a.removes for a in actions):
             redundant = {id(a): _as_atoms(a.adds) for a in actions}
-    seen = {_pruning_key(problem.initial)}
-    queue = deque([(problem.initial, ())])
+    initial = problem.initial
+    renames = (any(a.outputs or any(map(_has_placeholder, a.adds)) for a in actions)
+               or any(map(_has_placeholder, initial.world | initial.knowledge)))
+    seen = {_pruning_key(initial)}
+    queue = deque([(initial, ())])
     while queue:
         state, steps = queue.popleft()
         group = [state]
@@ -354,7 +365,7 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
             if depth == cfg.max_depth:
                 continue
             if _prune:
-                key = _pruning_key(child)
+                key = _pruning_key(child) if renames else child
                 if key in seen:
                     continue
                 seen.add(key)

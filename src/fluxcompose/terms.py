@@ -2,11 +2,23 @@
 
 A state is two duplicate-free sets of ground terms (its fluents): plain world
 fluents and knowledge fluents carrying the reserved outer functor ``know``.
-On its first query a state indexes each set once: the fluents in canonical
-(rendered text) order, and the same order grouped by fluent symbol (functor
-and arity; for knowledge, those of the term inside ``know``). `holds` and
-`knows_val` scan only the group of the pattern's symbol, or every fluent when
-the pattern is a bare variable. A compound renders its text once.
+On its first query a state indexes each set once: its fluents grouped by
+fluent symbol (functor and arity; for knowledge, those of the term inside
+``know``), each group in canonical (rendered text) order. `holds` and
+`knows_val` scan only the group of the pattern's symbol. When the pattern's
+first argument is a constant or a placeholder, and the group holds more than
+one fluent, they scan only the fluents with that first argument (for
+knowledge, the first argument of the term inside ``know``), from a map the
+group builds on its first such query. A bare-variable pattern scans every
+fluent, sorted for that query. A compound renders its text once.
+
+A child made by `State.with_update` from an indexed state inherits the
+index. On the child's first query only the groups of the symbols whose
+fluents differ from the parent's are rebuilt; every other group is the
+parent's own object, first-argument map included. So one expansion costs
+its update, not its state, and a static relation such as a link graph is
+split by first argument once per problem. That sharing is what makes the map
+pay: built anew for every state, it cost more than the scans it saved.
 
 A query matches one way: it walks the pattern against a ground fluent, and
 only the pattern's variables get bound. This yields exactly what `unify` of
@@ -244,16 +256,24 @@ class State:
                 world.add(t)
         return cls(frozenset(world), frozenset(knowledge))
 
+    # A child of an indexed state keeps its parent's index and fluent set
+    # (see with_update) until its first query.
     @cached_property
     def _world_index(self) -> "_Index":
-        return _index(self.world, functor_arity)
+        return _updated(*self.__dict__.get("_world_base", ({}, frozenset())),
+                        self.world, _world_term)
 
     @cached_property
     def _knowledge_index(self) -> "_Index":
-        return _index(self.knowledge, lambda t: functor_arity(t.args[0]))
+        return _updated(*self.__dict__.get("_knowledge_base", ({}, frozenset())),
+                        self.knowledge, _known_term)
 
     def with_update(self, adds: Iterable[Term], removes: Iterable[Term]) -> "State":
-        """Apply a state update: (self minus removes) union adds, per fluent set."""
+        """Apply a state update: (self minus removes) union adds, per fluent set.
+
+        A child of an indexed state inherits its index: on the child's first
+        query only the groups of the symbols whose fluents differ are rebuilt.
+        """
         world = set(self.world)
         knowledge = set(self.knowledge)
         for t in removes:
@@ -264,30 +284,81 @@ class State:
             if not is_ground(t):
                 raise NotGroundError(f"add pattern is not ground: {t}")
             (knowledge if is_knowledge(t) else world).add(t)
-        return State(frozenset(world), frozenset(knowledge))
+        child = State(frozenset(world), frozenset(knowledge))
+        for name in ("world", "knowledge"):
+            index = self.__dict__.get(f"_{name}_index")
+            if index is not None:
+                child.__dict__[f"_{name}_base"] = (index, getattr(self, name))
+        return child
 
     def __contains__(self, term: Term) -> bool:
         return term in self.knowledge if is_knowledge(term) else term in self.world
 
 
-# All fluents in canonical order, and the same order split by fluent symbol.
-_Index = tuple[tuple[Term, ...], dict[tuple[str, int], tuple[Term, ...]]]
+def _world_term(t: Term) -> Term:
+    return t
 
 
-def _index(fluents: frozenset, symbol) -> _Index:
-    ordered = tuple(sorted(fluents, key=str))
-    groups: dict[tuple[str, int], list[Term]] = {}
-    for t in ordered:
-        groups.setdefault(symbol(t), []).append(t)
-    return ordered, {k: tuple(v) for k, v in groups.items()}
+def _known_term(t: Compound) -> Term:
+    return t.args[0]
 
 
-def _candidates(pattern: Term, index: _Index) -> tuple[Term, ...]:
-    """The indexed fluents that can match a resolved pattern, in canonical order."""
-    ordered, groups = index
+class _Group(tuple):
+    """The fluents of one symbol in canonical order, and on demand by first argument.
+
+    The first argument is that of the queried term (``inner`` of a stored
+    fluent): for knowledge, of the term inside ``know``. The map is built
+    into a local and stored once, so a group shared across states and
+    threads only ever shows a whole map.
+    """
+
+    def by_first(self, arg: Term, inner) -> tuple[Term, ...]:
+        table = self.__dict__.get("table")
+        if table is None:
+            lists: dict[Term, list[Term]] = {}
+            for t in self:
+                lists.setdefault(inner(t).args[0], []).append(t)
+            table = self.__dict__["table"] = {k: tuple(v) for k, v in lists.items()}
+        return table.get(arg, ())
+
+
+# One fluent set's groups by symbol.
+_Index = dict[tuple[str, int], _Group]
+
+
+def _updated(index: _Index, before: frozenset, fluents: frozenset, inner) -> _Index:
+    """The index of fluents, from the index of the set before.
+
+    Only the groups of the symbols of fluents gone or new are rebuilt; the
+    other groups are shared. The old members of a rebuilt group are compared
+    with the few fluents gone, not hashed again.
+    """
+    gone, new = tuple(before - fluents), fluents - before
+    stale = {functor_arity(inner(t)) for t in (*gone, *new)} if index else ()
+    index = dict(index)
+    members = [t for symbol in stale for t in index.pop(symbol, ()) if t not in gone]
+    lists: dict[tuple[str, int], list[Term]] = {}
+    for t in sorted((*members, *new), key=str):
+        lists.setdefault(functor_arity(inner(t)), []).append(t)
+    for symbol, group in lists.items():
+        index[symbol] = _Group(group)
+    return index
+
+
+def _candidates(pattern: Term, index: _Index, fluents: frozenset, inner) -> Iterable[Term]:
+    """The fluents that can match a resolved pattern, in canonical order.
+
+    A group of one fluent is scanned: its map would cost more than it saves.
+    """
+    if isinstance(pattern, Compound):
+        group = index.get((pattern.functor, len(pattern.args)), ())
+        if len(group) > 1 and pattern.args \
+                and isinstance(pattern.args[0], (Constant, Placeholder)):
+            return group.by_first(pattern.args[0], inner)
+        return group
     if isinstance(pattern, Variable):
-        return ordered
-    return groups.get(functor_arity(pattern), ())
+        return sorted(fluents, key=str)
+    return index.get(functor_arity(pattern), ())
 
 
 def _match(pattern: Term, fluent: Term, new: dict) -> bool:
@@ -342,7 +413,7 @@ def holds(pattern: Term, state: State,
     means the pattern does not hold.
     """
     pattern = subst.apply(pattern)
-    for f in _candidates(pattern, state._world_index):
+    for f in _candidates(pattern, state._world_index, state.world, _world_term):
         got = _extend(subst, pattern, f)
         if got is not None:
             yield got
@@ -358,7 +429,8 @@ def knows_val(pattern: Term, state: State,
     time the producing step has executed.
     """
     pattern = subst.apply(pattern)
-    for f in _candidates(pattern, state._knowledge_index):
+    for f in _candidates(pattern, state._knowledge_index, state.knowledge,
+                             _known_term):
         got = _extend(subst, pattern, f.args[0])
         if got is not None:
             yield got

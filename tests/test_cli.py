@@ -1,14 +1,18 @@
 """Exit codes, output contracts, and golden stability of the CLI."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluxcompose import cli
 from fluxcompose.cli import data_path
@@ -328,3 +332,49 @@ def test_console_script_names_a_callable_in_the_cli():
     module, attr = target.groups()
     assert module == "fluxcompose.cli"
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+# Each bundled input file, the flag that reads it, and the command it feeds.
+_PLAN = ["plan", "--max-depth", "4"]
+_COMPOSE = ["compose", "--want", "ConfirmSend", "--have", "Profession=doctor",
+            "--have", "Specialization=Orthopedics", "--have", "Message=help",
+            "--fact", "availableRole(doctor,Orthopedics)", "--max-depth", "4"]
+_MUTATED_RUNS = {
+    "emergency.fcd": ("domain", _PLAN),
+    "emergency.fcp": ("problem", _PLAN),
+    "services.reg": ("registry", _COMPOSE),
+    "domain.tax": ("taxonomy", _COMPOSE),
+}
+
+
+@st.composite
+def _mutated(draw):
+    """A bundled file with characters deleted, inserted or spans copied elsewhere."""
+    name = draw(st.sampled_from(sorted(_MUTATED_RUNS)))
+    text = data_path(name).read_text(encoding="utf-8")
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["delete", "insert", "copy"]))
+        if kind == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 8)):]
+        elif kind == "insert":
+            text = text[:at] + draw(st.text(st.sampled_from("(),.:;=_ \n\"#aXyz09"),
+                                            min_size=1, max_size=3)) + text[at:]
+        else:
+            start = draw(st.integers(0, len(text)))
+            text = text[:at] + text[start:start + draw(st.integers(1, 40))] + text[at:]
+    return name, text
+
+
+@given(_mutated())
+@settings(max_examples=300, deadline=None)
+def test_mutated_bundled_files_exit_0_1_or_2(mutated):
+    name, text = mutated
+    flag, argv = _MUTATED_RUNS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv + [f"--{flag}", str(path)])
+    assert code in (0, 1, 2), (code, err.getvalue())

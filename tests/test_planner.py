@@ -348,6 +348,51 @@ def test_pruning_key_ignores_placeholder_numbering():
     assert planner._pruning_key(ab) == planner._pruning_key(ba)
 
 
+def _assert_twins_merged(monkeypatch, problem, depth):
+    """A search that finds no plan meets placeholder-renamed twins, and prunes them."""
+    expanded = {}
+    children = planner._children
+
+    def counting_children(actions, states):
+        expanded[prune] += states
+        return children(actions, states)
+
+    monkeypatch.setattr(planner, "_children", counting_children)
+    for prune in (True, False):
+        expanded[prune] = []
+        with pytest.raises(NoPlanFound):
+            plan(problem, SearchConfig(max_depth=depth), _prune=prune)
+    keys = [{planner._pruning_key(s) for s in expanded[prune]} for prune in (True, False)]
+    assert len(keys[0]) == len(expanded[True])
+    assert len(keys[1]) < len(expanded[False])
+
+
+def test_placeholders_of_the_initial_state_keep_the_renaming_key(monkeypatch):
+    # no action has outputs, but pick(#1) and pick(#2) reach twins
+    t1, t2 = Placeholder("seed", "T", 1), Placeholder("seed", "T", 2)
+    x = Variable("X")
+    pick = dsl.make_action_schema("pick", [x], [dsl.Atom("holds", Compound("token", (x,)))],
+                                  [Compound("picked", (x,))], [Compound("token", (x,))])
+    problem = PlanningProblem(State.from_terms([Compound("token", (t1,)),
+                                                Compound("token", (t2,))]),
+                              (Compound("picked", (Constant("c"),)),), (pick,))
+    _assert_twins_merged(monkeypatch, problem, 2)
+
+
+def test_outputs_and_placeholder_adds_keep_the_renaming_key(monkeypatch):
+    # make;other and other;make differ only in their placeholder's step
+    o = Variable("O")
+    make = dsl.make_action_schema("make", [], [], [Compound("item", (o,))], [])
+    other = dsl.make_action_schema("other", [], [], [Constant("flag")], [])
+    goal = (Compound("item", (Constant("c"),)),)
+    _assert_twins_merged(monkeypatch, PlanningProblem(State(), goal, (make, other)), 3)
+    # a1 and a2 add twins named by placeholders written into the schemas
+    a1, a2 = (dsl.make_action_schema(name, [], [], [Compound("item", (ph,))], [])
+              for name, ph in (("a1", Placeholder("lit", "A", 1)),
+                               ("a2", Placeholder("lit", "B", 1))))
+    _assert_twins_merged(monkeypatch, PlanningProblem(State(), goal, (a1, a2)), 2)
+
+
 _P1, _CN1 = Placeholder("findResource", "P", 1), Placeholder("findResource", "CN", 1)
 
 

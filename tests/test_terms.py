@@ -13,8 +13,10 @@ from fluxcompose.terms import (
     State,
     Substitution,
     Variable,
+    functor_arity,
     holds,
     is_ground,
+    is_knowledge,
     knows_val,
     unify,
 )
@@ -308,6 +310,67 @@ def test_knows_val_equals_brute_force_over_mixed_symbols(data):
     oracle = [s.bindings for s in (unify(know(pattern), f, start)
                                    for f in sorted(state.knowledge, key=str)) if s is not None]
     assert got == oracle
+
+
+# Children made by with_update inherit their parent's index: each answer must
+# equal that of a freshly built state and the unify brute force, in order.
+def _random_stored(rng):
+    fluent = _random_fluent(rng)
+    return know(fluent) if rng.random() < 0.5 else fluent
+
+
+def _symbol(t):
+    return is_knowledge(t), functor_arity(t.args[0] if is_knowledge(t) else t)
+
+
+def _random_update(rng, state):
+    """Adds and removes: present, absent, both added and removed, a whole group emptied."""
+    present = sorted(state.world | state.knowledge, key=str)
+    removes = rng.sample(present, rng.randint(0, min(4, len(present))))
+    if present and rng.random() < 0.3:
+        emptied = _symbol(rng.choice(present))
+        removes += [t for t in present if _symbol(t) == emptied]
+    adds = [_random_stored(rng) for _ in range(rng.randint(0, 4))]
+    adds += rng.sample(removes, rng.randint(0, len(removes)))
+    removes += [_random_stored(rng) for _ in range(rng.randint(0, 2))]
+    return adds, removes
+
+
+def _generalized(rng, fluent):
+    """A pattern for the fluent's symbol: arguments turned variable at random."""
+    inner = fluent.args[0] if is_knowledge(fluent) else fluent
+    if not isinstance(inner, Compound):
+        return inner
+    pool = [X, P, SP]
+    return Compound(inner.functor, tuple(rng.choice(pool) if rng.random() < 0.4 else a
+                                         for a in inner.args))
+
+
+def _assert_answers(pattern, state, start):
+    fresh = State(state.world, state.knowledge)
+    for query, fluents, oracle_pattern in ((holds, state.world, pattern),
+                                           (knows_val, state.knowledge, know(pattern))):
+        got = [s.bindings for s in query(pattern, state, start)]
+        assert got == [s.bindings for s in query(pattern, fresh, start)]
+        oracle = (unify(oracle_pattern, f, start) for f in sorted(fluents, key=str))
+        assert got == [s.bindings for s in oracle if s is not None]
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_children_answer_like_fresh_states(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    state = State.from_terms(_random_stored(rng) for _ in range(rng.randint(0, 30)))
+    for _ in range(rng.randint(1, 3)):
+        adds, removes = _random_update(rng, state)
+        patterns = [_random_pattern(rng) for _ in range(3)]
+        patterns += [_generalized(rng, t) for t in adds + removes]
+        starts = [_random_start(rng) for _ in patterns]
+        for pattern, start in zip(patterns, starts):  # the parent builds what is inherited
+            _assert_answers(pattern, state, start)
+        state = state.with_update(adds, removes)
+        for pattern, start in zip(patterns, starts):
+            _assert_answers(pattern, state, start)
 
 
 # Named cases of one-way matching, each checked against the unify oracle too.
