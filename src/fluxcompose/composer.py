@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional, Union
 from .errors import FluxError
 from .ontology import Concept, MatchDegree, TaxonomyGraph, UnknownConceptError, match_degree
 from .planner import Plan, PlanningProblem, SearchConfig, plan as find_plan
-from .registry import Registry, compile_service_to_action
+from .registry import Registry
 from .terms import Compound, Constant, Placeholder, State, Term, Variable
 
 
@@ -164,13 +164,10 @@ def build_problem(req: CompositionRequest, reg: Registry,
         if not g.declares(concept):
             raise UnknownConceptError(concept)
 
-    input_concepts = {
-        c for svc in reg.sorted_services() for _, c in svc.inputs
-    }
     initial: list[Term] = list(req.world_facts)
     for concept, value in req.have:
         initial.append(Compound("know", (Compound(concept, (Constant(value),)),)))
-        for wider in g.ancestors(concept) & input_concepts:
+        for wider in g.ancestors(concept) & reg.input_concepts:
             if wider != concept:
                 initial.append(
                     Compound("know", (Compound(wider, (Constant(value),)),)))
@@ -179,10 +176,7 @@ def build_problem(req: CompositionRequest, reg: Registry,
         Compound("know", (Compound(concept, (Variable(f"WANT{i}"),)),))
         for i, concept in enumerate(req.want)
     )
-    actions = tuple(
-        compile_service_to_action(svc) for svc in reg.sorted_services()
-    )
-    return PlanningProblem(State.from_terms(initial), goal, actions)
+    return PlanningProblem(State.from_terms(initial), goal, reg.actions)
 
 
 def compose(req: CompositionRequest, reg: Registry, g: TaxonomyGraph,

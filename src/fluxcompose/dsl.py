@@ -34,9 +34,9 @@ from .terms import (
     KNOW,
     Term,
     Variable,
+    fluent_symbol,
     functor_arity,
     is_ground,
-    is_knowledge,
     variables_in,
 )
 
@@ -277,18 +277,13 @@ class _Parser:
 def _fluent_usage(term: Term, tok: _Token,
                   source_name: str) -> tuple[str, int, _Token]:
     """Fluent symbol a pattern commits to: know(T) commits to T's symbol."""
-    if is_knowledge(term):
-        inner = term.args[0]
-        if is_knowledge(inner) or (isinstance(inner, Compound) and inner.functor == KNOW):
-            raise ParseError(tok.line, tok.col, "a fluent inside know(...)",
-                             "nested know", source_name)
-        name, arity = functor_arity(inner)
-        return name, arity, tok
-    if (isinstance(term, Compound) and term.functor == KNOW) or (
-            isinstance(term, Constant) and term.name == KNOW):
+    know, name, arity = fluent_symbol(term)
+    if know and name == KNOW and isinstance(term.args[0], Compound):
+        raise ParseError(tok.line, tok.col, "a fluent inside know(...)",
+                         "nested know", source_name)
+    if not know and name == KNOW and isinstance(term, (Compound, Constant)):
         raise ParseError(tok.line, tok.col, "know with exactly one argument",
                          repr(str(term)), source_name)
-    name, arity = functor_arity(term)
     return name, arity, tok
 
 

@@ -6,13 +6,13 @@ fresh deterministic placeholders, and applies the add/remove update; every
 fluent not removed persists, which is the whole point of the update axioms.
 
 The search is breadth-first with canonical child ordering (action name, then
-rendered arguments), so the returned plan is the shortest, lexicographically
-first among equals. Two rules shrink it: a goal symbol that no action sequence
-can produce fails at once, without a search, and in a domain without remove
-lists an application whose adds already hold is never made. The visited set
-holds states, with placeholders renamed when the problem can make any; no
-state or substitution is named by its text. `plan` gives the soundness
-argument for these and for its visited set.
+arguments by `order_key`), so the returned plan is the shortest,
+lexicographically first among equals. Two rules shrink it: a goal symbol that
+no action sequence can produce fails at once, without a search, and in a
+domain without remove lists an application whose adds already hold is never
+made. The visited set holds states, with placeholders renamed when the
+problem can make any; no state or substitution is named by its text. `plan`
+gives the soundness argument for these and for its visited set.
 """
 
 from __future__ import annotations
@@ -32,10 +32,12 @@ from .terms import (
     Substitution,
     Term,
     Variable,
+    fluent_symbol,
     functor_arity,
     holds,
     is_knowledge,
     knows_val,
+    order_key,
 )
 
 
@@ -75,7 +77,7 @@ class GroundAction:
         return "%s(%s)" % (self.name, ",".join(str(a) for a in self.args))
 
     def sort_key(self) -> tuple:
-        return (self.name, tuple(str(a) for a in self.args))
+        return (self.name, order_key(*self.args))
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,7 @@ def make_problem(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
     """Tie a parsed domain and problem together, checking goal fluents are declared."""
     declared = domain.declared()
     for t in problem.goal:
-        inner = t.args[0] if is_knowledge(t) else t
-        name, arity = functor_arity(inner)
+        _, name, arity = fluent_symbol(t)
         if declared.get(name) != arity:
             raise FluxError(f"goal fluent {name}/{arity} is not declared by the domain")
     return PlanningProblem(State.from_terms(problem.initial), problem.goal,
@@ -176,7 +177,7 @@ def apply_update(schema: ActionSchema, subst: Substitution, state: State,
 
 
 def _as_atoms(terms: Iterable[Term]) -> list[Atom]:
-    """Fluent patterns as queries: know(...) on knowledge, the rest on the world set."""
+    """Fluent patterns as queries: know(...) on knowledge fluents, the rest on world fluents."""
     return [Atom(KNOWS_VAL, t.args[0]) if is_knowledge(t) else Atom(HOLDS, t)
             for t in terms]
 
@@ -184,8 +185,8 @@ def _as_atoms(terms: Iterable[Term]) -> list[Atom]:
 def satisfies_goal(state: State, goal: Iterable[Term]) -> bool:
     """Existential conjunction over world and knowledge fluents.
 
-    know(...) patterns query the knowledge set, everything else the world set;
-    placeholder-valued fluents are admissible witnesses.
+    know(...) patterns query the knowledge fluents, everything else the world
+    fluents; placeholder-valued fluents are admissible witnesses.
     """
     return bool(_solve_atoms(_as_atoms(goal), state))
 
@@ -210,8 +211,8 @@ def _pruning_key(state: State) -> State:
     masked, so twins differing only in placeholder identity mostly share a key;
     the renaming is one-to-one, so states sharing a key are always twins.
     """
-    marked = sorted((t for t in state.world | state.knowledge if _has_placeholder(t)),
-                    key=lambda t: (_PLACEHOLDER_MARK.sub("#?", str(t)), str(t)))
+    marked = sorted((t for t in state.fluents if _has_placeholder(t)),
+                    key=lambda t: (_PLACEHOLDER_MARK.sub("#?", str(t)), order_key(t)))
     if not marked:
         return state
     mapping: dict[Placeholder, Placeholder] = {}
@@ -227,9 +228,7 @@ def _pruning_key(state: State) -> State:
                 return Compound(t.functor, args)
         return t
 
-    renamed = {t: rename(t) for t in marked}
-    return State(frozenset(renamed.get(t, t) for t in state.world),
-                 frozenset(renamed.get(t, t) for t in state.knowledge))
+    return State(state.fluents.difference(marked).union(map(rename, marked)))
 
 
 def _children(actions: list[ActionSchema], states: Iterable[State]):
@@ -259,8 +258,7 @@ def _unreachable_goal_symbols(problem: PlanningProblem) -> tuple[str, ...]:
     and then adds its add symbols. A bare-variable add could add any fluent,
     so then nothing is reported missing.
     """
-    have = {(False,) + functor_arity(t) for t in problem.initial.world}
-    have.update((True,) + functor_arity(t.args[0]) for t in problem.initial.knowledge)
+    have = set(map(fluent_symbol, problem.initial.fluents))
     waiting = [({_symbol(a) for a in schema.poss} - {None},
                 {_symbol(a) for a in _as_atoms(schema.adds)})
                for schema in problem.actions]
@@ -344,7 +342,7 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
             redundant = {id(a): _as_atoms(a.adds) for a in actions}
     initial = problem.initial
     renames = (any(a.outputs or any(map(_has_placeholder, a.adds)) for a in actions)
-               or any(map(_has_placeholder, initial.world | initial.knowledge)))
+               or any(map(_has_placeholder, initial.fluents)))
     seen = {_pruning_key(initial)}
     queue = deque([(initial, ())])
     while queue:

@@ -21,6 +21,7 @@ outputs to know(...) add-effects whose variables are outputs of the action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from . import dsl
@@ -56,6 +57,16 @@ class Registry:
 
     def sorted_services(self) -> list[ServiceDescription]:
         return [self.services[n] for n in sorted(self.services)]
+
+    @cached_property
+    def actions(self) -> tuple[dsl.ActionSchema, ...]:
+        """Every service compiled once, by name; one that does not compile raises."""
+        return tuple(map(compile_service_to_action, self.sorted_services()))
+
+    @cached_property
+    def input_concepts(self) -> frozenset[Concept]:
+        """The concepts some service takes as input."""
+        return frozenset(c for svc in self.services.values() for _, c in svc.inputs)
 
     def __len__(self) -> int:
         return len(self.services)

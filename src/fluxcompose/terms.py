@@ -1,16 +1,16 @@
-"""First-order terms and world+knowledge states.
+"""First-order terms and fluent states.
 
-A state is two duplicate-free sets of ground terms (its fluents): plain world
-fluents and knowledge fluents carrying the reserved outer functor ``know``.
-On its first query a state indexes each set once: its fluents grouped by
-fluent symbol (functor and arity; for knowledge, those of the term inside
-``know``), each group in canonical (rendered text) order. `holds` and
-`knows_val` scan only the group of the pattern's symbol. When the pattern's
+A state is one duplicate-free set of ground terms, its fluents; as in the
+fluent calculus, a knowledge fact ``know(C(v))`` is a fluent like any other.
+On its first query a state groups its fluents by `fluent_symbol` (knowledge
+or world, then functor and arity; for ``know(T)``, those of T), each group in
+canonical `order_key` order. `holds` scans only the world group of the
+pattern's symbol, `knows_val` only the knowledge group. When the pattern's
 first argument is a constant or a placeholder, and the group holds more than
 one fluent, they scan only the fluents with that first argument (for
 knowledge, the first argument of the term inside ``know``), from a map the
 group builds on its first such query. A bare-variable pattern scans every
-fluent, sorted for that query. A compound renders its text once.
+fluent of its side, sorted for that query. A compound renders its text once.
 
 A child made by `State.with_update` from an indexed state inherits the
 index. On the child's first query only the groups of the symbols whose
@@ -126,8 +126,6 @@ def functor_arity(term: Term) -> tuple[str, int]:
     """Fluent symbol of a term: (functor, arity) for compounds, (name, 0) otherwise."""
     if isinstance(term, Compound):
         return term.functor, len(term.args)
-    if isinstance(term, Constant):
-        return term.name, 0
     if isinstance(term, Placeholder):
         return term.id, 0
     return term.name, 0
@@ -136,6 +134,37 @@ def functor_arity(term: Term) -> tuple[str, int]:
 def is_knowledge(term: Term) -> bool:
     """True for terms with outer functor know/1."""
     return isinstance(term, Compound) and term.functor == KNOW and len(term.args) == 1
+
+
+def fluent_symbol(term: Term) -> tuple[bool, str, int]:
+    """(is_knowledge, functor, arity) of a fluent; for know(T), the symbol is T's."""
+    # is_knowledge inlined: this runs for every fluent a state indexes
+    if not isinstance(term, Compound):
+        return (False,) + functor_arity(term)
+    if term.functor == KNOW and len(term.args) == 1:
+        return (True,) + functor_arity(term.args[0])
+    return (False, term.functor, len(term.args))
+
+
+class _Tie(tuple):
+    """Terms compared by their reprs: the tie-break of `order_key`."""
+
+    def __lt__(self, other) -> bool:
+        return repr(self) < repr(other)
+
+    def __gt__(self, other) -> bool:
+        return repr(self) > repr(other)
+
+
+def order_key(*terms: Term) -> tuple[tuple[str, ...], _Tie]:
+    """The canonical sort key of a term, or of a row of terms: texts, then reprs.
+
+    Where texts differ they alone decide. A term's repr names its kind and
+    every field, so it tells apart terms whose texts tie, as those of
+    ``Constant("f(a)")`` and the compound ``f(a)`` do; the reprs are built only
+    for such a tie. The order is total and does not follow hashing.
+    """
+    return (tuple(map(str, terms)), _Tie(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -237,96 +266,69 @@ def unify(t1: Term, t2: Term, subst: Substitution = EMPTY_SUBST) -> Optional[Sub
 
 @dataclass(frozen=True)
 class State:
-    """World fluents plus know(.)-wrapped knowledge fluents, both ground sets."""
+    """One duplicate-free set of ground fluents; a know(...) fact is one of them."""
 
-    world: frozenset = frozenset()
-    knowledge: frozenset = frozenset()
+    fluents: frozenset = frozenset()
 
     @classmethod
     def from_terms(cls, terms: Iterable[Term]) -> "State":
-        """Build a state, routing know/1 terms to the knowledge set."""
-        world = set()
-        knowledge = set()
+        """Build a state, checking that every term is ground."""
+        terms = tuple(terms)
         for t in terms:
             if not is_ground(t):
                 raise NotGroundError(f"state fluent is not ground: {t}")
-            if is_knowledge(t):
-                knowledge.add(t)
-            else:
-                world.add(t)
-        return cls(frozenset(world), frozenset(knowledge))
+        return cls(frozenset(terms))
 
     # A child of an indexed state keeps its parent's index and fluent set
     # (see with_update) until its first query.
     @cached_property
-    def _world_index(self) -> "_Index":
-        return _updated(*self.__dict__.get("_world_base", ({}, frozenset())),
-                        self.world, _world_term)
-
-    @cached_property
-    def _knowledge_index(self) -> "_Index":
-        return _updated(*self.__dict__.get("_knowledge_base", ({}, frozenset())),
-                        self.knowledge, _known_term)
+    def _index(self) -> "_Index":
+        return _updated(*self.__dict__.get("_base", ({}, frozenset())), self.fluents)
 
     def with_update(self, adds: Iterable[Term], removes: Iterable[Term]) -> "State":
-        """Apply a state update: (self minus removes) union adds, per fluent set.
+        """Apply a state update: (self minus removes) union adds.
 
         A child of an indexed state inherits its index: on the child's first
         query only the groups of the symbols whose fluents differ are rebuilt.
         """
-        world = set(self.world)
-        knowledge = set(self.knowledge)
-        for t in removes:
-            if not is_ground(t):
-                raise NotGroundError(f"remove pattern is not ground: {t}")
-            (knowledge if is_knowledge(t) else world).discard(t)
-        for t in adds:
-            if not is_ground(t):
-                raise NotGroundError(f"add pattern is not ground: {t}")
-            (knowledge if is_knowledge(t) else world).add(t)
-        child = State(frozenset(world), frozenset(knowledge))
-        for name in ("world", "knowledge"):
-            index = self.__dict__.get(f"_{name}_index")
-            if index is not None:
-                child.__dict__[f"_{name}_base"] = (index, getattr(self, name))
+        removes, adds = tuple(removes), tuple(adds)
+        for kind, terms in (("remove", removes), ("add", adds)):
+            for t in terms:
+                if not is_ground(t):
+                    raise NotGroundError(f"{kind} pattern is not ground: {t}")
+        child = State(self.fluents.difference(removes).union(adds))
+        index = self.__dict__.get("_index")
+        if index is not None:
+            child.__dict__["_base"] = (index, self.fluents)
         return child
 
     def __contains__(self, term: Term) -> bool:
-        return term in self.knowledge if is_knowledge(term) else term in self.world
-
-
-def _world_term(t: Term) -> Term:
-    return t
-
-
-def _known_term(t: Compound) -> Term:
-    return t.args[0]
+        return term in self.fluents
 
 
 class _Group(tuple):
     """The fluents of one symbol in canonical order, and on demand by first argument.
 
-    The first argument is that of the queried term (``inner`` of a stored
-    fluent): for knowledge, of the term inside ``know``. The map is built
-    into a local and stored once, so a group shared across states and
-    threads only ever shows a whole map.
+    For a knowledge fluent the first argument is that of the term inside
+    ``know``. The map is built into a local and stored once, so a group
+    shared across states and threads only ever shows a whole map.
     """
 
-    def by_first(self, arg: Term, inner) -> tuple[Term, ...]:
+    def by_first(self, arg: Term) -> tuple[Term, ...]:
         table = self.__dict__.get("table")
         if table is None:
             lists: dict[Term, list[Term]] = {}
             for t in self:
-                lists.setdefault(inner(t).args[0], []).append(t)
+                lists.setdefault((t.args[0] if is_knowledge(t) else t).args[0], []).append(t)
             table = self.__dict__["table"] = {k: tuple(v) for k, v in lists.items()}
         return table.get(arg, ())
 
 
-# One fluent set's groups by symbol.
-_Index = dict[tuple[str, int], _Group]
+# A state's groups by fluent symbol.
+_Index = dict[tuple[bool, str, int], _Group]
 
 
-def _updated(index: _Index, before: frozenset, fluents: frozenset, inner) -> _Index:
+def _updated(index: _Index, before: frozenset, fluents: frozenset) -> _Index:
     """The index of fluents, from the index of the set before.
 
     Only the groups of the symbols of fluents gone or new are rebuilt; the
@@ -334,31 +336,32 @@ def _updated(index: _Index, before: frozenset, fluents: frozenset, inner) -> _In
     with the few fluents gone, not hashed again.
     """
     gone, new = tuple(before - fluents), fluents - before
-    stale = {functor_arity(inner(t)) for t in (*gone, *new)} if index else ()
+    stale = {fluent_symbol(t) for t in (*gone, *new)} if index else ()
     index = dict(index)
     members = [t for symbol in stale for t in index.pop(symbol, ()) if t not in gone]
-    lists: dict[tuple[str, int], list[Term]] = {}
-    for t in sorted((*members, *new), key=str):
-        lists.setdefault(functor_arity(inner(t)), []).append(t)
+    lists: dict[tuple[bool, str, int], list[Term]] = {}
+    for t in sorted((*members, *new), key=order_key):
+        lists.setdefault(fluent_symbol(t), []).append(t)
     for symbol, group in lists.items():
         index[symbol] = _Group(group)
     return index
 
 
-def _candidates(pattern: Term, index: _Index, fluents: frozenset, inner) -> Iterable[Term]:
-    """The fluents that can match a resolved pattern, in canonical order.
+def _candidates(pattern: Term, state: State, knowledge: bool) -> Iterable[Term]:
+    """The fluents of one side that can match a resolved pattern, in canonical order.
 
     A group of one fluent is scanned: its map would cost more than it saves.
     """
     if isinstance(pattern, Compound):
-        group = index.get((pattern.functor, len(pattern.args)), ())
+        group = state._index.get((knowledge, pattern.functor, len(pattern.args)), ())
         if len(group) > 1 and pattern.args \
                 and isinstance(pattern.args[0], (Constant, Placeholder)):
-            return group.by_first(pattern.args[0], inner)
+            return group.by_first(pattern.args[0])
         return group
     if isinstance(pattern, Variable):
-        return sorted(fluents, key=str)
-    return index.get(functor_arity(pattern), ())
+        return sorted((t for t in state.fluents if is_knowledge(t) == knowledge),
+                      key=order_key)
+    return state._index.get((knowledge,) + functor_arity(pattern), ())
 
 
 def _match(pattern: Term, fluent: Term, new: dict) -> bool:
@@ -413,7 +416,7 @@ def holds(pattern: Term, state: State,
     means the pattern does not hold.
     """
     pattern = subst.apply(pattern)
-    for f in _candidates(pattern, state._world_index, state.world, _world_term):
+    for f in _candidates(pattern, state, False):
         got = _extend(subst, pattern, f)
         if got is not None:
             yield got
@@ -429,8 +432,7 @@ def knows_val(pattern: Term, state: State,
     time the producing step has executed.
     """
     pattern = subst.apply(pattern)
-    for f in _candidates(pattern, state._knowledge_index, state.knowledge,
-                             _known_term):
+    for f in _candidates(pattern, state, True):
         got = _extend(subst, pattern, f.args[0])
         if got is not None:
             yield got

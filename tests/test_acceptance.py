@@ -103,8 +103,8 @@ def test_criterion_2_frame_property():
                 full = subst.extend_all(output_binding(schema, step))
                 adds = {full.apply(t) for t in schema.adds}
                 removes = {full.apply(t) for t in schema.removes}
-                before = z1.world | z1.knowledge
-                after = z2.world | z2.knowledge
+                before = z1.fluents
+                after = z2.fluents
                 for f in before:
                     if f not in removes:
                         assert f in after, f"untouched fluent {f} was dropped"

@@ -83,6 +83,18 @@ def test_validate_bundled_files(capsys):
     assert out.count("ok:") == 6
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["compose", "--want", "ConfirmSend"]])
+def test_uncompilable_service_exit_2(tmp_path, capsys, argv):
+    reg = tmp_path / "bad.reg"
+    reg.write_text("service badService\n  hasOutput: P : Name\n"
+                   "  effectAdd: availableAt(P,CN)\n  grounding: x\nend\n")
+    code, out, err = run(capsys, *argv, "--registry", str(reg))
+    assert code == 2
+    assert "registry" not in out
+    assert err == ("service badService: effect variables left unbound (P, CN) "
+                   "must equal the hasOutput variables (P)\n")
+
+
 def test_compose_workflow(capsys):
     code, out, _ = run(
         capsys, "compose",

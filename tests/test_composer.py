@@ -57,8 +57,7 @@ def test_build_problem_emergency_request(service_registry, taxonomy):
 
 def test_build_problem_empty_request(service_registry, taxonomy):
     problem = build_problem(CompositionRequest(), service_registry, taxonomy)
-    assert problem.initial.world == frozenset()
-    assert problem.initial.knowledge == frozenset()
+    assert problem.initial.fluents == frozenset()
     assert problem.goal == ()
 
 
@@ -234,7 +233,7 @@ def test_execution_agrees_with_plan_and_goal(service_registry, taxonomy,
             return Compound(t.functor, tuple(substitute(a) for a in t.args))
         return t
 
-    concrete = State.from_terms([substitute(t) for t in state.world | state.knowledge])
+    concrete = State.from_terms([substitute(t) for t in state.fluents])
     assert satisfies_goal(concrete, problem.goal)
     assert trace.resolved_values()["ACK"].startswith("msg-")
 

@@ -51,6 +51,20 @@ def test_parse_domain_arity_mismatch():
         dsl.parse_domain("fluent g/2. action f() poss: update: add [g(a)] remove [].")
 
 
+@pytest.mark.parametrize("add, error, found", [
+    ("know(know(p))", ParseError, "nested know"),
+    ("know(p,p)", ParseError, "'know(p,p)'"),
+    ("know", ParseError, "'know'"),
+    ("know(know)", dsl.ArityError, "use of know/0"),  # a constant named know is no nesting
+])
+def test_misused_know_in_an_update(add, error, found):
+    source = f"fluent p/0.\naction f() poss: update: add [{add}] remove []."
+    with pytest.raises(error) as exc:
+        dsl.parse_domain(source)
+    assert found in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (2, source.index(add) - 11)
+
+
 def test_parse_domain_duplicate_action_name():
     src = ("fluent p/0. action f() poss: update: add [p] remove []. "
            "action f() poss: update: add [] remove [p].")

@@ -136,6 +136,23 @@ def test_compile_rejects_misbound_variables(taxonomy, fields, reason):
     assert reason in str(exc.value)
 
 
+def test_registry_compiles_once_in_name_order(service_registry):
+    actions = service_registry.actions
+    assert actions is service_registry.actions
+    assert actions == tuple(compile_service_to_action(s)
+                            for s in service_registry.sorted_services())
+    assert service_registry.input_concepts == {
+        "Profession", "Specialization", "Name", "Coach", "Message"}
+
+
+def test_uncompilable_registry_raises_on_every_access(taxonomy):
+    reg = load_registry("service badService\n  hasOutput: P : Name\n"
+                        "  effectAdd: availableAt(P,CN)\n  grounding: x\nend\n", taxonomy)
+    for _ in range(2):
+        with pytest.raises(FluxError, match=r"^service badService: effect variables"):
+            reg.actions
+
+
 def test_compilation_is_injective_on_bundled_corpus(service_registry):
     schemas = [compile_service_to_action(s) for s in service_registry.sorted_services()]
     assert len(set(map(str, schemas))) == len(schemas)

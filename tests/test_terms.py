@@ -13,11 +13,12 @@ from fluxcompose.terms import (
     State,
     Substitution,
     Variable,
-    functor_arity,
+    fluent_symbol,
     holds,
     is_ground,
     is_knowledge,
     knows_val,
+    order_key,
     unify,
 )
 
@@ -161,6 +162,11 @@ def _state(*terms):
     return State.from_terms(terms)
 
 
+def _side(state, knowledge):
+    """The state's knowledge or world fluents in canonical order: the oracles' scan."""
+    return sorted((f for f in state.fluents if is_knowledge(f) == knowledge), key=order_key)
+
+
 def test_holds_matches_pattern_against_world():
     state = _state(comp("available", doctor, orthopedics))
     got = list(holds(comp("available", PR, SP), state))
@@ -223,7 +229,7 @@ def test_holds_equals_brute_force_on_random_states(data):
 
     got = list(holds(pattern, state))
     oracle = []
-    for f in sorted(state.world, key=str):
+    for f in _side(state, knowledge=False):
         s = unify(pattern, f)
         if s is not None:
             oracle.append(s)
@@ -246,7 +252,7 @@ def test_knows_val_equals_brute_force_on_random_states(data):
 
     got = list(knows_val(pattern, state))
     oracle = []
-    for f in sorted(state.knowledge, key=str):
+    for f in _side(state, knowledge=True):
         s = unify(know(pattern), f)
         if s is not None:
             oracle.append(s)
@@ -288,15 +294,22 @@ def _random_start(rng):
     return start
 
 
+def _random_twinned_state(rng):
+    """World and knowledge fluents of shared symbols: p(a) beside know(p(a)), and alone."""
+    fluents = [_random_fluent(rng) for _ in range(rng.randint(0, 40))]
+    return State.from_terms(t for f in fluents
+                            for t in rng.choice([(f,), (know(f),), (f, know(f))]))
+
+
 @given(st.data())
 @settings(max_examples=200)
 def test_holds_equals_brute_force_over_mixed_symbols(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
-    state = State.from_terms(_random_fluent(rng) for _ in range(rng.randint(0, 40)))
+    state = _random_twinned_state(rng)
     pattern, start = _random_pattern(rng), _random_start(rng)
     got = [s.bindings for s in holds(pattern, state, start)]
     oracle = [s.bindings for s in (unify(pattern, f, start)
-                                   for f in sorted(state.world, key=str)) if s is not None]
+                                   for f in _side(state, knowledge=False)) if s is not None]
     assert got == oracle
 
 
@@ -304,12 +317,18 @@ def test_holds_equals_brute_force_over_mixed_symbols(data):
 @settings(max_examples=200)
 def test_knows_val_equals_brute_force_over_mixed_symbols(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
-    state = State.from_terms(know(_random_fluent(rng)) for _ in range(rng.randint(0, 40)))
+    state = _random_twinned_state(rng)
     pattern, start = _random_pattern(rng), _random_start(rng)
     got = [s.bindings for s in knows_val(pattern, state, start)]
     oracle = [s.bindings for s in (unify(know(pattern), f, start)
-                                   for f in sorted(state.knowledge, key=str)) if s is not None]
+                                   for f in _side(state, knowledge=True)) if s is not None]
     assert got == oracle
+
+
+def test_bare_variables_see_only_their_own_side():
+    state = _state(comp("p", doctor), know(comp("p", doctor)), know(doctor), nurse)
+    assert [s.apply(X) for s in holds(X, state)] == [nurse, comp("p", doctor)]
+    assert [s.apply(X) for s in knows_val(X, state)] == [doctor, comp("p", doctor)]
 
 
 # Children made by with_update inherit their parent's index: each answer must
@@ -319,17 +338,13 @@ def _random_stored(rng):
     return know(fluent) if rng.random() < 0.5 else fluent
 
 
-def _symbol(t):
-    return is_knowledge(t), functor_arity(t.args[0] if is_knowledge(t) else t)
-
-
 def _random_update(rng, state):
     """Adds and removes: present, absent, both added and removed, a whole group emptied."""
-    present = sorted(state.world | state.knowledge, key=str)
+    present = sorted(state.fluents, key=order_key)
     removes = rng.sample(present, rng.randint(0, min(4, len(present))))
     if present and rng.random() < 0.3:
-        emptied = _symbol(rng.choice(present))
-        removes += [t for t in present if _symbol(t) == emptied]
+        emptied = fluent_symbol(rng.choice(present))
+        removes += [t for t in present if fluent_symbol(t) == emptied]
     adds = [_random_stored(rng) for _ in range(rng.randint(0, 4))]
     adds += rng.sample(removes, rng.randint(0, len(removes)))
     removes += [_random_stored(rng) for _ in range(rng.randint(0, 2))]
@@ -347,12 +362,12 @@ def _generalized(rng, fluent):
 
 
 def _assert_answers(pattern, state, start):
-    fresh = State(state.world, state.knowledge)
-    for query, fluents, oracle_pattern in ((holds, state.world, pattern),
-                                           (knows_val, state.knowledge, know(pattern))):
+    fresh = State(state.fluents)
+    for query, knowledge, oracle_pattern in ((holds, False, pattern),
+                                             (knows_val, True, know(pattern))):
         got = [s.bindings for s in query(pattern, state, start)]
         assert got == [s.bindings for s in query(pattern, fresh, start)]
-        oracle = (unify(oracle_pattern, f, start) for f in sorted(fluents, key=str))
+        oracle = (unify(oracle_pattern, f, start) for f in _side(state, knowledge))
         assert got == [s.bindings for s in oracle if s is not None]
 
 
@@ -439,6 +454,47 @@ def test_compound_text_equals_uncached_rendering(t):
     twin = _rename_canonically(t, {v: v for v in (X, PR, SP)})  # equal, never rendered
     assert str(t) == _render(t) == str(t)
     assert t == twin and hash(t) == hash(twin)
+
+
+# Canonical order: text first, repr only where texts tie. These leaves and
+# functors make different terms render alike.
+def _tied_terms():
+    leaves = st.one_of(
+        st.sampled_from([Constant(n) for n in ("a", "b", "f(a)", "a,b", "X", "#out_a_P_1")]),
+        st.sampled_from([Variable("X"), Variable("a")]),
+        st.builds(Placeholder, st.sampled_from(["a", "a_P"]), st.sampled_from(["P", "P_1"]),
+                  st.integers(1, 2)),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.builds(lambda f, args: Compound(f, tuple(args)),
+                                st.sampled_from(["f", "a"]),
+                                st.lists(inner, min_size=0, max_size=3)),
+        max_leaves=6,
+    )
+
+
+def test_terms_that_render_alike_get_different_order_keys():
+    a, b = Constant("a"), Constant("b")
+    for one, other in ((Constant("f(a)"), comp("f", a)),
+                       (Constant("X"), X),
+                       (Constant("#out_a_P_1"), Placeholder("a", "P", 1)),
+                       (Placeholder("a_P", "1", 1), Placeholder("a", "P_1", 1)),
+                       (comp("f", Constant("a,b")), comp("f", a, b))):
+        assert str(one) == str(other)
+        assert order_key(one) != order_key(other)
+
+
+@given(st.lists(_tied_terms(), min_size=2, max_size=8))
+@settings(max_examples=300)
+def test_order_key_is_one_to_one_and_follows_the_text(terms):
+    for one in terms:
+        for other in terms:
+            key, other_key = order_key(one), order_key(other)
+            assert (key == other_key) == (one == other)
+            assert [key < other_key, key == other_key, key > other_key].count(True) == 1
+            if str(one) != str(other):
+                assert (key < other_key) == (str(one) < str(other))
 
 
 # ---------------------------------------------------------------------------
