@@ -19,7 +19,6 @@ from .composer import (
 from .dsl import (
     ActionSchema,
     ArityError,
-    Atom,
     DomainFile,
     GroundnessError,
     ProblemFile,

@@ -20,7 +20,7 @@ from .errors import FluxError
 from .ontology import Concept, MatchDegree, TaxonomyGraph, UnknownConceptError, match_degree
 from .planner import Plan, PlanningProblem, SearchConfig, plan as find_plan
 from .registry import Registry
-from .terms import Compound, Constant, Placeholder, State, Term, Variable
+from .terms import Compound, Constant, Placeholder, State, Term, Variable, know
 
 
 class ExecutionError(FluxError):
@@ -166,16 +166,13 @@ def build_problem(req: CompositionRequest, reg: Registry,
 
     initial: list[Term] = list(req.world_facts)
     for concept, value in req.have:
-        initial.append(Compound("know", (Compound(concept, (Constant(value),)),)))
+        initial.append(know(Compound(concept, (Constant(value),))))
         for wider in g.ancestors(concept) & reg.input_concepts:
             if wider != concept:
-                initial.append(
-                    Compound("know", (Compound(wider, (Constant(value),)),)))
+                initial.append(know(Compound(wider, (Constant(value),))))
 
-    goal = tuple(
-        Compound("know", (Compound(concept, (Variable(f"WANT{i}"),)),))
-        for i, concept in enumerate(req.want)
-    )
+    goal = tuple(know(Compound(concept, (Variable(f"WANT{i}"),)))
+                 for i, concept in enumerate(req.want))
     return PlanningProblem(State.from_terms(initial), goal, reg.actions)
 
 

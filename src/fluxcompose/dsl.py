@@ -18,7 +18,8 @@ capitals, digits and underscores (PR, SP, MSG) is a Variable; any other bare
 identifier (doctor, ConfirmSend) is a Constant. An identifier in functor
 position is always a functor symbol. A term nests at most MAX_TERM_DEPTH
 compounds deep. ``know`` is reserved: it wraps knowledge fluents and cannot be
-declared.
+declared. A poss atom is kept as the fluent pattern it queries: holds(P) as P,
+and knows_val(P) as know(P); `atom_text` writes it back.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .terms import (
     fluent_symbol,
     functor_arity,
     is_ground,
+    is_knowledge,
+    know,
     variables_in,
 )
 
@@ -57,38 +60,24 @@ class GroundnessError(ParseError):
     """A variable occurs where only ground terms are allowed."""
 
 
-HOLDS = "holds"
-KNOWS_VAL = "knows_val"
-
-
-@dataclass(frozen=True)
-class Atom:
-    """One precondition conjunct: holds(pattern) or knows_val(pattern)."""
-
-    kind: str
-    pattern: Term
-
-    def __str__(self) -> str:
-        return f"{self.kind}({self.pattern})"
-
-
 @dataclass(frozen=True)
 class ActionSchema:
     """An action's parameters, poss-precondition, and add/remove update lists.
 
+    ``poss`` is a conjunction of fluent patterns, know(P) for knows_val(P).
     ``outputs`` are the variables of the add list left unbound by params and
     poss; they receive fresh placeholder values when the action is applied.
     """
 
     name: str
     params: tuple[Variable, ...]
-    poss: tuple[Atom, ...]
+    poss: tuple[Term, ...]
     adds: tuple[Term, ...]
     removes: tuple[Term, ...]
     outputs: tuple[Variable, ...]
 
 
-def make_action_schema(name: str, params: Iterable[Variable], poss: Iterable[Atom],
+def make_action_schema(name: str, params: Iterable[Variable], poss: Iterable[Term],
                        adds: Iterable[Term], removes: Iterable[Term]) -> ActionSchema:
     """Construct a schema, computing outputs and checking the remove-list rule."""
     params = tuple(params)
@@ -96,8 +85,8 @@ def make_action_schema(name: str, params: Iterable[Variable], poss: Iterable[Ato
     adds = tuple(adds)
     removes = tuple(removes)
     bound = set(params)
-    for atom in poss:
-        bound.update(variables_in(atom.pattern))
+    for pattern in poss:
+        bound.update(variables_in(pattern))
     outputs: list[Variable] = []
     for t in adds:
         for v in variables_in(t):
@@ -243,20 +232,20 @@ class _Parser:
             return Variable(tok.text), tok
         return Constant(tok.text), tok
 
-    def parse_atom(self, expected: str) -> tuple[Atom, _Token]:
-        """Parse holds(pattern) or knows_val(pattern); expected names what
-        may come first, for the error when something else does. The pattern
-        is a bare fluent: holds queries world fluents and knows_val wraps in
-        know itself, so a know(...) pattern could never be satisfied."""
+    def parse_atom(self, expected: str) -> tuple[Term, _Token]:
+        """Parse holds(P) into the pattern P, or knows_val(P) into know(P);
+        expected names what may come first, for the error when something
+        else does. P is a bare fluent: inside knows_val a know(...) would
+        nest, and inside holds it would spell knows_val a second way."""
         kind_tok = self.expect_ident(expected)
-        if kind_tok.text not in (HOLDS, KNOWS_VAL):
+        if kind_tok.text not in ("holds", "knows_val"):
             raise self.fail(expected, kind_tok)
         self.expect_punct("(")
         pattern, pat_tok = self.parse_term()
         self.expect_punct(")")
         if functor_arity(pattern)[0] == KNOW:
             raise self.fail("a bare fluent pattern", pat_tok)
-        return Atom(kind_tok.text, pattern), pat_tok
+        return (know(pattern) if kind_tok.text == "knows_val" else pattern), pat_tok
 
     def parse_term_list(self, closer: str) -> list[tuple[Term, _Token]]:
         items: list[tuple[Term, _Token]] = []
@@ -276,12 +265,15 @@ class _Parser:
 
 def _fluent_usage(term: Term, tok: _Token,
                   source_name: str) -> tuple[str, int, _Token]:
-    """Fluent symbol a pattern commits to: know(T) commits to T's symbol."""
-    know, name, arity = fluent_symbol(term)
-    if know and name == KNOW and isinstance(term.args[0], Compound):
+    """Fluent symbol a pattern commits to: know(T) commits to T's symbol.
+
+    T is never know itself, with or without arguments: the word is reserved.
+    """
+    knowledge, name, arity = fluent_symbol(term)
+    if knowledge and name == KNOW:
         raise ParseError(tok.line, tok.col, "a fluent inside know(...)",
                          "nested know", source_name)
-    if not know and name == KNOW and isinstance(term, (Compound, Constant)):
+    if not knowledge and name == KNOW and isinstance(term, (Compound, Constant)):
         raise ParseError(tok.line, tok.col, "know with exactly one argument",
                          repr(str(term)), source_name)
     return name, arity, tok
@@ -340,12 +332,12 @@ def parse_domain(source: str, source_name: str = "<string>") -> DomainFile:
             p.expect_punct(")")
             p.expect_keyword("poss")
             p.expect_punct(":")
-            poss: list[Atom] = []
+            poss: list[Term] = []
 
             def parse_atom() -> None:
-                atom, pat_tok = p.parse_atom("'holds', 'knows_val' or 'update'")
-                usages.append(_fluent_usage(atom.pattern, pat_tok, source_name))
-                poss.append(atom)
+                pattern, pat_tok = p.parse_atom("'holds', 'knows_val' or 'update'")
+                usages.append(_fluent_usage(pattern, pat_tok, source_name))
+                poss.append(pattern)
 
             if not p.at_keyword("update"):
                 parse_atom()
@@ -425,9 +417,16 @@ def parse_problem(source: str, source_name: str = "<string>") -> ProblemFile:
 # ---------------------------------------------------------------------------
 
 
+def atom_text(pattern: Term) -> str:
+    """A poss pattern as written: knows_val(P) for know(P), holds(P) otherwise."""
+    if is_knowledge(pattern):
+        return f"knows_val({pattern.args[0]})"
+    return f"holds({pattern})"
+
+
 def pretty_print_action(a: ActionSchema) -> str:
     params = ",".join(v.name for v in a.params)
-    poss = ", ".join(str(atom) for atom in a.poss)
+    poss = ", ".join(map(atom_text, a.poss))
     adds = ", ".join(str(t) for t in a.adds)
     removes = ", ".join(str(t) for t in a.removes)
     return (
@@ -465,10 +464,10 @@ def parse_term_text(text: str, source_name: str = "<string>") -> Term:
     return term
 
 
-def parse_atom_text(text: str, source_name: str = "<string>") -> Atom:
-    """Parse one holds(...)/knows_val(...) atom from a text fragment."""
+def parse_atom_text(text: str, source_name: str = "<string>") -> Term:
+    """Parse one holds(...)/knows_val(...) atom from a text fragment into its pattern."""
     p = _Parser(text, source_name)
-    atom, _ = p.parse_atom("'holds' or 'knows_val'")
+    pattern, _ = p.parse_atom("'holds' or 'knows_val'")
     if p.peek().kind != "eof":
         raise p.fail("end of atom")
-    return atom
+    return pattern

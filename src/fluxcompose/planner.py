@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .dsl import ActionSchema, Atom, DomainFile, HOLDS, KNOWS_VAL, ProblemFile
+from .dsl import ActionSchema, DomainFile, ProblemFile
 from .errors import FluxError
 from .terms import (
     EMPTY_SUBST,
@@ -33,10 +33,8 @@ from .terms import (
     Term,
     Variable,
     fluent_symbol,
-    functor_arity,
     holds,
     is_knowledge,
-    knows_val,
     order_key,
 )
 
@@ -125,16 +123,15 @@ def make_problem(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
 # ---------------------------------------------------------------------------
 
 
-def _solve_atoms(atoms: Iterable[Atom], state: State,
-                 start: Substitution = EMPTY_SUBST) -> list[Substitution]:
-    """Solve a conjunction left to right; deterministic by canonical fluent order."""
+def _solve(patterns: Iterable[Term], state: State,
+           start: Substitution = EMPTY_SUBST) -> list[Substitution]:
+    """Solve a conjunction of fluent patterns left to right, in canonical fluent order."""
     results = [start]
-    for atom in atoms:
-        source = holds if atom.kind == HOLDS else knows_val
+    for pattern in patterns:
         results = [
             extended
             for subst in results
-            for extended in source(atom.pattern, state, subst)
+            for extended in holds(pattern, state, subst)
         ]
         if not results:
             return []
@@ -147,10 +144,10 @@ def check_poss(schema: ActionSchema, state: State) -> list[Substitution]:
     Each grounds the schema's params and poss variables, and none repeats; an
     empty list means the action is not applicable. Keeping those that bind
     every param suffices: every state fluent is ground, so every poss variable
-    ends up ground; and two different solutions first differ at an atom that
-    matched two different fluents, so they bind its variables differently.
+    ends up ground; and two different solutions first differ at a pattern
+    that matched two different fluents, so they bind its variables differently.
     """
-    return [subst for subst in _solve_atoms(schema.poss, state)
+    return [subst for subst in _solve(schema.poss, state)
             if all(p in subst.bindings for p in schema.params)]
 
 
@@ -176,19 +173,13 @@ def apply_update(schema: ActionSchema, subst: Substitution, state: State,
     return state.with_update(adds, removes)
 
 
-def _as_atoms(terms: Iterable[Term]) -> list[Atom]:
-    """Fluent patterns as queries: know(...) on knowledge fluents, the rest on world fluents."""
-    return [Atom(KNOWS_VAL, t.args[0]) if is_knowledge(t) else Atom(HOLDS, t)
-            for t in terms]
-
-
 def satisfies_goal(state: State, goal: Iterable[Term]) -> bool:
-    """Existential conjunction over world and knowledge fluents.
+    """Existential conjunction of fluent patterns, queried as poss is, by `holds`.
 
     know(...) patterns query the knowledge fluents, everything else the world
     fluents; placeholder-valued fluents are admissible witnesses.
     """
-    return bool(_solve_atoms(_as_atoms(goal), state))
+    return bool(_solve(goal, state))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +234,11 @@ def _children(actions: list[ActionSchema], states: Iterable[State]):
     return out
 
 
-def _symbol(atom: Atom) -> Optional[tuple[bool, str, int]]:
-    """The symbol an atom queries, tagged knowledge or world; None for a bare variable."""
-    if isinstance(atom.pattern, Variable):
+def _symbol(pattern: Term) -> Optional[tuple[bool, str, int]]:
+    """The `fluent_symbol` a pattern queries; None for a bare variable, in know(...) or not."""
+    if isinstance(pattern.args[0] if is_knowledge(pattern) else pattern, Variable):
         return None
-    return (atom.kind == KNOWS_VAL,) + functor_arity(atom.pattern)
+    return fluent_symbol(pattern)
 
 
 def _unreachable_goal_symbols(problem: PlanningProblem) -> tuple[str, ...]:
@@ -259,8 +250,7 @@ def _unreachable_goal_symbols(problem: PlanningProblem) -> tuple[str, ...]:
     so then nothing is reported missing.
     """
     have = set(map(fluent_symbol, problem.initial.fluents))
-    waiting = [({_symbol(a) for a in schema.poss} - {None},
-                {_symbol(a) for a in _as_atoms(schema.adds)})
+    waiting = [(set(map(_symbol, schema.poss)) - {None}, set(map(_symbol, schema.adds)))
                for schema in problem.actions]
     grown = True
     while grown:
@@ -272,7 +262,7 @@ def _unreachable_goal_symbols(problem: PlanningProblem) -> tuple[str, ...]:
                 have |= adds
                 waiting.remove((needs, adds))
                 grown = True
-    missing = {_symbol(a) for a in _as_atoms(problem.goal)} - have - {None}
+    missing = set(map(_symbol, problem.goal)) - have - {None}
     return tuple(sorted(f"know({name}/{arity})" if know else f"{name}/{arity}"
                         for know, name, arity in missing))
 
@@ -333,13 +323,12 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
     if satisfies_goal(problem.initial, problem.goal):
         return Plan(())
     actions = sorted(problem.actions, key=lambda a: a.name)
-    redundant = None
+    monotone = False
     if _prune:
         missing = _unreachable_goal_symbols(problem)
         if missing:
             raise NoPlanFound(cfg.max_depth, missing)
-        if not any(a.removes for a in actions):
-            redundant = {id(a): _as_atoms(a.adds) for a in actions}
+        monotone = not any(a.removes for a in actions)
     initial = problem.initial
     renames = (any(a.outputs or any(map(_has_placeholder, a.adds)) for a in actions)
                or any(map(_has_placeholder, initial.fluents)))
@@ -353,7 +342,7 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
         depth = len(steps) + 1
         path = None
         for state, schema, subst, ga in _children(actions, group):
-            if redundant and _solve_atoms(redundant[id(schema)], state, subst):
+            if monotone and _solve(schema.adds, state, subst):
                 continue
             child = apply_update(schema, subst, state, step=depth, _checked=True)
             if path is None or path[-1] != ga:

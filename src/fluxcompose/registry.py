@@ -14,8 +14,9 @@ printing is byte-stable:
     end
 
 ``#`` starts a comment. A typed parameter (P : Concept) is represented at the
-fluent level as Concept(P): inputs compile to knows_val preconditions and
-outputs to know(...) add-effects whose variables are outputs of the action.
+fluent level as Concept(P): inputs compile to know(Concept(P)) preconditions,
+the patterns a knows_val(Concept(P)) line parses to, and outputs to know(...)
+add-effects whose variables are outputs of the action.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Mapping
 from . import dsl
 from .errors import FluxError, ParseError
 from .ontology import Concept, MatchDegree, TaxonomyGraph, UnknownConceptError, match_degree
-from .terms import Compound, Term, Variable
+from .terms import Compound, Term, Variable, know
 
 
 class DuplicateServiceError(FluxError):
@@ -42,7 +43,7 @@ class ServiceDescription:
     text_description: str
     inputs: tuple[tuple[str, Concept], ...]
     outputs: tuple[tuple[str, Concept], ...]
-    extra_preconditions: tuple[dsl.Atom, ...]
+    extra_preconditions: tuple[Term, ...]
     extra_adds: tuple[Term, ...]
     extra_removes: tuple[Term, ...]
     grounding_stub_id: str
@@ -162,19 +163,17 @@ def load_registry(source: str, g: TaxonomyGraph,
 def compile_service_to_action(svc: ServiceDescription) -> dsl.ActionSchema:
     """Compile a service description into a fluent-calculus action schema.
 
-    Inputs (p, C) become knows_val(C(p)) preconditions; outputs (q, D) become
+    Inputs (p, C) become know(C(p)) preconditions; outputs (q, D) become
     know(D(q)) add-effects; extra preconditions and effects are appended
     verbatim. The schema follows the domain-file rule of make_action_schema:
     remove-list variables must be bound, and the add-list variables left
     unbound, which become the outputs, must be exactly the declared ones.
     """
     poss = tuple(
-        dsl.Atom(dsl.KNOWS_VAL, Compound(concept, (Variable(p),)))
-        for p, concept in svc.inputs
+        know(Compound(concept, (Variable(p),))) for p, concept in svc.inputs
     ) + svc.extra_preconditions
     adds = tuple(
-        Compound("know", (Compound(concept, (Variable(q),)),))
-        for q, concept in svc.outputs
+        know(Compound(concept, (Variable(q),))) for q, concept in svc.outputs
     ) + svc.extra_adds
     schema = dsl.make_action_schema(svc.name, (Variable(p) for p, _ in svc.inputs),
                                     poss, adds, svc.extra_removes)
@@ -221,7 +220,7 @@ def pretty_print_registry(reg: Registry) -> str:
             lines.append(f"  textDescription: {svc.text_description}")
         lines.extend(f"  hasInput: {p} : {c}" for p, c in svc.inputs)
         lines.extend(f"  hasOutput: {p} : {c}" for p, c in svc.outputs)
-        lines.extend(f"  precondition: {a}" for a in svc.extra_preconditions)
+        lines.extend(f"  precondition: {dsl.atom_text(p)}" for p in svc.extra_preconditions)
         lines.extend(f"  effectAdd: {t}" for t in svc.extra_adds)
         lines.extend(f"  effectRemove: {t}" for t in svc.extra_removes)
         lines.append(f"  grounding: {svc.grounding_stub_id}")

@@ -4,13 +4,14 @@ A state is one duplicate-free set of ground terms, its fluents; as in the
 fluent calculus, a knowledge fact ``know(C(v))`` is a fluent like any other.
 On its first query a state groups its fluents by `fluent_symbol` (knowledge
 or world, then functor and arity; for ``know(T)``, those of T), each group in
-canonical `order_key` order. `holds` scans only the world group of the
-pattern's symbol, `knows_val` only the knowledge group. When the pattern's
-first argument is a constant or a placeholder, and the group holds more than
-one fluent, they scan only the fluents with that first argument (for
-knowledge, the first argument of the term inside ``know``), from a map the
-group builds on its first such query. A bare-variable pattern scans every
-fluent of its side, sorted for that query. A compound renders its text once.
+canonical `order_key` order. `holds` is the one query: a pattern ``know(P)``
+scans only the knowledge group of P's symbol, any other pattern only the
+world group of its own; `knows_val(P)` is ``holds(know(P))``. When the
+pattern's first argument is a constant or a placeholder (for knowledge, that
+of P), and the group holds more than one fluent, it scans only the fluents
+with that first argument, from a map the group builds on its first such
+query. A bare-variable pattern scans every fluent of its side, sorted for
+that query. A compound renders its text once.
 
 A child made by `State.with_update` from an indexed state inherits the
 index. On the child's first query only the groups of the symbols whose
@@ -134,6 +135,11 @@ def functor_arity(term: Term) -> tuple[str, int]:
 def is_knowledge(term: Term) -> bool:
     """True for terms with outer functor know/1."""
     return isinstance(term, Compound) and term.functor == KNOW and len(term.args) == 1
+
+
+def know(term: Term) -> Compound:
+    """The knowledge fluent know(term)."""
+    return Compound(KNOW, (term,))
 
 
 def fluent_symbol(term: Term) -> tuple[bool, str, int]:
@@ -408,31 +414,29 @@ def _extend(subst: Substitution, pattern: Term, fluent: Term) -> Optional[Substi
 
 def holds(pattern: Term, state: State,
           subst: Substitution = EMPTY_SUBST) -> Iterator[Substitution]:
-    """Yield every extension of subst under which pattern matches a world fluent.
+    """Yield every extension of subst under which pattern matches a fluent.
 
-    Each result equals ``unify(pattern, fluent, subst)`` for a world fluent it
-    succeeds on (see the module docstring), and they come in canonical
-    (sorted) fluent order, so results are deterministic. An empty sequence
-    means the pattern does not hold.
+    A ``know(P)`` pattern queries the knowledge fluents, matching P against
+    the term inside each ``know``; any other pattern queries the world
+    fluents. The side is read from the pattern as given, before subst
+    resolves it. Each result equals ``unify(pattern, fluent, subst)`` for a
+    fluent of that side it succeeds on (see the module docstring), and they
+    come in canonical (sorted) fluent order, so results are deterministic.
+    An empty sequence means the pattern does not hold.
     """
-    pattern = subst.apply(pattern)
-    for f in _candidates(pattern, state, False):
-        got = _extend(subst, pattern, f)
+    knowledge = is_knowledge(pattern)
+    pattern = subst.apply(pattern.args[0] if knowledge else pattern)
+    for f in _candidates(pattern, state, knowledge):
+        got = _extend(subst, pattern, f.args[0] if knowledge else f)
         if got is not None:
             yield got
 
 
 def knows_val(pattern: Term, state: State,
               subst: Substitution = EMPTY_SUBST) -> Iterator[Substitution]:
-    """Yield extensions of subst under which know(pattern) matches a knowledge fluent.
+    """``holds(know(pattern), state, subst)``: the values of pattern that are known.
 
-    The pattern is matched against the term inside each ``know``, which gives
-    ``unify(know(pattern), fluent, subst)`` in canonical order, as in `holds`.
     A binding to a Placeholder counts as known: the value will exist by the
     time the producing step has executed.
     """
-    pattern = subst.apply(pattern)
-    for f in _candidates(pattern, state, True):
-        got = _extend(subst, pattern, f.args[0])
-        if got is not None:
-            yield got
+    return holds(know(pattern), state, subst)

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import random
 
-from fluxcompose.dsl import ActionSchema, Atom, DomainFile, HOLDS, KNOWS_VAL, make_action_schema
+from fluxcompose.dsl import ActionSchema, DomainFile, make_action_schema
 from fluxcompose.planner import PlanningProblem, check_poss
 from fluxcompose.scenario import Passenger, Role, Roster, TravelPlan
-from fluxcompose.terms import Compound, Constant, State, Term, Variable
+from fluxcompose.terms import Compound, Constant, State, Term, Variable, know
 
 from datetime import date as Date
 
@@ -81,7 +81,7 @@ def _try_random_problem(rng: random.Random, max_actions: int,
     actions: list[ActionSchema] = []
     for i in range(rng.randint(1, max_actions)):
         params = [Variable(f"X{j}") for j in range(rng.randint(0, 2))]
-        poss: list[Atom] = []
+        poss: list[Term] = []
         unbound = list(params)
         for _ in range(rng.randint(1, 2)):
             if rng.random() < 0.35 and know_syms:
@@ -89,7 +89,7 @@ def _try_random_problem(rng: random.Random, max_actions: int,
                 arg = unbound.pop() if unbound else (
                     rng.choice(params) if params and rng.random() < 0.5
                     else rng.choice(constants))
-                poss.append(Atom(KNOWS_VAL, Compound(g, (arg,))))
+                poss.append(know(Compound(g, (arg,))))
             elif rng.random() < 0.75:
                 # abstract an actual initial fluent so the atom is satisfiable
                 base = rng.choice(initial_world)
@@ -103,7 +103,7 @@ def _try_random_problem(rng: random.Random, max_actions: int,
                     else:
                         args.append(orig)
                 name = base.functor if isinstance(base, Compound) else base.name
-                poss.append(Atom(HOLDS, _make_pattern(name, tuple(args))))
+                poss.append(_make_pattern(name, tuple(args)))
             else:
                 name, arity = rng.choice(world_syms)
                 args = []
@@ -114,23 +114,23 @@ def _try_random_problem(rng: random.Random, max_actions: int,
                         args.append(rng.choice(params))
                     else:
                         args.append(rng.choice(constants))
-                poss.append(Atom(HOLDS, _make_pattern(name, tuple(args))))
+                poss.append(_make_pattern(name, tuple(args)))
         while unbound:
             # leftover params must be bound somewhere to keep the action live
             base = rng.choice(initial_world) if rng.random() < 0.7 else None
             if base is not None and isinstance(base, Compound) and base.args:
                 args = [unbound.pop() if unbound else orig for orig in base.args]
-                poss.append(Atom(HOLDS, Compound(base.functor, tuple(args))))
+                poss.append(Compound(base.functor, tuple(args)))
             else:
                 candidates = [s for s in world_syms if s[1] > 0] or [("f0", 1)]
                 name, arity = rng.choice(candidates)
                 args = [unbound.pop() if unbound else rng.choice(constants)
                         for _ in range(arity)]
-                poss.append(Atom(HOLDS, Compound(name, tuple(args))))
+                poss.append(Compound(name, tuple(args)))
 
         bound_vars = list(params)
-        for atom in poss:
-            for v in _pattern_vars(atom.pattern):
+        for pattern in poss:
+            for v in _pattern_vars(pattern):
                 if v not in bound_vars:
                     bound_vars.append(v)
 
@@ -164,7 +164,7 @@ def _try_random_problem(rng: random.Random, max_actions: int,
                 consumer = rng.choice(consumers)
                 chained = make_action_schema(
                     consumer.name, consumer.params,
-                    consumer.poss + (Atom(KNOWS_VAL, Compound(g, (Variable("K0"),))),),
+                    consumer.poss + (know(Compound(g, (Variable("K0"),))),),
                     consumer.adds, consumer.removes)
                 actions[actions.index(consumer)] = chained
                 initial = [t for t in initial
@@ -243,7 +243,7 @@ def random_service_chain(rng: random.Random) -> PlanningProblem:
 
     def service(name: str, src: str, dst: str) -> ActionSchema:
         return make_action_schema(
-            name, [x], [Atom(KNOWS_VAL, Compound(src, (x,)))],
+            name, [x], [know(Compound(src, (x,)))],
             [Compound("know", (Compound(dst, (out,)),))], [])
 
     actions = [service(f"{names[i]}{i}", f"c{i}", f"c{i + 1}") for i in range(length)]
@@ -283,14 +283,14 @@ def random_token_walk(rng: random.Random) -> PlanningProblem:
         return Compound("at", (node,))
 
     actions = [make_action_schema(
-        "move", [x, y], [Atom(HOLDS, at(x)), Atom(HOLDS, Compound("link", (x, y)))],
+        "move", [x, y], [at(x), Compound("link", (x, y))],
         [at(y)], [at(x)])]
     flags = [Constant(f"flag{i}") for i in range(rng.randint(0, 2))]
     for i, flag in enumerate(flags):
         actions.append(make_action_schema(
-            f"raise{i}", [], [Atom(HOLDS, at(rng.choice(nodes)))], [flag], []))
+            f"raise{i}", [], [at(rng.choice(nodes))], [flag], []))
         actions.append(make_action_schema(
-            f"lower{i}", [], [Atom(HOLDS, at(rng.choice(nodes))), Atom(HOLDS, flag)],
+            f"lower{i}", [], [at(rng.choice(nodes)), flag],
             [], [flag]))
 
     goal: list[Term] = [at(rng.choice(nodes[2:]))]
@@ -310,7 +310,7 @@ def random_token_walk(rng: random.Random) -> PlanningProblem:
 def random_registry_problem(rng: random.Random) -> PlanningProblem:
     """Typed services over concepts c0..cL (L = 2..3), shaped as compiled registries.
 
-    A service takes 1-2 inputs, knows_val(C(X)), and gives 1-2 outputs,
+    A service takes 1-2 inputs, know(C(X)), and gives 1-2 outputs,
     know(D(O)); now and then one output value is filed under two concepts.
     Some services also need a world fact (ready(X) or open) or add one. Each
     concept c1..cL has one or two producers fed by earlier concepts, and
@@ -328,15 +328,15 @@ def random_registry_problem(rng: random.Random) -> PlanningProblem:
     def ready(value: Term) -> Compound:
         return Compound("ready", (value,))
 
-    def know(concept: str, value: Term) -> Compound:
-        return Compound("know", (Compound(concept, (value,)),))
+    def known(concept: str, value: Term) -> Compound:
+        return know(Compound(concept, (value,)))
 
     def service(label: str, ins: list[str], gives: list[str]) -> ActionSchema:
         shared = len(gives) == 2 and rng.random() < 0.3
-        poss = [Atom(KNOWS_VAL, Compound(c, (xs[j],))) for j, c in enumerate(ins)]
-        adds: list[Term] = [know(c, outs[0 if shared else j]) for j, c in enumerate(gives)]
+        poss = [known(c, xs[j]) for j, c in enumerate(ins)]
+        adds: list[Term] = [known(c, outs[0 if shared else j]) for j, c in enumerate(gives)]
         if rng.random() < 0.25:
-            poss.append(Atom(HOLDS, rng.choice((ready(xs[0]), is_open))))
+            poss.append(rng.choice((ready(xs[0]), is_open)))
         if rng.random() < 0.25:
             adds.append(rng.choice((ready(xs[0]), ready(outs[0]), is_open)))
         return make_action_schema(next(names) + label, xs[:len(ins)], poss, adds, [])
@@ -354,29 +354,28 @@ def random_registry_problem(rng: random.Random) -> PlanningProblem:
     if rng.random() < 0.25:
         k = rng.randrange(len(actions))
         victim = actions[k]
-        first_input = victim.poss[0].pattern
-        removed = rng.choice((Compound("know", (first_input,)), ready(xs[0]), is_open))
+        removed = rng.choice((victim.poss[0], ready(xs[0]), is_open))
         actions[k] = make_action_schema(victim.name, victim.params, victim.poss,
                                         victim.adds, [removed])
 
-    initial: list[Term] = [know("c0", Constant("a"))]
+    initial: list[Term] = [known("c0", Constant("a"))]
     if rng.random() < 0.5:
-        initial.append(know("c0", Constant("b")))
+        initial.append(known("c0", Constant("b")))
     if rng.random() < 0.5:
         initial.append(ready(Constant("a")))
     if rng.random() < 0.5:
         initial.append(is_open)
     w = Variable("W")
-    goal: list[Term] = [know(f"c{length}", w)]
+    goal: list[Term] = [known(f"c{length}", w)]
     roll = rng.random()
     if roll < 0.2:
-        goal.append(know("lost", Variable("W1")))
+        goal.append(known("lost", Variable("W1")))
     elif roll < 0.4:
-        goal.append(know(f"c{rng.randint(1, length)}", w))
+        goal.append(known(f"c{rng.randint(1, length)}", w))
     elif roll < 0.55:
         goal.append(ready(w))
     elif roll < 0.7:
-        goal.append(know(f"c{rng.randint(1, length)}", Variable("W1")))
+        goal.append(known(f"c{rng.randint(1, length)}", Variable("W1")))
     rng.shuffle(goal)
     return PlanningProblem(State.from_terms(initial), tuple(goal), tuple(actions))
 
@@ -407,10 +406,12 @@ def random_domain_file(rng: random.Random) -> DomainFile:
         poss = []
         for _ in range(rng.randint(0, 2)):
             name, arity = rng.choice(decls)
-            poss.append(Atom(rng.choice((HOLDS, KNOWS_VAL)), term_of(name, arity, pool)))
+            knowledge = rng.choice((False, True))
+            pattern = term_of(name, arity, pool)
+            poss.append(know(pattern) if knowledge else pattern)
         bound = list(params)
-        for atom in poss:
-            for v in _pattern_vars(atom.pattern):
+        for pattern in poss:
+            for v in _pattern_vars(pattern):
                 if v not in bound:
                     bound.append(v)
         adds = []

@@ -16,7 +16,6 @@ import oracles
 import randgen
 from fluxcompose import dsl, ontology, scenario
 from fluxcompose.cli import data_path, run
-from fluxcompose.dsl import Atom
 from fluxcompose.ontology import MatchDegree, Severity, classify_severity
 from fluxcompose.planner import (
     NoPlanFound,
@@ -28,7 +27,7 @@ from fluxcompose.planner import (
     plan,
 )
 from fluxcompose.scenario import EventType, FallbackRequired, trace_resources
-from fluxcompose.terms import Compound, Constant, Variable
+from fluxcompose.terms import Compound, Constant, Variable, know
 
 
 @contextmanager
@@ -55,9 +54,9 @@ def test_criterion_1_axiom_reproduction(planning_problem, emergency_domain):
         fr = schemas["findResource"]
         assert fr.params == (_var("PR"), _var("SP"))
         assert fr.poss == (
-            Atom("knows_val", Compound("Profession", (_var("PR"),))),
-            Atom("knows_val", Compound("Specialization", (_var("SP"),))),
-            Atom("holds", Compound("availableRole", (_var("PR"), _var("SP")))),
+            know(Compound("Profession", (_var("PR"),))),
+            know(Compound("Specialization", (_var("SP"),))),
+            Compound("availableRole", (_var("PR"), _var("SP"))),
         )
         assert Compound("know", (Compound("Name", (_var("P"),)),)) in fr.adds
         assert Compound("know", (Compound("CoachNum", (_var("CN"),)),)) in fr.adds
@@ -65,10 +64,10 @@ def test_criterion_1_axiom_reproduction(planning_problem, emergency_domain):
         nr = schemas["notifyResource"]
         assert nr.params == (_var("P"), _var("CN"), _var("MSG"))
         assert nr.poss == (
-            Atom("knows_val", Compound("Name", (_var("P"),))),
-            Atom("knows_val", Compound("CoachNum", (_var("CN"),))),
-            Atom("knows_val", Compound("Message", (_var("MSG"),))),
-            Atom("holds", Compound("availableAt", (_var("P"), _var("CN")))),
+            know(Compound("Name", (_var("P"),))),
+            know(Compound("CoachNum", (_var("CN"),))),
+            know(Compound("Message", (_var("MSG"),))),
+            Compound("availableAt", (_var("P"), _var("CN"))),
         )
         assert nr.adds == (
             Compound("SendMsg", (_var("P"), _var("CN"), _var("MSG"))),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import randgen
 from fluxcompose import dsl
 from fluxcompose.errors import ParseError
-from fluxcompose.terms import Compound, Constant, Variable, is_ground
+from fluxcompose.terms import Compound, Constant, Variable, is_ground, is_knowledge, know
 
 TABLE_ACTION = (
     "fluent Profession/1. fluent Specialization/1. fluent availableRole/2.\n"
@@ -26,7 +26,7 @@ def test_parse_domain_find_resource_axiom():
     a = d.actions[0]
     assert a.name == "findResource"
     assert a.params == (Variable("PR"), Variable("SP"))
-    assert [atom.kind for atom in a.poss] == ["knows_val", "knows_val", "holds"]
+    assert [is_knowledge(pattern) for pattern in a.poss] == [True, True, False]
     assert a.outputs == (Variable("P"), Variable("CN"))
     assert a.removes == ()
 
@@ -55,7 +55,7 @@ def test_parse_domain_arity_mismatch():
     ("know(know(p))", ParseError, "nested know"),
     ("know(p,p)", ParseError, "'know(p,p)'"),
     ("know", ParseError, "'know'"),
-    ("know(know)", dsl.ArityError, "use of know/0"),  # a constant named know is no nesting
+    ("know(know)", ParseError, "nested know"),  # know is reserved, with or without arguments
 ])
 def test_misused_know_in_an_update(add, error, found):
     source = f"fluent p/0.\naction f() poss: update: add [{add}] remove []."
@@ -85,8 +85,8 @@ def test_parse_domain_know_is_reserved():
 def test_parse_domain_empty_poss_and_variable_convention():
     d = dsl.parse_domain("fluent g/2. action f(X) poss: holds(g(X,doctor)) "
                          "update: add [g(X,ConfirmSend)] remove [].")
-    atom = d.actions[0].poss[0]
-    assert atom.pattern.args == (Variable("X"), Constant("doctor"))
+    pattern = d.actions[0].poss[0]
+    assert pattern.args == (Variable("X"), Constant("doctor"))
     # CamelCase bare identifiers are constants; all-caps are variables
     assert d.actions[0].adds[0].args == (Variable("X"), Constant("ConfirmSend"))
 
@@ -224,7 +224,10 @@ def test_parse_term_text_fragment():
 
 
 def test_parse_atom_text_fragment():
-    atom = dsl.parse_atom_text("holds(availableAt(P,CN))")
-    assert atom.kind == "holds"
+    available = Compound("availableAt", (Variable("P"), Variable("CN")))
+    assert dsl.parse_atom_text("holds(availableAt(P,CN))") == available
+    assert dsl.parse_atom_text("knows_val(availableAt(P,CN))") == know(available)
+    for text in ("holds(availableAt(P,CN))", "knows_val(availableAt(P,CN))"):
+        assert dsl.atom_text(dsl.parse_atom_text(text)) == text
     with pytest.raises(ParseError):
         dsl.parse_atom_text("neither(x)")

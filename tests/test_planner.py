@@ -33,6 +33,7 @@ from fluxcompose.terms import (
     State,
     Variable,
     is_ground,
+    know,
     variables_in,
 )
 
@@ -175,7 +176,7 @@ def test_no_plan_found_names_unreachable_goal_symbols(planning_problem, find_res
     # q/1 is reachable, q(a) is not: the search runs dry and names no symbol
     x = Variable("X")
     copy = dsl.make_action_schema(
-        "copy", [x], [dsl.Atom("holds", Compound("p", (x,)))],
+        "copy", [x], [Compound("p", (x,))],
         [Compound("q", (Constant("b"),))], [])
     problem = PlanningProblem(State.from_terms([Compound("p", (Constant("a"),))]),
                               (Compound("q", (Constant("a"),)),), (copy,))
@@ -205,7 +206,7 @@ def test_bare_variable_patterns_reach_every_symbol():
     # symbol reachable
     x = Variable("X")
     learn = dsl.make_action_schema(
-        "learn", [x], [dsl.Atom("holds", x)], [Compound("know", (x,))], [])
+        "learn", [x], [x], [Compound("know", (x,))], [])
     fact = Compound("c", (Constant("w"),))
     for goal_value in (Variable("W"), Constant("w")):
         problem = PlanningProblem(State.from_terms([fact]),
@@ -223,7 +224,7 @@ def test_monotone_skip_is_off_when_a_remove_list_exists():
     w, x, y = Variable("W"), Variable("X"), Variable("Y")
     know_c = lambda t: Compound("know", (Compound("c", (t,)),))
     a = dsl.make_action_schema("a", [], [], [know_c(y)], [])
-    b = dsl.make_action_schema("b", [x], [dsl.Atom("knows_val", Compound("c", (x,)))],
+    b = dsl.make_action_schema("b", [x], [know(Compound("c", (x,)))],
                                [Constant("flag")], [know_c(x)])
     problem = PlanningProblem(State.from_terms([know_c(Constant("w"))]),
                               (know_c(w), Constant("flag")), (a, b))
@@ -292,7 +293,7 @@ def test_plan_breaks_ties_lexicographically():
     # same action, two bindings: smaller rendered argument wins
     pattern = Compound("p", (Variable("X"),))
     schema = dsl.make_action_schema(
-        "act", [Variable("X")], [dsl.Atom("holds", pattern)], [goal_fluent], [])
+        "act", [Variable("X")], [pattern], [goal_fluent], [])
     problem = PlanningProblem(
         State.from_terms([Compound("p", (Constant("b"),)),
                           Compound("p", (Constant("a"),))]),
@@ -305,13 +306,13 @@ def test_states_that_render_alike_are_not_merged():
     # state must not cut a2's, whose p(x,y) alone lets a3 reach the goal
     X, Y = Variable("X"), Variable("Y")
     s, q = Constant("s"), Constant("q")
-    has_s = [dsl.Atom("holds", s)]
+    has_s = [s]
     problem = PlanningProblem(State.from_terms([s]), (q,), (
         dsl.make_action_schema("a1", [], has_s, [Compound("p", (Constant("x,y"),))], []),
         dsl.make_action_schema("a2", [], has_s,
                                [Compound("p", (Constant("x"), Constant("y")))], []),
         dsl.make_action_schema("a3", [X, Y],
-                               [dsl.Atom("holds", Compound("p", (X, Y)))], [q], []),
+                               [Compound("p", (X, Y))], [q], []),
     ))
     expected = enumerate_plans(problem, 3)[0]
     assert str(expected) == "a2(); a3(x,y)"
@@ -322,7 +323,7 @@ def test_states_that_render_alike_are_not_merged():
 # each application leads b(Y) to a different Y. Which tied fluent comes first
 # must not follow the hash seed.
 _TIED_TEXTS_PROBLEM = """
-from fluxcompose.dsl import Atom, make_action_schema
+from fluxcompose.dsl import make_action_schema
 from fluxcompose.planner import PlanningProblem, enumerate_plans, plan
 from fluxcompose.terms import Compound, Constant, State, Variable, holds
 
@@ -332,10 +333,10 @@ init = [Compound("p", (t,)) for t in tied]
 init += [Compound("s", (t, Constant(y))) for t, y in zip(tied, ("y2", "y1"))]
 done = Constant("done")
 problem = PlanningProblem(State.from_terms(init), (done,), (
-    make_action_schema("a", [X], [Atom("holds", Compound("p", (X,)))],
+    make_action_schema("a", [X], [Compound("p", (X,))],
                        [Compound("r", (X,))], []),
-    make_action_schema("b", [Y], [Atom("holds", Compound("r", (X,))),
-                                  Atom("holds", Compound("s", (X, Y)))], [done], []),
+    make_action_schema("b", [Y], [Compound("r", (X,)),
+                                  Compound("s", (X, Y))], [done], []),
 ))
 """
 _TIED_TEXTS_REPORT = """
@@ -430,7 +431,7 @@ def test_placeholders_of_the_initial_state_keep_the_renaming_key(monkeypatch):
     # no action has outputs, but pick(#1) and pick(#2) reach twins
     t1, t2 = Placeholder("seed", "T", 1), Placeholder("seed", "T", 2)
     x = Variable("X")
-    pick = dsl.make_action_schema("pick", [x], [dsl.Atom("holds", Compound("token", (x,)))],
+    pick = dsl.make_action_schema("pick", [x], [Compound("token", (x,))],
                                   [Compound("picked", (x,))], [Compound("token", (x,))])
     problem = PlanningProblem(State.from_terms([Compound("token", (t1,)),
                                                 Compound("token", (t2,))]),
@@ -511,7 +512,7 @@ def test_frame_property_random_domains(seed):
             # check_poss filters neither duplicates nor non-ground poss
             # variables: its docstring argues neither can occur
             assert len({frozenset(s.bindings.items()) for s in got}) == len(got)
-            needed = set(a.params).union(*(variables_in(x.pattern) for x in a.poss))
+            needed = set(a.params).union(*(variables_in(x) for x in a.poss))
             assert all(is_ground(s.apply(v)) for s in got for v in needed)
             options += [(a, s) for s in got]
         if not options:

@@ -12,7 +12,7 @@ from fluxcompose.registry import (
     load_registry,
     pretty_print_registry,
 )
-from fluxcompose.terms import Compound, Variable
+from fluxcompose.terms import Compound, Variable, is_knowledge, know
 
 
 def test_bundled_registry_loads(service_registry):
@@ -83,9 +83,9 @@ def test_compiled_find_resource_matches_axiom_shape(service_registry):
     schema = compile_service_to_action(service_registry.get("findResource"))
     assert schema.name == "findResource"
     assert schema.params == (Variable("PR"), Variable("SP"))
-    assert [a.kind for a in schema.poss] == ["knows_val", "knows_val", "holds"]
-    assert schema.poss[0].pattern == Compound("Profession", (Variable("PR"),))
-    assert schema.poss[2].pattern == Compound(
+    assert schema.poss[0] == know(Compound("Profession", (Variable("PR"),)))
+    assert schema.poss[1] == know(Compound("Specialization", (Variable("SP"),)))
+    assert schema.poss[2] == Compound(
         "availableRole", (Variable("PR"), Variable("SP")))
     assert schema.outputs == (Variable("P"), Variable("CN"))
     know_adds = [t for t in schema.adds if t.functor == "know"]
@@ -96,7 +96,7 @@ def test_compiled_find_resource_matches_axiom_shape(service_registry):
 def test_compiled_notify_resource_matches_axiom_shape(service_registry):
     schema = compile_service_to_action(service_registry.get("notifyResource"))
     assert schema.params == (Variable("P"), Variable("CN"), Variable("MSG"))
-    assert [a.kind for a in schema.poss] == ["knows_val"] * 3 + ["holds"]
+    assert [is_knowledge(p) for p in schema.poss] == [True] * 3 + [False]
     assert Compound("SendMsg",
                     (Variable("P"), Variable("CN"), Variable("MSG"))) in schema.adds
     assert schema.outputs == (Variable("ACK"),)
@@ -200,3 +200,13 @@ def test_registry_pretty_print_round_trips(service_registry, taxonomy):
     assert pretty_print_registry(reparsed) == printed
     assert {s.name for s in reparsed.sorted_services()} == {"findResource",
                                                             "notifyResource"}
+    # the bundled extras are all holds(...): a knows_val(...) extra prints back too
+    relay = ("service relay\n"
+             "  hasInput: M : Message\n"
+             "  precondition: knows_val(Name(P))\n"
+             "  precondition: holds(availableAt(P,CN))\n"
+             "  grounding: relay\n"
+             "end\n")
+    reg = registry.load_registry(relay, taxonomy)
+    assert reg.get("relay").extra_preconditions[0] == know(Compound("Name", (Variable("P"),)))
+    assert pretty_print_registry(reg) == relay

@@ -17,6 +17,7 @@ from fluxcompose.terms import (
     holds,
     is_ground,
     is_knowledge,
+    know,
     knows_val,
     order_key,
     unify,
@@ -29,10 +30,6 @@ doctor, orthopedics, nurse, general = (
 
 def comp(functor, *args):
     return Compound(functor, tuple(args))
-
-
-def know(t):
-    return comp("know", t)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +204,8 @@ def test_knowledge_and_world_are_separate():
     state = _state(comp("f", doctor), know(comp("f", doctor)))
     assert len(list(holds(comp("f", X), state))) == 1
     assert len(list(knows_val(comp("f", X), state))) == 1
-    assert len(list(holds(know(comp("f", X)), state))) == 0
+    # a know(...) pattern queries the knowledge fluents, as knows_val does
+    assert [s.bindings for s in holds(know(comp("f", X)), state)] == [{X: doctor}]
 
 
 @given(st.data())
@@ -323,12 +321,15 @@ def test_knows_val_equals_brute_force_over_mixed_symbols(data):
     oracle = [s.bindings for s in (unify(know(pattern), f, start)
                                    for f in _side(state, knowledge=True)) if s is not None]
     assert got == oracle
+    assert [s.bindings for s in holds(know(pattern), state, start)] == oracle
 
 
 def test_bare_variables_see_only_their_own_side():
     state = _state(comp("p", doctor), know(comp("p", doctor)), know(doctor), nurse)
     assert [s.apply(X) for s in holds(X, state)] == [nurse, comp("p", doctor)]
     assert [s.apply(X) for s in knows_val(X, state)] == [doctor, comp("p", doctor)]
+    # the side is the pattern's as given: X bound to a knowledge fluent is no knowledge query
+    assert list(holds(X, state, EMPTY_SUBST.bind(X, know(doctor)))) == []
 
 
 # Children made by with_update inherit their parent's index: each answer must
