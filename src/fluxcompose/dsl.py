@@ -263,19 +263,29 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+def know_misuse(term: Term) -> Optional[tuple[str, str]]:
+    """(expected, found) when a fluent pattern misuses the reserved know, else None.
+
+    know takes exactly one argument, and that argument is never know itself,
+    with or without arguments.
+    """
+    knowledge, name, _ = fluent_symbol(term)
+    if name != KNOW:
+        return None
+    if knowledge:
+        return "a fluent inside know(...)", "nested know"
+    if isinstance(term, (Compound, Constant)):
+        return "know with exactly one argument", repr(str(term))
+    return None
+
+
 def _fluent_usage(term: Term, tok: _Token,
                   source_name: str) -> tuple[str, int, _Token]:
-    """Fluent symbol a pattern commits to: know(T) commits to T's symbol.
-
-    T is never know itself, with or without arguments: the word is reserved.
-    """
-    knowledge, name, arity = fluent_symbol(term)
-    if knowledge and name == KNOW:
-        raise ParseError(tok.line, tok.col, "a fluent inside know(...)",
-                         "nested know", source_name)
-    if not knowledge and name == KNOW and isinstance(term, (Compound, Constant)):
-        raise ParseError(tok.line, tok.col, "know with exactly one argument",
-                         repr(str(term)), source_name)
+    """Fluent symbol a pattern commits to: know(T) commits to T's symbol."""
+    misuse = know_misuse(term)
+    if misuse:
+        raise ParseError(tok.line, tok.col, *misuse, source_name)
+    _, name, arity = fluent_symbol(term)
     return name, arity, tok
 
 

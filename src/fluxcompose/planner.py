@@ -7,12 +7,14 @@ fluent not removed persists, which is the whole point of the update axioms.
 
 The search is breadth-first with canonical child ordering (action name, then
 arguments by `order_key`), so the returned plan is the shortest,
-lexicographically first among equals. Two rules shrink it: a goal symbol that
-no action sequence can produce fails at once, without a search, and in a
-domain without remove lists an application whose adds already hold is never
-made. The visited set holds states, with placeholders renamed when the
-problem can make any; no state or substitution is named by its text. `plan`
-gives the soundness argument for these and for its visited set.
+lexicographically first among equals. Three rules, always on, shrink it: a
+goal symbol that no action sequence can produce fails at once, without a
+search; in a domain without remove lists an application whose adds already
+hold is never made; and a state seen before, up to placeholder renaming, is
+not queued again. The visited set holds states, with placeholders renamed
+when the problem can make any; no state or substitution is named by its
+text. `plan` gives the soundness argument for the three rules, and
+`enumerate_plans` is the unpruned oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .dsl import ActionSchema, DomainFile, ProblemFile
+from .dsl import ActionSchema, DomainFile, ProblemFile, know_misuse
 from .errors import FluxError
 from .terms import (
     EMPTY_SUBST,
@@ -108,9 +110,16 @@ class PlanCheck:
 
 
 def make_problem(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
-    """Tie a parsed domain and problem together, checking goal fluents are declared."""
+    """Tie a parsed domain and problem together, checking goal fluents are declared.
+
+    A goal that misuses the reserved know is refused as `parse_domain`
+    refuses it in a domain file.
+    """
     declared = domain.declared()
     for t in problem.goal:
+        misuse = know_misuse(t)
+        if misuse:
+            raise FluxError("goal fluent %s: expected %s, found %s" % (t, *misuse))
         _, name, arity = fluent_symbol(t)
         if declared.get(name) != arity:
             raise FluxError(f"goal fluent {name}/{arity} is not declared by the domain")
@@ -267,8 +276,7 @@ def _unreachable_goal_symbols(problem: PlanningProblem) -> tuple[str, ...]:
                         for know, name, arity in missing))
 
 
-def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
-         _prune: bool = True) -> Plan:
+def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
     """Shortest plan reaching the goal, lexicographically first among equals.
 
     Breadth-first over a FIFO queue: children come in `_children` order and
@@ -299,7 +307,7 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
       `_pruning_key` would return every state unchanged. This is read once
       from the problem, not set by the caller.
 
-    Two more rules apply under _prune:
+    Two more rules apply to every search:
 
     - Early failure. If a goal symbol is missing from
       `_unreachable_goal_symbols`' closure, NoPlanFound is raised before any
@@ -323,12 +331,10 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
     if satisfies_goal(problem.initial, problem.goal):
         return Plan(())
     actions = sorted(problem.actions, key=lambda a: a.name)
-    monotone = False
-    if _prune:
-        missing = _unreachable_goal_symbols(problem)
-        if missing:
-            raise NoPlanFound(cfg.max_depth, missing)
-        monotone = not any(a.removes for a in actions)
+    missing = _unreachable_goal_symbols(problem)
+    if missing:
+        raise NoPlanFound(cfg.max_depth, missing)
+    monotone = not any(a.removes for a in actions)
     initial = problem.initial
     renames = (any(a.outputs or any(map(_has_placeholder, a.adds)) for a in actions)
                or any(map(_has_placeholder, initial.fluents)))
@@ -351,11 +357,10 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig(),
                 return Plan(path)
             if depth == cfg.max_depth:
                 continue
-            if _prune:
-                key = _pruning_key(child) if renames else child
-                if key in seen:
-                    continue
-                seen.add(key)
+            key = _pruning_key(child) if renames else child
+            if key in seen:
+                continue
+            seen.add(key)
             queue.append((child, path))
     raise NoPlanFound(cfg.max_depth)
 

@@ -1,13 +1,20 @@
 """The runtime imports nothing outside the standard library and uses every
-name it imports, and the benchmark's tracer finds every function it wraps."""
+name it imports, importing a core module loads no upper layer, the README's
+library example runs, and the benchmark's tracer finds every function it
+wraps."""
 
 import ast
 import importlib
 import inspect
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 import fluxcompose
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -32,7 +39,7 @@ def test_runtime_imports_only_the_standard_library():
 
 def test_every_traced_function_exists_in_the_package():
     # perfbench's tracer wraps these by name; read its table without importing it
-    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = ROOT / "perfbench" / "tracer.py"
     table = next(node.value for node in ast.parse(tracer.read_text(encoding="utf-8")).body
                  if isinstance(node, ast.Assign)
                  and [ast.unparse(t) for t in node.targets] == ["TARGETS"])
@@ -53,7 +60,7 @@ def test_every_traced_function_exists_in_the_package():
 
 def test_runtime_modules_use_every_name_they_import():
     package = Path(fluxcompose.__file__).parent
-    sources = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    sources = sorted(package.glob("*.py"))
     assert len(sources) > 5
     unused = []
     for source in sources:
@@ -68,3 +75,26 @@ def test_runtime_modules_use_every_name_they_import():
                 continue
             unused += [f"{source.name}: {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_importing_the_planner_loads_no_upper_layer():
+    src = str(Path(fluxcompose.__file__).resolve().parents[1])
+    script = "import sys, fluxcompose.planner; print(*sorted(sys.modules))"
+    loaded = set(subprocess.run([sys.executable, "-c", script],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, check=True).stdout.split())
+    assert "fluxcompose.planner" in loaded
+    upper = {f"fluxcompose.{name}"
+             for name in ("scenario", "composer", "registry", "ontology", "cli")}
+    assert upper & loaded == set()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == [
+        "findResource(doctor,Orthopedics)",
+        "notifyResource(#out_findResource_P_1,#out_findResource_CN_1,help)",
+    ]

@@ -1,7 +1,7 @@
 """Plans of the seeded random families, pinned row by row.
 
-Each row is one family, seed and pruning setting: the plan's text, or the
-``unreachable`` symbols of the NoPlanFound it raised. The rows pin both the
+Each row is one family and seed: the plan's text, or the ``unreachable``
+symbols of the NoPlanFound it raised. The rows pin both the
 planner and the generators in ``randgen``, which must keep drawing the same
 problem from each seed. The expected values live in ``plan_golden.json``; to
 rewrite them after a deliberate change, run
@@ -35,19 +35,18 @@ def sweep() -> dict:
     for family, depth in FAMILIES.items():
         for seed in SEEDS:
             problem = getattr(randgen, family)(random.Random(seed))
-            for prune in (True, False):
-                try:
-                    row = {"plan": str(plan(problem, SearchConfig(depth), _prune=prune))}
-                except NoPlanFound as exc:
-                    row = {"NoPlanFound": list(exc.unreachable)}
-                rows[f"{family}/{seed}/{'prune' if prune else 'no-prune'}"] = row
+            try:
+                row = {"plan": str(plan(problem, SearchConfig(depth)))}
+            except NoPlanFound as exc:
+                row = {"NoPlanFound": list(exc.unreachable)}
+            rows[f"{family}/{seed}"] = row
     return rows
 
 
 def test_plans_match_the_golden_rows():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = sweep()
-    assert len(got) == len(FAMILIES) * len(SEEDS) * 2
+    assert len(got) == len(FAMILIES) * len(SEEDS)
     assert [k for k in got if got[k] != expected.get(k)] == []
     assert got == expected
 

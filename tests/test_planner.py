@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import fluxcompose
 import randgen
 from fluxcompose import dsl, planner
+from fluxcompose.errors import FluxError, ParseError
 from fluxcompose.planner import (
     GroundAction,
     NoPlanFound,
@@ -200,6 +201,18 @@ def test_early_failure_expands_no_state(monkeypatch, planning_problem, find_reso
     assert exc.value.unreachable == ("SendMsg/3", "know(ConfirmSend/0)")
 
 
+@pytest.mark.parametrize("goal", ["know(know)", "know(know(p))", "know(p,p)", "know"])
+def test_misused_know_in_a_goal_is_refused_as_in_a_domain(goal):
+    # know is reserved, so "declare know" would name a fix that cannot be made
+    domain = dsl.parse_domain("fluent p/0.\n")
+    with pytest.raises(FluxError) as exc:
+        planner.make_problem(domain, dsl.parse_problem(f"init: p.\ngoal: {goal}.\n"))
+    with pytest.raises(ParseError) as in_domain:
+        dsl.parse_domain(f"fluent p/0.\naction f() poss: update: add [{goal}] remove [].")
+    assert "not declared" not in str(exc.value)
+    assert str(exc.value).endswith(str(in_domain.value).split(": ", 1)[1])
+
+
 def test_bare_variable_patterns_reach_every_symbol():
     # learn(X) copies any world fact into knowledge: a bare-variable poss
     # pattern is satisfied by any fluent, and a bare-variable add makes any
@@ -230,8 +243,7 @@ def test_monotone_skip_is_off_when_a_remove_list_exists():
                               (know_c(w), Constant("flag")), (a, b))
     expected = enumerate_plans(problem, 2)[0]
     assert str(expected) == "a(); b(#out_a_Y_1)"
-    for prune in (True, False):
-        assert plan(problem, SearchConfig(max_depth=2), _prune=prune) == expected
+    assert plan(problem, SearchConfig(max_depth=2)) == expected
 
 
 def test_one_ground_action_reaching_two_states_keeps_plans_in_order():
@@ -245,8 +257,7 @@ def test_one_ground_action_reaching_two_states_keeps_plans_in_order():
         "init: p(k,m), p(k,n), r(m,z2), r(n,z1).\ngoal: done.\n"))
     all_plans = enumerate_plans(problem, 2)
     assert [str(p) for p in all_plans] == ["a(k); b(z1)", "a(k); b(z2)"]
-    for prune in (True, False):
-        assert plan(problem, SearchConfig(max_depth=2), _prune=prune) == all_plans[0]
+    assert plan(problem, SearchConfig(max_depth=2)) == all_plans[0]
     for p in all_plans:
         assert validate_plan(problem, p), p
 
@@ -410,21 +421,24 @@ def test_pruning_key_ignores_placeholder_numbering():
 
 def _assert_twins_merged(monkeypatch, problem, depth):
     """A search that finds no plan meets placeholder-renamed twins, and prunes them."""
-    expanded = {}
-    children = planner._children
+    expanded, keys = [], []
+    children, pruning_key = planner._children, planner._pruning_key
 
     def counting_children(actions, states):
-        expanded[prune] += states
+        expanded.extend(states)
         return children(actions, states)
 
+    def recording_key(state):
+        keys.append(pruning_key(state))
+        return keys[-1]
+
     monkeypatch.setattr(planner, "_children", counting_children)
-    for prune in (True, False):
-        expanded[prune] = []
-        with pytest.raises(NoPlanFound):
-            plan(problem, SearchConfig(max_depth=depth), _prune=prune)
-    keys = [{planner._pruning_key(s) for s in expanded[prune]} for prune in (True, False)]
-    assert len(keys[0]) == len(expanded[True])
-    assert len(keys[1]) < len(expanded[False])
+    monkeypatch.setattr(planner, "_pruning_key", recording_key)
+    with pytest.raises(NoPlanFound):
+        plan(problem, SearchConfig(max_depth=depth))
+    # keys[0] is the initial state's; a child key met before was a twin, cut
+    assert len(set(keys)) < len(keys)
+    assert len({pruning_key(s) for s in expanded}) == len(expanded)
 
 
 def test_placeholders_of_the_initial_state_keep_the_renaming_key(monkeypatch):
@@ -541,16 +555,15 @@ def test_plan_agrees_with_enumeration_oracle(seed):
 @given(st.integers(0, 2**32))
 @settings(max_examples=30, deadline=None)
 def test_pruning_never_changes_the_result(seed):
-    rng = random.Random(seed)
-    problem = randgen.random_problem(rng)
-    cfg = SearchConfig(max_depth=3)
+    # service chains carry placeholders, so the visited set renames them
+    problem = randgen.random_service_chain(random.Random(seed))
+    all_plans = enumerate_plans(problem, 4)
     try:
-        pruned = plan(problem, cfg, _prune=True)
-    except NoPlanFound as exc:
-        with pytest.raises(NoPlanFound):
-            plan(problem, cfg, _prune=False)
+        got = plan(problem, SearchConfig(max_depth=4))
+    except NoPlanFound:
+        assert all_plans == []
         return
-    assert pruned == plan(problem, cfg, _prune=False)
+    assert all_plans and got == all_plans[0]
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +639,9 @@ def test_unreachable_walks_stop_before_max_depth(monkeypatch):
 REGISTRY_SEEDS = range(150)
 
 
-def _plan_or_exception(problem, cfg, prune=True):
+def _plan_or_exception(problem, cfg):
     try:
-        return plan(problem, cfg, _prune=prune)
+        return plan(problem, cfg)
     except NoPlanFound as exc:
         return exc
 
@@ -656,11 +669,10 @@ def test_plan_agrees_with_oracle_on_registry_family(monkeypatch):
             m.setattr(planner, "_children", counting_children)
             m.setattr(planner, "apply_update", counting_apply)
             got = _plan_or_exception(problem, cfg)
-        for result in (got, _plan_or_exception(problem, cfg, prune=False)):
-            if all_plans:
-                assert result == all_plans[0], seed
-            else:
-                assert isinstance(result, NoPlanFound) and result.depth == 3, seed
+        if all_plans:
+            assert got == all_plans[0], seed
+        else:
+            assert isinstance(got, NoPlanFound) and got.depth == 3, seed
         if isinstance(got, NoPlanFound):
             symbol_caught += bool(got.unreachable)
         else:
