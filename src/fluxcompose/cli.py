@@ -122,7 +122,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     roster = _load(args, "roster", scenario.load_roster)
     ok("roster", f"{len(roster.passengers)} passengers")
     schedule = _load(args, "schedule", scenario.load_schedule)
-    ok("schedule", f"{len(schedule.stops)} stops")
+    ok("schedule", f"{len(schedule)} stops")
     return 0
 
 
@@ -180,16 +180,6 @@ def cmd_compose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _event_from_args(args: argparse.Namespace,
-                     rules: tuple) -> scenario.EmergencyEvent:
-    severity = ontology.classify_severity(args.spec, args.symptoms, rules)
-    return scenario.EmergencyEvent(
-        date="-", time="-", patient_name=args.patient, case_history="",
-        coach=args.coach, seat=0, event_type=scenario.EventType(args.type),
-        specialization=args.spec, symptoms=args.symptoms, severity=severity,
-    )
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     roster = _load(args, "roster", scenario.load_roster)
     if args.validate_all:
@@ -198,8 +188,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 roster, _ = scenario.validate_travel_plan(
                     roster, p.pnr, p.travel.origin, p.travel.destination,
                     p.travel.journey_date)
-    event = _event_from_args(args, _load(args, "rules", ontology.load_severity_rules))
-    ranked = scenario.trace_resources(roster, event)
+    ranked = scenario.trace_resources(roster, scenario.EventType(args.type), args.coach,
+                                      args.spec, args.patient)
     for i, r in enumerate(ranked, start=1):
         if args.format == "lines":
             print(f"responder\t{i}\t{r.name}\t{r.profession}\t"
@@ -285,7 +275,6 @@ COMMANDS = {
     "trace": (cmd_trace, "rank responders for an event", ("roster",),
               (("--coach", {"required": True}), ("--spec", {}), _TYPE,
                ("--patient", {"default": "", "help": "patient name (excluded)"}),
-               _SYMPTOMS,
                ("--validate-all", {"action": "store_true",
                                    "help": "validate every registered passenger's "
                                            "travel plan against the roster before "

@@ -233,24 +233,24 @@ def execute(w: Workflow, env: GroundingEnv, reg: Registry) -> ExecutionTrace:
             return arg.name
         raise FluxError(f"cannot resolve non-ground argument {arg}")
 
+    def failed(step: int, reason: str) -> ExecutionError:
+        return ExecutionError(step, reason, ExecutionTrace(tuple(records)))
+
     for i, ga in enumerate(w.plan.steps):
         svc = reg.get(ga.name)
         stub = env.stubs.get(svc.grounding_stub_id)
-        partial = ExecutionTrace(tuple(records))
         if stub is None:
-            raise ExecutionError(i, f"no grounding stub {svc.grounding_stub_id!r}",
-                                 partial)
+            raise failed(i, f"no grounding stub {svc.grounding_stub_id!r}")
         inputs = {param: resolve(arg)
                   for (param, _), arg in zip(svc.inputs, ga.args)}
         try:
             result = stub(inputs)
         except GroundingFailure as exc:
-            raise ExecutionError(i, str(exc), partial) from exc
+            raise failed(i, str(exc)) from exc
         outputs: list[tuple[str, str]] = []
         for param, _concept in svc.outputs:
             if param not in result.outputs:
-                raise ExecutionError(
-                    i, f"stub returned no value for output {param!r}", partial)
+                raise failed(i, f"stub returned no value for output {param!r}")
             value = result.outputs[param]
             outputs.append((param, value))
             bound[Placeholder(svc.name, param, i + 1)] = value

@@ -110,19 +110,21 @@ class PlanCheck:
 
 
 def make_problem(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
-    """Tie a parsed domain and problem together, checking goal fluents are declared.
+    """Tie a parsed domain and problem together, checking that the initial
+    and goal fluents are declared.
 
-    A goal that misuses the reserved know is refused as `parse_domain`
-    refuses it in a domain file.
+    An initial or goal fluent that misuses the reserved know is refused as
+    `parse_domain` refuses it in a domain file.
     """
     declared = domain.declared()
-    for t in problem.goal:
-        misuse = know_misuse(t)
-        if misuse:
-            raise FluxError("goal fluent %s: expected %s, found %s" % (t, *misuse))
-        _, name, arity = fluent_symbol(t)
-        if declared.get(name) != arity:
-            raise FluxError(f"goal fluent {name}/{arity} is not declared by the domain")
+    for part, terms in (("initial", problem.initial), ("goal", problem.goal)):
+        for t in terms:
+            misuse = know_misuse(t)
+            if misuse:
+                raise FluxError("%s fluent %s: expected %s, found %s" % (part, t, *misuse))
+            _, name, arity = fluent_symbol(t)
+            if declared.get(name) != arity:
+                raise FluxError(f"{part} fluent {name}/{arity} is not declared by the domain")
     return PlanningProblem(State.from_terms(problem.initial), problem.goal,
                            domain.actions)
 

@@ -36,7 +36,7 @@ from .composer import (
     execute,
 )
 from .errors import FluxError
-from .ontology import Severity, SeverityRule, TaxonomyGraph, classify_severity
+from .ontology import SeverityRule, TaxonomyGraph, classify_severity
 from .planner import SearchConfig
 from .registry import Registry
 from .terms import Compound, Constant
@@ -431,20 +431,6 @@ def parse_symptoms(text: str) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class EmergencyEvent:
-    date: str
-    time: str
-    patient_name: str
-    case_history: str
-    coach: str
-    seat: int
-    event_type: EventType
-    specialization: Optional[str]
-    symptoms: frozenset
-    severity: Severity
-
-
-@dataclass(frozen=True)
 class Responder:
     name: str
     profession: str
@@ -453,10 +439,10 @@ class Responder:
     distance: int
 
 
-def responder_sort_key(r: Responder, event: EmergencyEvent) -> tuple:
+def responder_sort_key(r: Responder, specialization: Optional[str]) -> tuple:
     """Tier first (specialist doctor, doctor, other medical), then proximity."""
-    if r.profession == "doctor" and event.specialization is not None \
-            and r.specialization == event.specialization:
+    if r.profession == "doctor" and specialization is not None \
+            and r.specialization == specialization:
         tier = 0
     elif r.profession == "doctor":
         tier = 1
@@ -465,22 +451,23 @@ def responder_sort_key(r: Responder, event: EmergencyEvent) -> tuple:
     return (tier, r.distance, r.coach, r.name)
 
 
-def trace_resources(roster: Roster, event: EmergencyEvent) -> tuple[Responder, ...]:
-    """Ranked responders for an event, nearest qualified personnel first.
+def trace_resources(roster: Roster, event_type: EventType, coach: str,
+                    specialization: Optional[str],
+                    patient_name: str) -> tuple[Responder, ...]:
+    """Ranked responders for an event in a coach, nearest qualified personnel first.
 
     Eligible responders are validated, service-registered delivery personnel
-    whose profession belongs to the event's major category; the patient is
-    never their own responder. Raises FallbackRequired when nobody qualifies,
-    which routes the event to the next-station notice.
+    whose profession belongs to the event type's major category; the patient
+    (by name) is never their own responder. Raises FallbackRequired when
+    nobody qualifies, which routes the event to the next-station notice.
     """
-    category = MEDICAL_PROFESSIONS if event.event_type is EventType.MEDICAL \
-        else frozenset()
-    patient_pos = roster.coach_index(event.coach)
+    category = MEDICAL_PROFESSIONS if event_type is EventType.MEDICAL else frozenset()
+    patient_pos = roster.coach_index(coach)
     eligible = []
     for p in roster.ready_personnel():
         if p.profession not in category:
             continue
-        if p.name == event.patient_name:
+        if p.name == patient_name:
             continue
         eligible.append(Responder(
             name=p.name, profession=p.profession, specialization=p.specialization,
@@ -488,22 +475,19 @@ def trace_resources(roster: Roster, event: EmergencyEvent) -> tuple[Responder, .
         ))
     if not eligible:
         raise FallbackRequired()
-    eligible.sort(key=lambda r: responder_sort_key(r, event))
+    eligible.sort(key=lambda r: responder_sort_key(r, specialization))
     return tuple(eligible)
 
 
 # ---------------------------------------------------------------------------
-# Route schedule and the fallback notice
+# Route schedule
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RouteSchedule:
-    stops: tuple[tuple[str, Time], ...]
-
-
-def load_schedule(source: str, source_name: str = "<string>") -> RouteSchedule:
-    """Parse `station <id> @ <HH:MM>` lines: at least one, arrivals strictly increasing."""
+def load_schedule(source: str, source_name: str = "<string>"
+                  ) -> tuple[tuple[str, Time], ...]:
+    """The (station, arrival) stops of `station <id> @ <HH:MM>` lines: at
+    least one, arrivals strictly increasing."""
     stops: list[tuple[str, Time]] = []
     errors: list[tuple[int, str]] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -527,15 +511,15 @@ def load_schedule(source: str, source_name: str = "<string>") -> RouteSchedule:
         errors.append((len(source.splitlines()) + 1, "expected at least one station"))
     if errors:
         raise LoadError(errors, source_name)
-    return RouteSchedule(tuple(stops))
+    return tuple(stops)
 
 
-def next_station(schedule: RouteSchedule, now: Time) -> str:
+def next_station(schedule: tuple[tuple[str, Time], ...], now: Time) -> str:
     """First stop with scheduled arrival after now; the final stop once past all."""
-    for station, arrival in schedule.stops:
+    for station, arrival in schedule:
         if arrival > now:
             return station
-    return schedule.stops[-1][0]
+    return schedule[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +529,7 @@ def next_station(schedule: RouteSchedule, now: Time) -> str:
 
 @dataclass(frozen=True)
 class _RecordCommon:
-    """Fields shared by every log record kind, filled in by _common_fields."""
+    """Fields shared by every log record kind."""
 
     date: str
     time: str
@@ -582,19 +566,6 @@ LogRecord = Union[EventRecord, FallbackRecord]
 _RECORD_TYPES = {cls.KIND: cls for cls in (EventRecord, FallbackRecord)}
 _RECORD_FIELDS = {kind: tuple(f.name for f in fields(cls))
                   for kind, cls in _RECORD_TYPES.items()}
-
-
-def _common_fields(event: EmergencyEvent, delivery_personnel: str,
-                   payment_collected: bool) -> dict:
-    return dict(
-        date=event.date, time=event.time, patient_name=event.patient_name,
-        case_history=event.case_history, coach=event.coach, seat=event.seat,
-        delivery_personnel=delivery_personnel,
-        event_type=event.event_type.value,
-        specialization=event.specialization or "-",
-        symptoms=event.symptoms, severity=str(event.severity),
-        payment_collected=payment_collected,
-    )
 
 
 def _escape(value: str) -> str:
@@ -828,7 +799,7 @@ class DispatchContext:
     taxonomy: TaxonomyGraph
     registry: Registry
     severity_rules: tuple[SeverityRule, ...]
-    schedule: RouteSchedule
+    schedule: tuple[tuple[str, Time], ...]
     log: EventLog
     message_sink: "MessageSink"
     search_config: SearchConfig = SearchConfig()
@@ -903,11 +874,12 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
 
     severity = classify_severity(info.specialization, info.symptoms,
                                  ctx.severity_rules)
-    event = EmergencyEvent(
+    common = dict(
         date=now.date().isoformat(), time=now.strftime("%H:%M"),
-        patient_name=p.name, case_history=info.case_history,
-        coach=p.coach, seat=p.seat, event_type=info.event_type,
-        specialization=info.specialization, symptoms=info.symptoms, severity=severity,
+        patient_name=p.name, case_history=info.case_history, coach=p.coach,
+        seat=p.seat, event_type=info.event_type.value,
+        specialization=info.specialization or "-", symptoms=info.symptoms,
+        severity=str(severity), payment_collected=payment_collected,
     )
 
     reason = "no responder category for event type " + info.event_type.value
@@ -926,7 +898,8 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
         )
         workflow = compose(request, ctx.registry, taxonomy, ctx.search_config)
         try:
-            ranked = trace_resources(roster, event)
+            ranked = trace_resources(roster, info.event_type, p.coach,
+                                     info.specialization, p.name)
         except FallbackRequired as exc:
             reason = str(exc)
         else:
@@ -935,29 +908,20 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
 
     if trace is None:
         kind, ranked = OutcomeKind.FALLBACK_NOTICE, ()
-        record = fallback_station_notice(event, ctx.schedule, now, payment_collected, reason)
+        record = FallbackRecord(**common, delivery_personnel="-",
+                                station=next_station(ctx.schedule, now.time()),
+                                reason=reason)
     else:
         kind = OutcomeKind.RESPONDER_ASSIGNED
         confirmation = trace.records[-1].outcome if trace.records else "ok"
         record = EventRecord(
-            **_common_fields(event, ranked[0].name, payment_collected),
+            **common, delivery_personnel=ranked[0].name,
             responders=tuple(f"{r.name}@{r.coach}" for r in ranked),
             confirmation=trace.resolved_values().get("ACK", confirmation),
         )
     rid = ctx.log.append(record)
     ctx.roster, ctx.taxonomy = roster, taxonomy
     return ReportOutcome(kind, rid, record, responders=ranked, trace=trace)
-
-
-def fallback_station_notice(event: EmergencyEvent, schedule: RouteSchedule,
-                            now: datetime, payment_collected: bool = False,
-                            reason: str = "no matching resource") -> FallbackRecord:
-    """Notice addressed to the next station's authority (the last one once past all)."""
-    return FallbackRecord(
-        **_common_fields(event, "-", payment_collected),
-        station=next_station(schedule, now.time()),
-        reason=reason,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def severity_rules() -> tuple[ontology.SeverityRule, ...]:
 
 
 @pytest.fixture(scope="session")
-def schedule() -> scenario.RouteSchedule:
+def schedule() -> tuple:
     return scenario.load_schedule(data_path("route.schedule").read_text(),
                                   "route.schedule")
 

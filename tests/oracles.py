@@ -36,26 +36,25 @@ def reachable(parents: dict[str, set], child: str, ancestor: str) -> bool:
 MEDICAL_PROFESSIONS = frozenset({"doctor", "nurse", "paramedic", "pharmacist"})
 
 
-def rank_responders(roster, event):
+def rank_responders(roster, event_type, coach, specialization, patient_name):
     """Filter and comparator-sort, independent of trace_resources."""
     pool = [p for p in roster.passengers
             if p.role is Role.DELIVERY_PERSONNEL
             and p.registered_for_service and p.travel.validated
-            and (event.event_type is EventType.MEDICAL
+            and (event_type is EventType.MEDICAL
                  and p.profession in MEDICAL_PROFESSIONS)
-            and p.name != event.patient_name]
+            and p.name != patient_name]
 
     def tier(p):
         if p.profession == "doctor":
-            if event.specialization is not None \
-                    and p.specialization == event.specialization:
+            if specialization is not None and p.specialization == specialization:
                 return 0
             return 1
         return 2
 
     def dist(p):
         return abs(roster.coach_order.index(p.coach)
-                   - roster.coach_order.index(event.coach))
+                   - roster.coach_order.index(coach))
 
     def cmp(a, b):
         ka = (tier(a), dist(a), a.coach, a.name)

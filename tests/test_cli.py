@@ -160,6 +160,17 @@ def test_report_machine_mode_emits_record_line(tmp_path, capsys):
     assert "patient_name=Arjun" in out
 
 
+def test_report_without_a_plan_in_depth_exits_1_and_logs_nothing(tmp_path, capsys):
+    # the workflow needs two steps; composing fails before anything is ranked,
+    # sent or logged
+    log = tmp_path / "events.log"
+    code, out, err = run(capsys, "report", "--log", str(log),
+                         "--pnr", "P003", "--spec", "Orthopedics",
+                         "--now", "2011-11-05T09:20", "--max-depth", "1")
+    assert (code, out, err) == (1, "", "no plan within depth 1\n")
+    assert log.read_bytes() == b""
+
+
 def test_env_var_overrides_log_flag(tmp_path, capsys, monkeypatch):
     env_log = tmp_path / "env.log"
     flag_log = tmp_path / "flag.log"
@@ -312,6 +323,7 @@ def test_fact_past_the_nesting_limit_exit_2(capsys, depth):
     ["trace", "--coach", "S5", "--spec", "Orthopedics", "--max-depth", "3"],
     ["severity", "--spec", "Orthopedics", "--max-depth", "3"],
     ["severity", "--spec", "Orthopedics", "--format", "lines"],
+    ["trace", "--coach", "S5", "--spec", "Orthopedics", "--symptoms", "pain"],
 ])
 def test_flag_the_command_does_not_take_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:

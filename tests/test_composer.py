@@ -28,17 +28,14 @@ EMERGENCY_REQUEST = CompositionRequest(
 )
 
 
-ORTHOPEDIC_EVENT = scenario.EmergencyEvent(
-    date="2011-11-05", time="09:20", patient_name="Arjun",
-    case_history="fell", coach="S5", seat=21,
-    event_type=scenario.EventType.MEDICAL, specialization="Orthopedics",
-    symptoms=frozenset({"fracture"}),
-    severity=scenario.Severity.EMERGENCY)
+# trace_resources's keyword arguments after the roster
+ORTHOPEDIC_EVENT = dict(event_type=scenario.EventType.MEDICAL, coach="S5",
+                        specialization="Orthopedics", patient_name="Arjun")
 
 
 @pytest.fixture()
 def grounded_env(validated_roster):
-    ranked = scenario.trace_resources(validated_roster, ORTHOPEDIC_EVENT)
+    ranked = scenario.trace_resources(validated_roster, **ORTHOPEDIC_EVENT)
     sink = scenario.MessageSink()
     return scenario.build_grounding_env(ranked, sink), sink
 
@@ -171,7 +168,7 @@ def test_execute_send_missing_its_inputs(taxonomy, validated_roster):
                                     want=("ConfirmSend",)), reg, taxonomy)
     sink = scenario.MessageSink()
     env = scenario.build_grounding_env(
-        scenario.trace_resources(validated_roster, ORTHOPEDIC_EVENT), sink)
+        scenario.trace_resources(validated_roster, **ORTHOPEDIC_EVENT), sink)
     with pytest.raises(ExecutionError) as exc:
         execute(wf, env, reg)
     assert exc.value.step == 0
@@ -185,6 +182,20 @@ def test_execute_missing_stub(service_registry, taxonomy):
     with pytest.raises(ExecutionError) as exc:
         execute(wf, GroundingEnv(stubs={}), service_registry)
     assert "roster-lookup" in exc.value.reason
+
+
+def test_execution_error_carries_the_steps_before_the_failure(service_registry, taxonomy,
+                                                              grounded_env):
+    env, sink = grounded_env
+    wf = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
+    lookup_only = GroundingEnv(stubs={"roster-lookup": env.stubs["roster-lookup"]})
+    with pytest.raises(ExecutionError) as exc:
+        execute(wf, lookup_only, service_registry)
+    assert exc.value.step == 1
+    assert exc.value.reason == "no grounding stub 'message-send'"
+    assert exc.value.trace.to_lines() == [
+        "exec\t0\tfindResource\tPR=doctor,SP=Orthopedics\tP=Ravi,CN=S7\tok"]
+    assert sink.entries == []
 
 
 def test_execute_stub_must_cover_outputs(service_registry, taxonomy):
@@ -247,7 +258,7 @@ def test_data_flow_sources_precede_consumers(service_registry, taxonomy):
 
 def test_grounding_determinism(service_registry, taxonomy, validated_roster):
     def run():
-        ranked = scenario.trace_resources(validated_roster, ORTHOPEDIC_EVENT)
+        ranked = scenario.trace_resources(validated_roster, **ORTHOPEDIC_EVENT)
         env = scenario.build_grounding_env(ranked, scenario.MessageSink())
         wf = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
         return execute(wf, env, service_registry).to_lines()

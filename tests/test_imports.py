@@ -1,7 +1,7 @@
-"""The runtime imports nothing outside the standard library and uses every
-name it imports, importing a core module loads no upper layer, the README's
-library example runs, and the benchmark's tracer finds every function it
-wraps."""
+"""The runtime imports nothing outside the standard library, the runtime and
+the tests use every name they import, importing a core module loads no upper
+layer, the README's library example runs, and the benchmark's tracer finds
+every function it wraps."""
 
 import ast
 import importlib
@@ -59,9 +59,12 @@ def test_every_traced_function_exists_in_the_package():
 
 
 def test_runtime_modules_use_every_name_they_import():
+    # the tests' own modules are held to the same rule
     package = Path(fluxcompose.__file__).parent
     sources = sorted(package.glob("*.py"))
-    assert len(sources) > 5
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert len(sources) > 5 and len(tests) > 10
+    sources += tests
     unused = []
     for source in sources:
         tree = ast.parse(source.read_text(encoding="utf-8"))
@@ -73,7 +76,8 @@ def test_runtime_modules_use_every_name_they_import():
                 names = [alias.asname or alias.name for alias in node.names]
             else:
                 continue
-            unused += [f"{source.name}: {name}" for name in names if name not in used]
+            unused += [f"{source.parent.name}/{source.name}: {name}"
+                       for name in names if name not in used]
     assert unused == []
 
 

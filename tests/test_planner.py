@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import fluxcompose
 import randgen
-from fluxcompose import dsl, planner
+from fluxcompose import cli, dsl, planner
 from fluxcompose.errors import FluxError, ParseError
 from fluxcompose.planner import (
     GroundAction,
@@ -211,6 +211,25 @@ def test_misused_know_in_a_goal_is_refused_as_in_a_domain(goal):
         dsl.parse_domain(f"fluent p/0.\naction f() poss: update: add [{goal}] remove [].")
     assert "not declared" not in str(exc.value)
     assert str(exc.value).endswith(str(in_domain.value).split(": ", 1)[1])
+
+
+@pytest.mark.parametrize("fluent, error", [
+    ("know(know)", "know(know): expected a fluent inside know(...), found nested know"),
+    ("know(know(p))", "know(know(p)): expected a fluent inside know(...), found nested know"),
+    ("know(p,p)", "know(p,p): expected know with exactly one argument, found 'know(p,p)'"),
+    ("know", "know: expected know with exactly one argument, found 'know'"),
+    ("q(x)", "q/1 is not declared by the domain"),
+])
+def test_initial_fluents_are_checked_as_goal_fluents(tmp_path, capsys, fluent, error):
+    domain_src, problem_src = "fluent p/0.\n", f"init: {fluent}.\ngoal: p.\n"
+    with pytest.raises(FluxError) as exc:
+        planner.make_problem(dsl.parse_domain(domain_src), dsl.parse_problem(problem_src))
+    assert str(exc.value) == "initial fluent " + error
+    (tmp_path / "d.fcd").write_text(domain_src)
+    (tmp_path / "p.fcp").write_text(problem_src)
+    code = cli.run(["plan", "--domain", str(tmp_path / "d.fcd"),
+                    "--problem", str(tmp_path / "p.fcp")])
+    assert (code, *capsys.readouterr()) == (2, "", f"initial fluent {error}\n")
 
 
 def test_bare_variable_patterns_reach_every_symbol():

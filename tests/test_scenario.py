@@ -13,10 +13,8 @@ import oracles
 import randgen
 from fluxcompose import registry, scenario
 from fluxcompose.cli import data_path
-from fluxcompose.ontology import Severity
 from fluxcompose.planner import NoPlanFound, SearchConfig
 from fluxcompose.scenario import (
-    EmergencyEvent,
     EmergencyInfo,
     EventLog,
     EventRecord,
@@ -49,11 +47,9 @@ HEADER = ("#coach-order: S1,S2,S3\n" + scenario.ROSTER_HEADER + "\n")
 
 
 def medical_event(coach="S2", spec="Orthopedics", patient_name="", etype=EventType.MEDICAL):
-    return EmergencyEvent(
-        date="2011-11-05", time="10:00", patient_name=patient_name,
-        case_history="case", coach=coach, seat=1,
-        event_type=etype, specialization=spec, symptoms=frozenset(),
-        severity=Severity.EMERGENCY)
+    """trace_resources's keyword arguments after the roster."""
+    return dict(event_type=etype, coach=coach, specialization=spec,
+                patient_name=patient_name)
 
 
 def passenger(pnr, name, coach, role=Role.DELIVERY_PERSONNEL, profession="doctor",
@@ -290,7 +286,7 @@ def test_trace_resources_tier_then_distance():
         passenger("P2", "CardioDoc", "S4", specialization="Cardiology"),
         passenger("P3", "Nurse", "S5", profession="nurse", specialization=None),
     ), tuple(f"S{i}" for i in range(1, 9)))
-    got = trace_resources(roster, medical_event(coach="S5"))
+    got = trace_resources(roster, **medical_event(coach="S5"))
     assert [(r.name, r.distance) for r in got] == [
         ("OrthoDoc", 2), ("CardioDoc", 1), ("Nurse", 0)]
 
@@ -299,12 +295,12 @@ def test_trace_resources_empty_is_fallback():
     roster = Roster((passenger("P1", "Cook", "S1", profession="cook"),),
                     ("S1", "S2"))
     with pytest.raises(FallbackRequired):
-        trace_resources(roster, medical_event(coach="S1"))
+        trace_resources(roster, **medical_event(coach="S1"))
 
 
 def test_trace_resources_single_responder():
     roster = Roster((passenger("P1", "OrthoDoc", "S3"),), ("S1", "S2", "S3"))
-    got = trace_resources(roster, medical_event(coach="S1"))
+    got = trace_resources(roster, **medical_event(coach="S1"))
     assert [(r.name, r.distance) for r in got] == [("OrthoDoc", 2)]
 
 
@@ -314,20 +310,20 @@ def test_trace_resources_gates_on_registration_and_validation():
         passenger("P2", "Unvalidated", "S1", validated=False),
         passenger("P3", "Good", "S3"),
     ), ("S1", "S2", "S3"))
-    got = trace_resources(roster, medical_event(coach="S1"))
+    got = trace_resources(roster, **medical_event(coach="S1"))
     assert [r.name for r in got] == ["Good"]
 
 
 def test_trace_resources_excludes_the_patient():
     roster = Roster((passenger("P1", "OnlyDoc", "S1"),), ("S1",))
     with pytest.raises(FallbackRequired):
-        trace_resources(roster, medical_event(coach="S1", patient_name="OnlyDoc"))
+        trace_resources(roster, **medical_event(coach="S1", patient_name="OnlyDoc"))
 
 
 def test_trace_resources_robbery_has_no_category():
     roster = Roster((passenger("P1", "Doc", "S1"),), ("S1",))
     with pytest.raises(FallbackRequired):
-        trace_resources(roster, medical_event(etype=EventType.ROBBERY, coach="S1"))
+        trace_resources(roster, **medical_event(etype=EventType.ROBBERY, coach="S1"))
 
 
 @given(st.integers(0, 2**32))
@@ -339,12 +335,12 @@ def test_trace_resources_matches_comparator_oracle(seed):
         coach=rng.choice(roster.coach_order),
         spec=rng.choice(("Orthopedics", "Cardiology", None)),
         patient_name=rng.choice(roster.passengers).name if rng.random() < 0.5 else "")
-    expected = oracles.rank_responders(roster, event)
+    expected = oracles.rank_responders(roster, **event)
     if not expected:
         with pytest.raises(FallbackRequired):
-            trace_resources(roster, event)
+            trace_resources(roster, **event)
         return
-    got = trace_resources(roster, event)
+    got = trace_resources(roster, **event)
     assert [(r.name, r.coach, r.distance) for r in got] == expected
     for r in got:
         p = roster.get([q.pnr for q in roster.passengers if q.name == r.name][0])
@@ -416,9 +412,9 @@ def test_roster_index_follows_updates(taxonomy, seed):
             coach=rng.choice(roster.coach_order),
             spec=rng.choice(("Orthopedics", "Cardiology", None)),
             patient_name=rng.choice(model).name if rng.random() < 0.3 else "")
-        expected = oracles.rank_responders(roster, event)
+        expected = oracles.rank_responders(roster, **event)
         try:
-            got = trace_resources(roster, event)
+            got = trace_resources(roster, **event)
         except FallbackRequired:
             assert expected == []
         else:
@@ -451,18 +447,17 @@ def test_load_schedule_rejects_no_stations():
         assert "expected at least one station" in str(exc.value)
 
 
-def test_fallback_station_notice_fields(schedule):
-    event = medical_event(coach="S2", patient_name="Arjun")
-    notice = scenario.fallback_station_notice(
-        event, schedule, datetime(2011, 11, 5, 16, 10))
-    assert notice.station == "Nagpur"
-    assert notice.delivery_personnel == "-"
-    assert notice.patient_name == "Arjun"
-
-
 # ---------------------------------------------------------------------------
 # event log
 # ---------------------------------------------------------------------------
+
+
+SAMPLE_FALLBACK_RECORD = FallbackRecord(
+    date="2011-11-05", time="07:00", patient_name="Arjun",
+    case_history="case", coach="S2", seat=1, delivery_personnel="-",
+    event_type="Medical", specialization="Orthopedics", symptoms=frozenset(),
+    severity="Emergency", payment_collected=False, station="Chennai",
+    reason="no matching resource")
 
 
 def sample_event_record(**overrides):
@@ -500,9 +495,8 @@ def test_unescape_keeps_a_lone_trailing_backslash():
     assert scenario._unescape("a\\\\\\") == "a\\\\"
 
 
-def test_fallback_record_round_trip(schedule):
-    notice = scenario.fallback_station_notice(
-        medical_event(), schedule, datetime(2011, 11, 5, 7, 0))
+def test_fallback_record_round_trip():
+    notice = SAMPLE_FALLBACK_RECORD
     rid, back = parse_record_line(record_to_line(2, notice))
     assert rid == 2 and back == notice and isinstance(back, FallbackRecord)
 
@@ -652,12 +646,10 @@ def test_event_log_cuts_a_torn_line_longer_than_a_chunk(tmp_path, before, torn):
         assert log.append(sample_event_record()) == before + 1
 
 
-def test_event_log_cut_at_every_byte_keeps_whole_records(tmp_path, schedule):
+def test_event_log_cut_at_every_byte_keeps_whole_records(tmp_path):
     # a final line without its newline is a torn write: readers skip it and a
     # writer cuts it off before its first append
-    records = [sample_event_record(patient_name="Zoë"),
-               scenario.fallback_station_notice(medical_event(), schedule,
-                                                datetime(2011, 11, 5, 7, 0))]
+    records = [sample_event_record(patient_name="Zoë"), SAMPLE_FALLBACK_RECORD]
     lines = [(record_to_line(i, r) + "\n").encode("utf-8")
              for i, r in enumerate(records, 1)]
     data = b"".join(lines)
@@ -720,6 +712,8 @@ def test_report_no_responder_falls_back_to_station(dispatch_context):
     assert outcome.kind is OutcomeKind.FALLBACK_NOTICE
     assert outcome.record.station == "Nagpur"
     assert outcome.record.reason == "no matching resource"
+    assert outcome.record.delivery_personnel == "-"
+    assert outcome.record.patient_name == "Ravi"
     assert outcome.trace is None and outcome.responders == ()
     assert dispatch_context.message_sink.entries == []
 
