@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import FluxError, ParseError
@@ -37,9 +38,11 @@ from .terms import (
     Variable,
     fluent_symbol,
     functor_arity,
+    has_placeholder,
     is_ground,
     is_knowledge,
     know,
+    pattern_symbol,
     variables_in,
 )
 
@@ -67,6 +70,8 @@ class ActionSchema:
     ``poss`` is a conjunction of fluent patterns, know(P) for knows_val(P).
     ``outputs`` are the variables of the add list left unbound by params and
     poss; they receive fresh placeholder values when the action is applied.
+    The planner's symbol analysis reads the cached attributes below, computed
+    once per schema.
     """
 
     name: str
@@ -75,6 +80,21 @@ class ActionSchema:
     adds: tuple[Term, ...]
     removes: tuple[Term, ...]
     outputs: tuple[Variable, ...]
+
+    @cached_property
+    def poss_symbols(self) -> frozenset:
+        """The `pattern_symbol`s poss queries; None stands for a bare variable."""
+        return frozenset(map(pattern_symbol, self.poss))
+
+    @cached_property
+    def add_symbols(self) -> frozenset:
+        """The `pattern_symbol`s of the adds; None stands for a bare variable."""
+        return frozenset(map(pattern_symbol, self.adds))
+
+    @cached_property
+    def mints_placeholders(self) -> bool:
+        """Whether an application can add a placeholder: outputs, or an add naming one."""
+        return bool(self.outputs) or any(map(has_placeholder, self.adds))
 
 
 def make_action_schema(name: str, params: Iterable[Variable], poss: Iterable[Term],

@@ -7,14 +7,17 @@ fluent not removed persists, which is the whole point of the update axioms.
 
 The search is breadth-first with canonical child ordering (action name, then
 arguments by `order_key`), so the returned plan is the shortest,
-lexicographically first among equals. Three rules, always on, shrink it: a
+lexicographically first among equals. Four rules, always on, shrink it: a
 goal symbol that no action sequence can produce fails at once, without a
-search; in a domain without remove lists an application whose adds already
-hold is never made; and a state seen before, up to placeholder renaming, is
-not queued again. The visited set holds states, with placeholders renamed
-when the problem can make any; no state or substitution is named by its
-text. `plan` gives the soundness argument for the three rules, and
-`enumerate_plans` is the unpruned oracle the tests check it against.
+search; only the actions that can add a fluent the goal needs, directly or
+through the poss of another such action, are searched; in a domain without
+remove lists an application whose adds already hold is never made; and a
+state seen before, up to placeholder renaming, is not queued again. The
+visited set holds states, with placeholders renamed when the problem can make
+any; no state or substitution is named by its text. The symbol sets the
+first two rules read are computed once per `ActionSchema`. `plan` gives the
+soundness argument for the four rules; the tests check it against an
+unpruned enumeration of every plan.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Sequence
 
 from .dsl import ActionSchema, DomainFile, ProblemFile, know_misuse
 from .errors import FluxError
@@ -35,9 +38,10 @@ from .terms import (
     Term,
     Variable,
     fluent_symbol,
+    has_placeholder,
     holds,
-    is_knowledge,
     order_key,
+    pattern_symbol,
 )
 
 
@@ -98,15 +102,6 @@ class PlanningProblem:
     initial: State
     goal: tuple[Term, ...]
     actions: tuple[ActionSchema, ...]
-
-
-@dataclass(frozen=True)
-class PlanCheck:
-    ok: bool
-    failed_step: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def make_problem(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
@@ -200,12 +195,6 @@ def satisfies_goal(state: State, goal: Iterable[Term]) -> bool:
 _PLACEHOLDER_MARK = re.compile(r"#out_\w+")
 
 
-def _has_placeholder(term: Term) -> bool:
-    if isinstance(term, Compound):
-        return any(map(_has_placeholder, term.args))
-    return isinstance(term, Placeholder)
-
-
 def _pruning_key(state: State) -> State:
     """The state with placeholders renamed by first appearance; itself if it has none.
 
@@ -213,7 +202,7 @@ def _pruning_key(state: State) -> State:
     masked, so twins differing only in placeholder identity mostly share a key;
     the renaming is one-to-one, so states sharing a key are always twins.
     """
-    marked = sorted((t for t in state.fluents if _has_placeholder(t)),
+    marked = sorted((t for t in state.fluents if has_placeholder(t)),
                     key=lambda t: (_PLACEHOLDER_MARK.sub("#?", str(t)), order_key(t)))
     if not marked:
         return state
@@ -245,13 +234,6 @@ def _children(actions: list[ActionSchema], states: Iterable[State]):
     return out
 
 
-def _symbol(pattern: Term) -> Optional[tuple[bool, str, int]]:
-    """The `fluent_symbol` a pattern queries; None for a bare variable, in know(...) or not."""
-    if isinstance(pattern.args[0] if is_knowledge(pattern) else pattern, Variable):
-        return None
-    return fluent_symbol(pattern)
-
-
 def _unreachable_goal_symbols(problem: PlanningProblem) -> tuple[str, ...]:
     """Goal symbols outside the closure of the initial symbols under the actions.
 
@@ -260,22 +242,43 @@ def _unreachable_goal_symbols(problem: PlanningProblem) -> tuple[str, ...]:
     and then adds its add symbols. A bare-variable add could add any fluent,
     so then nothing is reported missing.
     """
-    have = set(map(fluent_symbol, problem.initial.fluents))
-    waiting = [(set(map(_symbol, schema.poss)) - {None}, set(map(_symbol, schema.adds)))
-               for schema in problem.actions]
-    grown = True
-    while grown:
-        grown = False
-        for needs, adds in list(waiting):
-            if needs <= have:
-                if None in adds:
+    # None, the symbol of a bare-variable poss pattern, is always present
+    have = {None, *map(fluent_symbol, problem.initial.fluents)}
+    size = None
+    while size != len(have):
+        size = len(have)
+        for schema in problem.actions:
+            if schema.poss_symbols <= have:
+                if None in schema.add_symbols:
                     return ()
-                have |= adds
-                waiting.remove((needs, adds))
-                grown = True
-    missing = set(map(_symbol, problem.goal)) - have - {None}
+                have |= schema.add_symbols
+    missing = set(map(pattern_symbol, problem.goal)) - have
     return tuple(sorted(f"know({name}/{arity})" if know else f"{name}/{arity}"
                         for know, name, arity in missing))
+
+
+def _relevant_actions(goal: Iterable[Term],
+                      actions: Sequence[ActionSchema]) -> Sequence[ActionSchema]:
+    """The actions that can add a fluent the goal needs, chained backward.
+
+    The goal's symbols are needed; an action is relevant when one of its add
+    symbols is needed, and then its poss symbols are needed too. A
+    bare-variable add counts as every symbol. A bare-variable goal pattern,
+    or poss pattern of a relevant action, needs every symbol, and then every
+    action is kept. Order is kept.
+    """
+    needed = set(map(pattern_symbol, goal))
+
+    def relevant(schema: ActionSchema) -> bool:
+        return None in schema.add_symbols or not needed.isdisjoint(schema.add_symbols)
+
+    size = None
+    while None not in needed and size != len(needed):
+        size = len(needed)
+        for schema in actions:
+            if relevant(schema):
+                needed |= schema.poss_symbols
+    return actions if None in needed else list(filter(relevant, actions))
 
 
 def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
@@ -301,15 +304,15 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
       the lexicographically first shortest plan is never cut.
     - The queue runs dry before cfg.max_depth only if a layer adds no new
       state. Every deeper state is then a twin of one already goal-tested.
-    - The key is the child itself, with no renaming walk, when no action has
-      outputs, no action's adds name a placeholder and the initial state
-      holds none. A child's fluents are then its parent's, or adds whose
-      variables the poss binding maps to subterms of the parent's fluents;
-      so by induction no reachable state holds a placeholder, and
-      `_pruning_key` would return every state unchanged. This is read once
-      from the problem, not set by the caller.
+    - The key is the child itself, with no renaming walk, when no searched
+      action has outputs, no searched action's adds name a placeholder and
+      the initial state holds none. A child's fluents are then its parent's,
+      or adds whose variables the poss binding maps to subterms of the
+      parent's fluents; so by induction no reachable state holds a
+      placeholder, and `_pruning_key` would return every state unchanged.
+      This is read once from the problem, not set by the caller.
 
-    Two more rules apply to every search:
+    Three more rules apply to every search:
 
     - Early failure. If a goal symbol is missing from
       `_unreachable_goal_symbols`' closure, NoPlanFound is raised before any
@@ -319,11 +322,30 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
       symbol, and removes only shrink a state (Bonet & Geffner's delete
       relaxation). A goal pattern likewise needs a fluent of its symbol, so
       no plan of any length exists.
-    - Monotone skip. When no action has a remove list, a child is dropped
-      before it is built if the schema's adds already hold in the parent
-      under the poss binding, with the outputs left free. Map the step's
-      fresh placeholders to the witnesses of that match, and renumber the
-      later steps' placeholders: the child becomes its parent, and every
+    - Relevance (Nebel, Dimopoulos & Koehler 1997). Only the actions of
+      `_relevant_actions`, chained backward from the goal symbols, are
+      searched; the key above and the skip below are argued for the problem
+      restricted to them. Deleting every irrelevant step from a valid plan
+      leaves a valid plan. An irrelevant step only removes fluents and adds
+      fluents of irrelevant symbols, so no relevant-symbol fluent carries a
+      placeholder it minted: such fluents come from the initial state or
+      from relevant steps, whose poss read only relevant symbols. By
+      induction the reduced state holds a superset of the original state's
+      relevant-symbol fluents, with the later steps' placeholder seqs
+      renumbered: deleting an irrelevant step loses none of them, and a
+      relevant step under the same binding keeps the superset, as
+      (Z ∪ X) − R ∪ A ⊇ Z − R ∪ A. A relevant step's poss and the goal are
+      positive conjunctions over relevant symbols, so they still hold. Hence
+      no shortest plan has an irrelevant step, and every plan over the
+      relevant actions is one of the problem: the lexicographically first
+      shortest plan is unchanged, and when there is none the search raises
+      the same NoPlanFound(cfg.max_depth). The rule runs after early
+      failure, so `unreachable` is as before.
+    - Monotone skip. When no searched action has a remove list, a child is
+      dropped before it is built if the schema's adds already hold in the
+      parent under the poss binding, with the outputs left free. Map the
+      step's fresh placeholders to the witnesses of that match, and renumber
+      the later steps' placeholders: the child becomes its parent, and every
       later poss and the goal, positive conjunctions without placeholders,
       stay true. Deleting the step thus gives a valid, strictly shorter plan,
       so no shortest plan contains such a step and none is cut. With remove
@@ -332,14 +354,14 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
     """
     if satisfies_goal(problem.initial, problem.goal):
         return Plan(())
-    actions = sorted(problem.actions, key=lambda a: a.name)
     missing = _unreachable_goal_symbols(problem)
     if missing:
         raise NoPlanFound(cfg.max_depth, missing)
+    actions = _relevant_actions(problem.goal, sorted(problem.actions, key=lambda a: a.name))
     monotone = not any(a.removes for a in actions)
     initial = problem.initial
-    renames = (any(a.outputs or any(map(_has_placeholder, a.adds)) for a in actions)
-               or any(map(_has_placeholder, initial.fluents)))
+    renames = (any(a.mints_placeholders for a in actions)
+               or any(map(has_placeholder, initial.fluents)))
     seen = {_pruning_key(initial)}
     queue = deque([(initial, ())])
     while queue:
@@ -365,54 +387,3 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
             seen.add(key)
             queue.append((child, path))
     raise NoPlanFound(cfg.max_depth)
-
-
-def enumerate_plans(problem: PlanningProblem, max_depth: int) -> list[Plan]:
-    """Every valid plan of length <= max_depth, in canonical order.
-
-    Exhaustive and unpruned: this is the oracle the searching planner is
-    checked against. Canonical order is (length, per-step action/argument
-    keys), so the first element is exactly what plan() must return.
-    """
-    actions = sorted(problem.actions, key=lambda a: a.name)
-    found: list[Plan] = []
-
-    def rec(state: State, steps: tuple[GroundAction, ...]) -> None:
-        if satisfies_goal(state, problem.goal):
-            found.append(Plan(steps))
-        if len(steps) == max_depth:
-            return
-        for _, schema, subst, ga in _children(actions, (state,)):
-            rec(apply_update(schema, subst, state, step=len(steps) + 1, _checked=True),
-                steps + (ga,))
-
-    rec(problem.initial, ())
-    return sorted(dict.fromkeys(found), key=Plan.sort_key)
-
-
-def validate_plan(problem: PlanningProblem, p: Plan) -> PlanCheck:
-    """Simulate a plan from the initial state; report the first failing step.
-
-    A step is its ground action, so it is applied under every substitution of
-    its poss that binds its params to its arguments, and the simulation
-    follows every state that reaches. The check passes when each step's poss
-    holds in one of the progressed states and one final state satisfies the
-    goal (failed_step == len(steps) marks a goal failure).
-    """
-    schemas = {a.name: a for a in problem.actions}
-    states = [problem.initial]
-    for i, ga in enumerate(p.steps):
-        schema = schemas.get(ga.name)
-        if schema is None or len(ga.args) != len(schema.params):
-            return PlanCheck(False, i)
-        states = list(dict.fromkeys(
-            apply_update(schema, subst, state, step=i + 1, _checked=True)
-            for state in states
-            for subst in check_poss(schema, state)
-            if all(subst.apply(param) == arg
-                   for param, arg in zip(schema.params, ga.args))))
-        if not states:
-            return PlanCheck(False, i)
-    if not any(satisfies_goal(state, problem.goal) for state in states):
-        return PlanCheck(False, len(p.steps))
-    return PlanCheck(True, None)

@@ -114,6 +114,13 @@ def is_ground(term: Term) -> bool:
     return True
 
 
+def has_placeholder(term: Term) -> bool:
+    """True when the term tree contains a Placeholder."""
+    if isinstance(term, Compound):
+        return any(map(has_placeholder, term.args))
+    return isinstance(term, Placeholder)
+
+
 def variables_in(term: Term) -> Iterator[Variable]:
     """Yield every Variable in the term, left to right, duplicates included."""
     if isinstance(term, Variable):
@@ -150,6 +157,13 @@ def fluent_symbol(term: Term) -> tuple[bool, str, int]:
     if term.functor == KNOW and len(term.args) == 1:
         return (True,) + functor_arity(term.args[0])
     return (False, term.functor, len(term.args))
+
+
+def pattern_symbol(pattern: Term) -> Optional[tuple[bool, str, int]]:
+    """The `fluent_symbol` a pattern queries; None for a bare variable, in know(...) or not."""
+    if isinstance(pattern.args[0] if is_knowledge(pattern) else pattern, Variable):
+        return None
+    return fluent_symbol(pattern)
 
 
 class _Tie(tuple):

@@ -1,9 +1,10 @@
 """Independent oracles the implementation is checked against.
 
-These deliberately avoid the package's own code paths: reachability is a
-plain recursive DFS, responder ranking is a pairwise-comparator sort, the
-next-station rule is a linear scan, log-field unescaping is a walk over
-the characters, and a roster is read through csv one row at a time.
+These deliberately avoid the package's own code paths: plans are enumerated
+exhaustively with no pruning, reachability is a plain recursive DFS,
+responder ranking is a pairwise-comparator sort, the next-station rule is a
+linear scan, log-field unescaping is a walk over the characters, and a
+roster is read through csv one row at a time.
 """
 
 from __future__ import annotations
@@ -11,8 +12,18 @@ from __future__ import annotations
 import csv
 import functools
 import io
+from dataclasses import dataclass
 from datetime import date as Date, time as Time
+from typing import Optional
 
+from fluxcompose.planner import (
+    GroundAction,
+    Plan,
+    PlanningProblem,
+    apply_update,
+    check_poss,
+    satisfies_goal,
+)
 from fluxcompose.scenario import (
     ROSTER_HEADER,
     EventType,
@@ -22,6 +33,75 @@ from fluxcompose.scenario import (
     Roster,
     TravelPlan,
 )
+
+
+def _applications(problem: PlanningProblem, state):
+    """Every (schema, substitution, ground action) applicable in state, canonically sorted."""
+    out = [(schema, subst, GroundAction(schema.name,
+                                        tuple(subst.apply(p) for p in schema.params)))
+           for schema in sorted(problem.actions, key=lambda a: a.name)
+           for subst in check_poss(schema, state)]
+    out.sort(key=lambda app: app[2].sort_key())
+    return out
+
+
+def enumerate_plans(problem: PlanningProblem, max_depth: int) -> list[Plan]:
+    """Every valid plan of length <= max_depth, in canonical order.
+
+    Exhaustive and unpruned: this is the oracle the searching planner is
+    checked against. Canonical order is (length, per-step action/argument
+    keys), so the first element is exactly what plan() must return.
+    """
+    found: list[Plan] = []
+
+    def rec(state, steps: tuple[GroundAction, ...]) -> None:
+        if satisfies_goal(state, problem.goal):
+            found.append(Plan(steps))
+        if len(steps) == max_depth:
+            return
+        for schema, subst, ga in _applications(problem, state):
+            rec(apply_update(schema, subst, state, step=len(steps) + 1, _checked=True),
+                steps + (ga,))
+
+    rec(problem.initial, ())
+    return sorted(dict.fromkeys(found), key=Plan.sort_key)
+
+
+@dataclass(frozen=True)
+class PlanCheck:
+    ok: bool
+    failed_step: Optional[int] = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def validate_plan(problem: PlanningProblem, p: Plan) -> PlanCheck:
+    """Simulate a plan from the initial state; report the first failing step.
+
+    A step is its ground action, so it is applied under every substitution of
+    its poss that binds its params to its arguments, and the simulation
+    follows every state that reaches. The check passes when each step's poss
+    holds in one of the progressed states and one final state satisfies the
+    goal (failed_step == len(steps) marks a goal failure).
+    """
+    schemas = {a.name: a for a in problem.actions}
+    states = [problem.initial]
+    for i, ga in enumerate(p.steps):
+        schema = schemas.get(ga.name)
+        if schema is None or len(ga.args) != len(schema.params):
+            return PlanCheck(False, i)
+        states = list(dict.fromkeys(
+            apply_update(schema, subst, state, step=i + 1, _checked=True)
+            for state in states
+            for subst in check_poss(schema, state)
+            if all(subst.apply(param) == arg
+                   for param, arg in zip(schema.params, ga.args))))
+        if not states:
+            return PlanCheck(False, i)
+    if not any(satisfies_goal(state, problem.goal) for state in states):
+        return PlanCheck(False, len(p.steps))
+    return PlanCheck(True, None)
 
 
 def reachable(parents: dict[str, set], child: str, ancestor: str) -> bool:

@@ -15,9 +15,10 @@ from fluxcompose.composer import (
     execute,
 )
 from fluxcompose.ontology import MatchDegree, UnknownConceptError, load_taxonomy
-from fluxcompose.planner import NoPlanFound, enumerate_plans, validate_plan
+from fluxcompose.planner import NoPlanFound
 from fluxcompose.registry import Registry, load_registry
 from fluxcompose.terms import Compound, Constant
+from oracles import enumerate_plans, validate_plan
 
 EMERGENCY_REQUEST = CompositionRequest(
     have=(("Profession", "doctor"), ("Specialization", "Orthopedics"),

@@ -21,11 +21,9 @@ from fluxcompose.planner import (
     SearchConfig,
     apply_update,
     check_poss,
-    enumerate_plans,
     output_binding,
     plan,
     satisfies_goal,
-    validate_plan,
 )
 from fluxcompose.terms import (
     Compound,
@@ -34,9 +32,12 @@ from fluxcompose.terms import (
     State,
     Variable,
     is_ground,
+    is_knowledge,
     know,
     variables_in,
 )
+from oracles import enumerate_plans, validate_plan
+from test_plan_golden import FAMILIES
 
 
 def names(p):
@@ -354,8 +355,9 @@ def test_states_that_render_alike_are_not_merged():
 # must not follow the hash seed.
 _TIED_TEXTS_PROBLEM = """
 from fluxcompose.dsl import make_action_schema
-from fluxcompose.planner import PlanningProblem, enumerate_plans, plan
+from fluxcompose.planner import PlanningProblem, plan
 from fluxcompose.terms import Compound, Constant, State, Variable, holds
+from oracles import enumerate_plans
 
 X, Y = Variable("X"), Variable("Y")
 tied = (Constant("f(a)"), Compound("f", (Constant("a"),)))
@@ -384,9 +386,10 @@ def test_plan_agrees_with_the_oracle_where_texts_tie():
 
 def test_plans_do_not_follow_the_hash_seed_where_texts_tie():
     src = str(Path(fluxcompose.__file__).resolve().parents[1])
+    path = os.pathsep.join((src, str(Path(__file__).parent)))
     outputs = set()
     for seed in range(8):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
         script = _TIED_TEXTS_PROBLEM + _TIED_TEXTS_REPORT
         outputs.add(subprocess.run([sys.executable, "-c", script], env=env,
                                    capture_output=True, text=True, check=True).stdout)
@@ -473,12 +476,14 @@ def test_placeholders_of_the_initial_state_keep_the_renaming_key(monkeypatch):
 
 
 def test_outputs_and_placeholder_adds_keep_the_renaming_key(monkeypatch):
-    # make;other and other;make differ only in their placeholder's step
+    # make;other and other;make differ only in their placeholder's step; the
+    # goal needs flag too, or other would be irrelevant and never searched
     o = Variable("O")
     make = dsl.make_action_schema("make", [], [], [Compound("item", (o,))], [])
     other = dsl.make_action_schema("other", [], [], [Constant("flag")], [])
     goal = (Compound("item", (Constant("c"),)),)
-    _assert_twins_merged(monkeypatch, PlanningProblem(State(), goal, (make, other)), 3)
+    _assert_twins_merged(monkeypatch, PlanningProblem(State(), goal + (Constant("flag"),),
+                                                      (make, other)), 3)
     # a1 and a2 add twins named by placeholders written into the schemas
     a1, a2 = (dsl.make_action_schema(name, [], [], [Compound("item", (ph,))], [])
               for name, ph in (("a1", Placeholder("lit", "A", 1)),
@@ -696,8 +701,9 @@ def test_plan_agrees_with_oracle_on_registry_family(monkeypatch):
             symbol_caught += bool(got.unreachable)
         else:
             expansions.pop()  # the goal was met partway through its children
-        if any(a.removes for a in problem.actions):
-            # no skip without monotonicity: every child made is built
+        if any(a.removes for a in planner._relevant_actions(problem.goal, problem.actions)):
+            # no skip without monotonicity of the searched actions: every
+            # child made is built
             assert all(made == applied for made, applied in expansions), seed
         else:
             monotone += 1
@@ -706,3 +712,136 @@ def test_plan_agrees_with_oracle_on_registry_family(monkeypatch):
     assert symbol_caught >= len(REGISTRY_SEEDS) // 10
     assert len(REGISTRY_SEEDS) // 2 <= monotone < len(REGISTRY_SEEDS)
     assert skipped >= len(REGISTRY_SEEDS)
+
+
+# ---------------------------------------------------------------------------
+# relevance pruning
+# ---------------------------------------------------------------------------
+
+
+def _abstracted(fluent):
+    """The fluent with each argument of its (inner) compound made a fresh variable."""
+    inner = fluent.args[0] if is_knowledge(fluent) else fluent
+    if isinstance(inner, Compound):
+        inner = Compound(inner.functor,
+                         tuple(Variable(f"D{i}") for i in range(len(inner.args))))
+    return know(inner) if is_knowledge(fluent) else inner
+
+
+def _distractor(rng, k, problem):
+    """An action whose adds have a symbol of their own, so no goal can need it.
+
+    Its poss reads an initial fluent, a fresh symbol or nothing; some remove
+    the fluent they read, some have outputs, and some add nothing.
+    """
+    fresh = f"fresh{k}"
+    initial = sorted(problem.initial.fluents, key=str)
+    options = [[], [Constant(fresh)]]
+    if initial:
+        options += [[_abstracted(rng.choice(initial))]] * 2
+    poss = rng.choice(options)
+    first = next((v for t in poss for v in variables_in(t)), Constant("c"))
+    adds = rng.choice([[], [Constant(fresh)], [Compound(fresh, (Variable("OUT"),))],
+                       [know(Compound(fresh, (first,)))]])
+    removes = poss if poss and rng.random() < 0.5 else []
+    return dsl.make_action_schema(f"distract{k}", [], poss, adds, removes)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_irrelevant_distractors_change_no_result(seed):
+    # no family draws a bare-variable pattern, so every distractor is
+    # irrelevant: the result is the one without them, and the oracle's
+    rng = random.Random(seed)
+    family = rng.choice(sorted(FAMILIES))
+    depth = FAMILIES[family]
+    base = getattr(randgen, family)(rng)
+    distractors = tuple(_distractor(rng, k, base) for k in range(rng.randint(1, 3)))
+    full = PlanningProblem(base.initial, base.goal, base.actions + distractors)
+    cfg = SearchConfig(max_depth=depth)
+    assert planner._relevant_actions(full.goal, full.actions) == \
+        planner._relevant_actions(base.goal, base.actions)
+    got, expected = _plan_or_exception(full, cfg), _plan_or_exception(base, cfg)
+    all_plans = enumerate_plans(full, depth)
+    if isinstance(expected, NoPlanFound):
+        assert isinstance(got, NoPlanFound) and all_plans == []
+        assert (got.depth, got.unreachable) == (expected.depth, expected.unreachable)
+    else:
+        assert got == expected == all_plans[0]
+
+
+def test_a_bare_variable_goal_keeps_every_action():
+    x = Variable("X")
+    a = dsl.make_action_schema("a", [], [], [Constant("p")], [])
+    b = dsl.make_action_schema("b", [], [Constant("q")], [Constant("r")], [])
+    for goal in ((x,), (know(x),), (Constant("p"), x)):
+        assert list(planner._relevant_actions(goal, (a, b))) == [a, b]
+    assert planner._relevant_actions((Constant("p"),), (a, b)) == [a]
+
+
+def test_a_bare_variable_poss_in_a_relevant_action_keeps_every_action():
+    x, goal = Variable("X"), (Constant("p"),)
+    learn = dsl.make_action_schema("learn", [x], [x], [Constant("p")], [])
+    check = dsl.make_action_schema("check", [], [Constant("s")], [Constant("p")], [])
+    other = dsl.make_action_schema("other", [], [], [Constant("r")], [])
+    assert list(planner._relevant_actions(goal, (learn, other))) == [learn, other]
+    assert planner._relevant_actions(goal, (check, other)) == [check]
+    # the same bare-variable poss in an irrelevant action keeps nothing extra
+    idle = dsl.make_action_schema("idle", [x], [x], [Constant("r")], [])
+    assert planner._relevant_actions(goal, (check, idle)) == [check]
+
+
+def test_a_bare_variable_add_makes_its_action_relevant():
+    # copy(X) adds the fluent X, so it may add the goal: copy is relevant,
+    # and the item its poss reads makes mint relevant in turn
+    x, o = Variable("X"), Variable("O")
+    copy = dsl.make_action_schema("copy", [x], [Compound("item", (x,))], [x], [])
+    mint = dsl.make_action_schema("mint", [], [], [Compound("item", (o,))], [])
+    other = dsl.make_action_schema("other", [], [], [Constant("r")], [])
+    goal = (Constant("done"),)
+    assert planner._relevant_actions(goal, (copy, mint, other)) == [copy, mint]
+    problem = PlanningProblem(State.from_terms([Compound("item", (Constant("done"),))]),
+                              goal, (copy, mint, other))
+    got = plan(problem, SearchConfig(max_depth=2))
+    assert str(got) == "copy(done)" and got == enumerate_plans(problem, 2)[0]
+
+
+def test_a_goal_no_action_adds_runs_dry_without_naming_symbols(monkeypatch):
+    # p/1 is in the initial state, so early failure passes; no action adds
+    # p, so none is relevant and the search expands only the initial state
+    expanded = []
+    children = planner._children
+
+    def recording_children(actions, states):
+        expanded.append(list(actions))
+        return children(actions, states)
+
+    monkeypatch.setattr(planner, "_children", recording_children)
+    x = Variable("X")
+    grow = dsl.make_action_schema("grow", [x], [Compound("p", (x,))],
+                                  [Compound("q", (x,))], [])
+    problem = PlanningProblem(State.from_terms([Compound("p", (Constant("a"),))]),
+                              (Compound("p", (Constant("b"),)),), (grow,))
+    with pytest.raises(NoPlanFound) as exc:
+        plan(problem, SearchConfig(max_depth=4))
+    assert (exc.value.depth, exc.value.unreachable) == (4, ())
+    assert expanded == [[]] and enumerate_plans(problem, 4) == []
+
+
+def test_an_irrelevant_action_never_reaches_children(monkeypatch, planning_problem):
+    searched = []
+    children = planner._children
+
+    def recording_children(actions, states):
+        searched.extend(actions)
+        return children(actions, states)
+
+    pr, o = Variable("PR"), Variable("O")
+    gossip = dsl.make_action_schema("gossip", [pr], [know(Compound("Profession", (pr,)))],
+                                    [Compound("chatter", (pr, o))], [])
+    full = PlanningProblem(planning_problem.initial, planning_problem.goal,
+                           planning_problem.actions + (gossip,))
+    monkeypatch.setattr(planner, "_children", recording_children)
+    got = plan(full)
+    assert got == plan(planning_problem)
+    assert searched and all(a is not gossip for a in searched)
