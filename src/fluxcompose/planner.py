@@ -18,6 +18,13 @@ any; no state or substitution is named by its text. The symbol sets the
 first two rules read are computed once per `ActionSchema`. `plan` gives the
 soundness argument for the four rules; the tests check it against an
 unpruned enumeration of every plan.
+
+The search's bindings are plain dicts of variables to ground terms: a solve
+starts empty and every fluent is ground, so no binding needs re-resolving.
+Poss, the monotone skip and the goal test query `terms.extensions` with
+them, a step's args are read from them, and `apply_update` builds a child
+from them with `terms.instantiate`. `check_poss` wraps the same bindings in
+`Substitution`s for callers outside the search.
 """
 
 from __future__ import annotations
@@ -30,19 +37,22 @@ from typing import Iterable, Sequence
 from .dsl import ActionSchema, DomainFile, ProblemFile, know_misuse
 from .errors import FluxError
 from .terms import (
-    EMPTY_SUBST,
     Compound,
     Placeholder,
     State,
     Substitution,
     Term,
     Variable,
+    extensions,
     fluent_symbol,
     has_placeholder,
-    holds,
+    instantiate,
     order_key,
     pattern_symbol,
 )
+
+# A search binding: variables to ground terms (see `terms.extensions`).
+Bindings = dict[Variable, Term]
 
 
 class NoPlanFound(FluxError):
@@ -130,22 +140,21 @@ def make_problem(domain: DomainFile, problem: ProblemFile) -> PlanningProblem:
 
 
 def _solve(patterns: Iterable[Term], state: State,
-           start: Substitution = EMPTY_SUBST) -> list[Substitution]:
-    """Solve a conjunction of fluent patterns left to right, in canonical fluent order."""
-    results = [start]
+           start: Bindings | None = None) -> list[Bindings]:
+    """Solve a conjunction of fluent patterns left to right, in canonical fluent order.
+
+    start, when given, must be ground; so is every solution.
+    """
+    results = [{} if start is None else start]
     for pattern in patterns:
-        results = [
-            extended
-            for subst in results
-            for extended in holds(pattern, state, subst)
-        ]
+        results = [new for bound in results for new in extensions(pattern, state, bound)]
         if not results:
-            return []
+            return results
     return results
 
 
-def check_poss(schema: ActionSchema, state: State) -> list[Substitution]:
-    """All substitutions under which the schema's poss conjunction holds.
+def _poss(schema: ActionSchema, state: State) -> list[Bindings]:
+    """The bindings under which the schema's poss conjunction holds, as `check_poss` gives them.
 
     Each grounds the schema's params and poss variables, and none repeats; an
     empty list means the action is not applicable. Keeping those that bind
@@ -153,8 +162,13 @@ def check_poss(schema: ActionSchema, state: State) -> list[Substitution]:
     ends up ground; and two different solutions first differ at a pattern
     that matched two different fluents, so they bind its variables differently.
     """
-    return [subst for subst in _solve(schema.poss, state)
-            if all(p in subst.bindings for p in schema.params)]
+    params = schema.params
+    return [b for b in _solve(schema.poss, state) if all(p in b for p in params)]
+
+
+def check_poss(schema: ActionSchema, state: State) -> list[Substitution]:
+    """All substitutions under which the schema's poss conjunction holds (see `_poss`)."""
+    return [Substitution(b) for b in _poss(schema, state)]
 
 
 def output_binding(schema: ActionSchema, step: int) -> dict[Variable, Placeholder]:
@@ -162,25 +176,28 @@ def output_binding(schema: ActionSchema, step: int) -> dict[Variable, Placeholde
     return {v: Placeholder(schema.name, v.name, step) for v in schema.outputs}
 
 
-def apply_update(schema: ActionSchema, subst: Substitution, state: State,
+def apply_update(schema: ActionSchema, subst: Substitution | Bindings, state: State,
                  step: int = 1, _checked: bool = False) -> State:
     """Progress a state through one action application.
 
-    Output variables are bound to fresh placeholders for the given step, then
-    the update is applied: Z2 = (Z1 minus removes) union adds. Raises
-    PreconditionViolation when subst does not satisfy poss in this state.
+    subst is a `Substitution` or, as the search passes it, a plain dict of
+    bindings. Output variables are bound to fresh placeholders for the given
+    step, then the update is applied: Z2 = (Z1 minus removes) union adds.
+    Raises PreconditionViolation when subst does not satisfy poss in this
+    state.
     """
-    if not _checked and subst not in check_poss(schema, state):
+    if isinstance(subst, Substitution):
+        subst = subst.bindings
+    if not _checked and subst not in _poss(schema, state):
         raise PreconditionViolation(
-            f"substitution {subst} does not satisfy poss of {schema.name}")
-    full = subst.extend_all(output_binding(schema, step))
-    adds = [full.apply(t) for t in schema.adds]
-    removes = [full.apply(t) for t in schema.removes]
-    return state.with_update(adds, removes)
+            f"substitution {Substitution(subst)} does not satisfy poss of {schema.name}")
+    full = {**subst, **output_binding(schema, step)}
+    return state.with_update([instantiate(t, full) for t in schema.adds],
+                             [instantiate(t, full) for t in schema.removes])
 
 
 def satisfies_goal(state: State, goal: Iterable[Term]) -> bool:
-    """Existential conjunction of fluent patterns, queried as poss is, by `holds`.
+    """Existential conjunction of fluent patterns, queried as poss is.
 
     know(...) patterns query the knowledge fluents, everything else the world
     fluents; placeholder-valued fluents are admissible witnesses.
@@ -223,13 +240,13 @@ def _pruning_key(state: State) -> State:
 
 
 def _children(actions: list[ActionSchema], states: Iterable[State]):
-    """Applicable (state, schema, substitution, ground action) of states, canonically sorted."""
+    """Applicable (state, schema, bindings, ground action) of states, canonically sorted."""
     out = []
     for state in states:
         for schema in actions:
-            for subst in check_poss(schema, state):
-                args = tuple(subst.apply(p) for p in schema.params)
-                out.append((state, schema, subst, GroundAction(schema.name, args)))
+            name, params = schema.name, schema.params
+            for b in _poss(schema, state):
+                out.append((state, schema, b, GroundAction(name, tuple([b[p] for p in params]))))
     out.sort(key=lambda child: child[3].sort_key())
     return out
 
@@ -371,10 +388,10 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
             group.append(queue.popleft()[0])
         depth = len(steps) + 1
         path = None
-        for state, schema, subst, ga in _children(actions, group):
-            if monotone and _solve(schema.adds, state, subst):
+        for state, schema, b, ga in _children(actions, group):
+            if monotone and _solve(schema.adds, state, b):
                 continue
-            child = apply_update(schema, subst, state, step=depth, _checked=True)
+            child = apply_update(schema, b, state, step=depth, _checked=True)
             if path is None or path[-1] != ga:
                 path = steps + (ga,)
             if satisfies_goal(child, problem.goal):

@@ -4,14 +4,19 @@ A state is one duplicate-free set of ground terms, its fluents; as in the
 fluent calculus, a knowledge fact ``know(C(v))`` is a fluent like any other.
 On its first query a state groups its fluents by `fluent_symbol` (knowledge
 or world, then functor and arity; for ``know(T)``, those of T), each group in
-canonical `order_key` order. `holds` is the one query: a pattern ``know(P)``
-scans only the knowledge group of P's symbol, any other pattern only the
-world group of its own; `knows_val(P)` is ``holds(know(P))``. When the
-pattern's first argument is a constant or a placeholder (for knowledge, that
-of P), and the group holds more than one fluent, it scans only the fluents
-with that first argument, from a map the group builds on its first such
-query. A bare-variable pattern scans every fluent of its side, sorted for
-that query. A compound renders its text once.
+canonical `order_key` order.
+
+There is one query core, `extensions(pattern, state, bound)`, and two entry
+points to it: `holds`, which takes and yields `Substitution`s, and the
+planner's search, which passes plain dicts. A pattern ``know(P)`` scans only
+the knowledge group of P's symbol, any other pattern only the world group of
+its own; `knows_val(P)` is ``holds(know(P))``. When the pattern's first
+argument, looked up in the bound dict if it is a variable, is a constant or a
+placeholder (for knowledge, that of P), and the group holds more than one
+fluent, it scans only the fluents with that first argument, from a map the
+group builds on its first such query. A bare-variable pattern scans every
+fluent of its side, sorted for that query, unless it is bound. A compound
+renders its text once.
 
 A child made by `State.with_update` from an indexed state inherits the
 index. On the child's first query only the groups of the symbols whose
@@ -22,13 +27,20 @@ split by first argument once per problem. That sharing is what makes the map
 pay: built anew for every state, it cost more than the scans it saved.
 
 A query matches one way: it walks the pattern against a ground fluent, and
-only the pattern's variables get bound. This yields exactly what `unify` of
-the pattern and the fluent would. The fluent is ground, and the substitution
-is idempotent, so the pattern resolved by it holds only variables it leaves
-unbound. Each is bound to a ground subterm of the fluent: no variable is ever
-bound to another variable, and no occurs check can fire. Stored values that
-mention a newly bound variable are re-resolved, as `Substitution.bind` does,
-so the result stays idempotent. `unify` itself has no caller at run time.
+only the pattern's variables get bound. The core takes its bindings ground,
+and copies them into the match before the walk: a bound variable is then an
+equality check, like a variable met a second time, and the pattern is never
+rebuilt. An unbound variable is bound to a ground subterm of the fluent, so
+no variable is ever bound to another variable, no occurs check can fire, and
+every extension is ground again. So is every binding of a search: it starts
+empty, and every fluent is ground. The result is exactly what `unify` of the
+pattern and the fluent would give. `holds` takes any start, one that binds a
+variable to a non-ground term included: it resolves the pattern by it,
+matches from no bindings, and re-resolves the stored values that mention a
+newly bound variable, as `Substitution.bind` does, so the result stays
+idempotent.
+`instantiate` is the one place a binding map is applied to a term.
+`unify` itself has no caller at run time.
 
 Everything here is immutable; operations are pure functions returning new
 values, and a term left unchanged by a substitution is returned as is. The
@@ -205,13 +217,7 @@ class Substitution:
 
     def apply(self, term: Term) -> Term:
         """The term with bound variables replaced; an unchanged term is returned as is."""
-        if isinstance(term, Variable):
-            return self.bindings.get(term, term)
-        if isinstance(term, Compound) and self.bindings:
-            args = tuple(map(self.apply, term.args))
-            if args != term.args:
-                return Compound(term.functor, args)
-        return term
+        return instantiate(term, self.bindings)
 
     def bind(self, var: Variable, term: Term) -> Optional["Substitution"]:
         """Extend with var -> term, re-resolving stored values. None if occurs check fires."""
@@ -221,12 +227,6 @@ class Substitution:
         single = Substitution({var: resolved})
         updated = {v: single.apply(t) for v, t in self.bindings.items()}
         updated[var] = resolved
-        return Substitution(updated)
-
-    def extend_all(self, pairs: Mapping[Variable, Term]) -> "Substitution":
-        """Bind several fresh variables at once (no occurs check needed for leaves)."""
-        updated = dict(self.bindings)
-        updated.update(pairs)
         return Substitution(updated)
 
     def __len__(self) -> int:
@@ -240,6 +240,22 @@ class Substitution:
 
 
 EMPTY_SUBST = Substitution({})
+
+
+def instantiate(term: Term, bindings: Mapping[Variable, Term]) -> Term:
+    """The term with each variable bound in bindings replaced by its value.
+
+    One pass: the values are taken as they are, so for an idempotent map, as a
+    `Substitution`'s or a ground one, the result holds no bound variable. A
+    term left unchanged is returned as is.
+    """
+    if isinstance(term, Variable):
+        return bindings.get(term, term)
+    if isinstance(term, Compound) and bindings:
+        args = tuple([instantiate(a, bindings) for a in term.args])
+        if args != term.args:
+            return Compound(term.functor, args)
+    return term
 
 
 def _occurs(var: Variable, term: Term) -> bool:
@@ -367,30 +383,39 @@ def _updated(index: _Index, before: frozenset, fluents: frozenset) -> _Index:
     return index
 
 
-def _candidates(pattern: Term, state: State, knowledge: bool) -> Iterable[Term]:
-    """The fluents of one side that can match a resolved pattern, in canonical order.
+def _candidates(pattern: Term, state: State, knowledge: bool,
+                bound: Mapping[Variable, Term]) -> Iterable[Term]:
+    """The fluents of one side that can match a pattern under ground bindings, in canonical order.
 
-    A group of one fluent is scanned: its map would cost more than it saves.
+    A bound bare variable is looked up as its value, and a bound variable in
+    first-argument position as the value's first argument. A group of one
+    fluent is scanned: its map would cost more than it saves.
     """
+    if isinstance(pattern, Variable):
+        if pattern not in bound:
+            return sorted((t for t in state.fluents if is_knowledge(t) == knowledge),
+                          key=order_key)
+        pattern = bound[pattern]
     if isinstance(pattern, Compound):
         group = state._index.get((knowledge, pattern.functor, len(pattern.args)), ())
-        if len(group) > 1 and pattern.args \
-                and isinstance(pattern.args[0], (Constant, Placeholder)):
-            return group.by_first(pattern.args[0])
+        if len(group) > 1 and pattern.args:
+            first = pattern.args[0]
+            if isinstance(first, Variable):
+                first = bound.get(first, first)
+            if isinstance(first, (Constant, Placeholder)):
+                return group.by_first(first)
         return group
-    if isinstance(pattern, Variable):
-        return sorted((t for t in state.fluents if is_knowledge(t) == knowledge),
-                      key=order_key)
     return state._index.get((knowledge,) + functor_arity(pattern), ())
 
 
 def _match(pattern: Term, fluent: Term, new: dict) -> bool:
-    """Match a resolved pattern against a ground fluent, adding bindings to new.
+    """Match a pattern against a ground fluent, adding bindings to new.
 
-    A variable binds to the fluent's subterm at its first occurrence and must
-    meet an equal one at every other. Any other leaf, a constant or a
-    placeholder, must equal the subterm, so ``Constant("p")`` does not match
-    ``p()`` and a placeholder does not match a constant named by its id.
+    A variable already in new, bound before the query or at an earlier
+    occurrence, must meet an equal subterm; any other binds to the fluent's
+    subterm. Any other leaf, a constant or a placeholder, must equal the
+    subterm, so ``Constant("p")`` does not match ``p()`` and a placeholder
+    does not match a constant named by its id.
     """
     if isinstance(pattern, Variable):
         bound = new.setdefault(pattern, fluent)
@@ -406,44 +431,60 @@ def _match(pattern: Term, fluent: Term, new: dict) -> bool:
     return pattern == fluent
 
 
-def _extend(subst: Substitution, pattern: Term, fluent: Term) -> Optional[Substitution]:
-    """subst extended so that the resolved pattern equals the ground fluent, or None.
+def extensions(pattern: Term, state: State,
+               bound: Mapping[Variable, Term]) -> list[dict[Variable, Term]]:
+    """Every extension of the ground bindings under which pattern matches a fluent.
 
-    subst itself when the match binds nothing. Otherwise each stored value is
-    re-resolved under the new (ground) bindings, as `Substitution.bind` does,
-    so a start of {X: Y} matched through Y binds X too.
+    The query core. Every value in bound must be ground. A ``know(P)`` pattern
+    queries the knowledge fluents, matching P against the term inside each
+    ``know``; any other pattern, a bare variable included, queries the world
+    fluents. Each extension is a new dict: bound plus the pattern's other
+    variables, each bound to a ground subterm of one fluent. They come in
+    canonical fluent order.
     """
-    new: dict = {}
-    if not _match(pattern, fluent, new):
-        return None
-    if not new:
-        return subst
-    if not subst.bindings:
-        return Substitution(new)
-    resolve = Substitution(new).apply
-    updated = {v: resolve(t) for v, t in subst.bindings.items()}
-    updated.update(new)
-    return Substitution(updated)
+    # is_knowledge inlined: this runs for every query of a search
+    knowledge = (isinstance(pattern, Compound) and pattern.functor == KNOW
+                 and len(pattern.args) == 1)
+    if knowledge:
+        pattern = pattern.args[0]
+    out = []
+    new = None
+    for f in _candidates(pattern, state, knowledge, bound):
+        if new is None:
+            new = dict(bound)
+        if _match(pattern, f.args[0] if knowledge else f, new):
+            out.append(new)
+            new = None
+        elif len(new) != len(bound):
+            new = None  # a failed match leaves new as bound unless it bound more
+    return out
 
 
 def holds(pattern: Term, state: State,
           subst: Substitution = EMPTY_SUBST) -> Iterator[Substitution]:
     """Yield every extension of subst under which pattern matches a fluent.
 
-    A ``know(P)`` pattern queries the knowledge fluents, matching P against
-    the term inside each ``know``; any other pattern queries the world
-    fluents. The side is read from the pattern as given, before subst
+    A ``know(P)`` pattern queries the knowledge fluents, any other pattern the
+    world fluents. The side is read from the pattern as given, before subst
     resolves it. Each result equals ``unify(pattern, fluent, subst)`` for a
     fluent of that side it succeeds on (see the module docstring), and they
     come in canonical (sorted) fluent order, so results are deterministic.
-    An empty sequence means the pattern does not hold.
+    A match that binds nothing yields subst itself. An empty sequence means
+    the pattern does not hold.
+
+    The pattern resolved by subst is matched by `extensions` from no
+    bindings, and subst's values are re-resolved under each match, as
+    `Substitution.bind` does; a start may bind a variable to a non-ground term.
     """
-    knowledge = is_knowledge(pattern)
-    pattern = subst.apply(pattern.args[0] if knowledge else pattern)
-    for f in _candidates(pattern, state, knowledge):
-        got = _extend(subst, pattern, f.args[0] if knowledge else f)
-        if got is not None:
-            yield got
+    resolved = subst.apply(pattern)
+    if is_knowledge(resolved) != is_knowledge(pattern):
+        return  # a world variable bound to know(...): no world fluent is one
+    for new in extensions(resolved, state, {}):
+        if not new:
+            yield subst
+            continue
+        yield Substitution({**{v: instantiate(t, new) for v, t in subst.bindings.items()},
+                            **new})
 
 
 def knows_val(pattern: Term, state: State,

@@ -1,0 +1,196 @@
+"""Mutation gate: every mutant in MUTANTS must make each of its named tests fail.
+
+Run from the root of a checkout:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only the named ones
+
+pytest does not collect this file. A mutant names a file of the checkout, an
+exact old text that must occur there once, the new text, and the pytest node
+ids that must fail with it (a parametrized test's id may leave out its
+parameters). The tool copies src/, tests/ and pyproject.toml into a temporary
+directory. There it first runs every named test on the unchanged copy, which
+must pass; then, one mutant at a time, it applies the mutant, runs its tests,
+and puts the file back. Tests run under a fixed hash seed and a fixed
+hypothesis seed, so a run repeats. It exits 1 when a mutant survives (one of
+its tests passes), when an old text does not occur exactly once, when a
+mutant breaks the run itself rather than a test, or when the unchanged copy
+fails.
+
+A pruning rule, key or matcher change ships with its mutants here; weakening
+or deleting one is a change to the checks. Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TERMS = "src/fluxcompose/terms.py"
+PLANNER = "src/fluxcompose/planner.py"
+T_TERMS = "tests/test_terms.py::"
+T_PLANNER = "tests/test_planner.py::"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    # the query core, terms.extensions
+    Mutant("core: a bound variable is not checked, the fluent's value wins", TERMS,
+           """            new = dict(bound)
+        if _match(pattern, f.args[0] if knowledge else f, new):
+            out.append(new)
+            new = None
+        elif len(new) != len(bound):""",
+           """            new = {}
+        if _match(pattern, f.args[0] if knowledge else f, new):
+            out.append({**bound, **new})
+            new = None
+        elif new:""",
+           (T_TERMS + "test_extensions_check_a_bound_variable",)),
+    Mutant("core: by_first keyed on the unresolved argument", TERMS,
+           "return group.by_first(first)", "return group.by_first(pattern.args[0])",
+           (T_TERMS + "test_extensions_resolve_a_bound_first_argument_through_the_map",)),
+    Mutant("core: a bound first argument is not looked up, the group is scanned", TERMS,
+           "first = bound.get(first, first)", "pass",
+           (T_TERMS + "test_extensions_resolve_a_bound_first_argument_through_the_map",)),
+    Mutant("core: no repeated-variable check", TERMS,
+           "return bound is fluent or bound == fluent", "return True",
+           (T_TERMS + "test_extensions_check_a_repeated_variable",
+            T_TERMS + "test_match_repeated_variable_needs_equal_arguments")),
+    Mutant("core: the leaf == dropped", TERMS,
+           "    return pattern == fluent\n", "    return True\n",
+           (T_TERMS + "test_extensions_tell_apart_leaves_that_share_a_group_key",
+            T_TERMS + "test_match_placeholder_is_not_the_constant_named_by_its_id",
+            T_TERMS + "test_match_constant_is_not_the_nullary_compound")),
+    # holds from a non-ground start
+    Mutant("holds: stored values not re-resolved", TERMS,
+           "{v: instantiate(t, new) for v, t in subst.bindings.items()}",
+           "subst.bindings",
+           (T_TERMS + "test_match_through_a_start_binding_rebinds_its_owner",)),
+    Mutant("holds: the side read after the substitution", TERMS,
+           "if is_knowledge(resolved) != is_knowledge(pattern):",
+           "if False:",
+           (T_TERMS + "test_extensions_of_a_bare_variable_bound_and_unbound",)),
+    # canonical order
+    Mutant("order key: text only", TERMS,
+           "return (tuple(map(str, terms)), _Tie(terms))", "return (tuple(map(str, terms)), ())",
+           (T_TERMS + "test_terms_that_render_alike_get_different_order_keys",)),
+    Mutant("index: groups sorted by text", TERMS,
+           "for t in sorted((*members, *new), key=order_key):",
+           "for t in sorted((*members, *new), key=str):",
+           (T_PLANNER + "test_plans_do_not_follow_the_hash_seed_where_texts_tie",)),
+    # the search's four rules and its visited set
+    Mutant("search: renames forced False", PLANNER,
+           """    renames = (any(a.mints_placeholders for a in actions)
+               or any(map(has_placeholder, initial.fluents)))""",
+           "    renames = False",
+           (T_PLANNER + "test_placeholders_of_the_initial_state_keep_the_renaming_key",
+            T_PLANNER + "test_outputs_and_placeholder_adds_keep_the_renaming_key")),
+    Mutant("search: the visited-set cut removed", PLANNER,
+           """            if key in seen:
+                continue
+""", "",
+           (T_PLANNER + "test_unreachable_walks_stop_before_max_depth",)),
+    Mutant("search: monotone skip left on with remove lists", PLANNER,
+           "monotone = not any(a.removes for a in actions)", "monotone = True",
+           (T_PLANNER + "test_plan_agrees_with_oracle_on_registry_family",)),
+    Mutant("search: monotone skip never taken", PLANNER,
+           "monotone = not any(a.removes for a in actions)", "monotone = False",
+           (T_PLANNER + "test_plan_agrees_with_oracle_on_registry_family",)),
+    Mutant("search: a key that drops placeholder fluents", PLANNER,
+           "return State(state.fluents.difference(marked).union(map(rename, marked)))",
+           "return State(state.fluents.difference(marked))",
+           (T_PLANNER + "test_pruning_key_insertion_order_invariant",)),
+    Mutant("search: relevance does not chain through poss", PLANNER,
+           "needed |= schema.poss_symbols", "pass",
+           (T_PLANNER + "test_plan_emergency_two_steps",)),
+    Mutant("search: early failure's closure adds nothing", PLANNER,
+           "have |= schema.add_symbols", "pass",
+           (T_PLANNER + "test_plan_emergency_two_steps",)),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _run(tree: Path, tests) -> tuple[int, set[str], str]:
+    """pytest's exit code, the node ids that failed, and its output."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="3")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=tree, env=env, capture_output=True, text=True)
+    failed = {line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")}
+    return proc.returncode, failed, proc.stdout + proc.stderr
+
+
+def _failed(test: str, failed: set[str]) -> bool:
+    return any(f == test or f.startswith(test + "[") for f in failed)
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        code, _, out = _run(tree, sorted({t for m in chosen for t in m.tests}))
+        if code != 0:
+            print(out + "\nthe named tests fail on the unchanged copy", file=sys.stderr)
+            return 1
+        for m in chosen:
+            path = tree / m.path
+            text = path.read_text(encoding="utf-8")
+            count = text.count(m.old)
+            if count != 1:
+                print(f"MISSING\t{m.name}\told text occurs {count} times in {m.path}")
+                bad += 1
+                continue
+            t0 = time.perf_counter()
+            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            try:
+                code, failed, out = _run(tree, m.tests)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            alive = [t for t in m.tests if not _failed(t, failed)]
+            if code not in (0, 1):
+                verdict = f"ERROR\t{m.name}\tpytest exit code {code}"
+            elif alive:
+                verdict = f"SURVIVED\t{m.name}\tpassed: {', '.join(alive)}"
+            else:
+                verdict = f"killed\t{m.name}"
+            print(f"{verdict}\t{time.perf_counter() - t0:.1f}s")
+            if not verdict.startswith("killed"):
+                print(out, file=sys.stderr)
+                bad += 1
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed "
+          f"in {time.perf_counter() - started:.0f}s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

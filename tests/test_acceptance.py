@@ -26,7 +26,7 @@ from fluxcompose.planner import (
     plan,
 )
 from fluxcompose.scenario import EventType, FallbackRequired, trace_resources
-from fluxcompose.terms import Compound, Constant, Variable, know
+from fluxcompose.terms import Compound, Constant, Substitution, Variable, know
 
 
 @contextmanager
@@ -98,7 +98,7 @@ def test_criterion_2_frame_property():
                 schema, subst = rng.choice(options)
                 z1 = state
                 z2 = apply_update(schema, subst, z1, step=step, _checked=True)
-                full = subst.extend_all(output_binding(schema, step))
+                full = Substitution({**subst.bindings, **output_binding(schema, step)})
                 adds = {full.apply(t) for t in schema.adds}
                 removes = {full.apply(t) for t in schema.removes}
                 before = z1.fluents

@@ -26,11 +26,14 @@ from fluxcompose.planner import (
     satisfies_goal,
 )
 from fluxcompose.terms import (
+    EMPTY_SUBST,
     Compound,
     Constant,
     Placeholder,
     State,
+    Substitution,
     Variable,
+    holds,
     is_ground,
     is_knowledge,
     know,
@@ -124,7 +127,6 @@ def test_apply_update_empty_update_is_identity():
 
 
 def test_apply_update_rejects_bad_substitution(find_resource, planning_problem):
-    from fluxcompose.terms import Substitution
     bad = Substitution({Variable("PR"): Constant("nurse"),
                         Variable("SP"): Constant("general")})
     with pytest.raises(PreconditionViolation):
@@ -520,7 +522,7 @@ def test_pruning_key_insertion_order_invariant(perm):
 
 def _frame_check(problem, schema, subst, state, step):
     z2 = apply_update(schema, subst, state, step=step, _checked=True)
-    full = subst.extend_all(output_binding(schema, step))
+    full = Substitution({**subst.bindings, **output_binding(schema, step)})
     adds = {full.apply(t) for t in schema.adds}
     removes = {full.apply(t) for t in schema.removes}
     before = state.fluents
@@ -595,6 +597,30 @@ def test_pruning_never_changes_the_result(seed):
 # ---------------------------------------------------------------------------
 
 MULTISTEP_SEEDS = range(120)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_check_poss_wraps_the_search_bindings(seed):
+    # the search's poss dicts, wrapped, are check_poss, and both are the
+    # conjunction solved by holds from the empty substitution, in its order
+    rng = random.Random(seed)
+    problem = getattr(randgen, rng.choice(sorted(FAMILIES)))(rng)
+    state = problem.initial
+    for step in range(1, 4):
+        options = []
+        for a in problem.actions:
+            got = check_poss(a, state)
+            assert got == [Substitution(b) for b in planner._poss(a, state)]
+            solved = [EMPTY_SUBST]
+            for pattern in a.poss:
+                solved = [t for s in solved for t in holds(pattern, state, s)]
+            assert got == [s for s in solved if all(p in s.bindings for p in a.params)]
+            options += [(a, s) for s in got]
+        if not options:
+            break
+        schema, subst = rng.choice(options)
+        state = apply_update(schema, subst, state, step=step)
 
 
 def test_plan_agrees_with_oracle_on_multistep_family():
@@ -672,16 +698,17 @@ def _plan_or_exception(problem, cfg):
 
 def test_plan_agrees_with_oracle_on_registry_family(monkeypatch):
     expansions = []  # [children made, children applied] per expanded state
-    children, apply = planner._children, planner.apply_update
+    children, update = planner._children, State.with_update
 
     def counting_children(actions, state):
         out = children(actions, state)
         expansions.append([len(out), 0])
         return out
 
-    def counting_apply(*args, **kwargs):
+    def counting_update(*args, **kwargs):
+        # the search builds each child it applies with one state update
         expansions[-1][1] += 1
-        return apply(*args, **kwargs)
+        return update(*args, **kwargs)
 
     symbol_caught = skipped = monotone = 0
     cfg = SearchConfig(max_depth=3)
@@ -691,7 +718,7 @@ def test_plan_agrees_with_oracle_on_registry_family(monkeypatch):
         expansions.clear()
         with monkeypatch.context() as m:
             m.setattr(planner, "_children", counting_children)
-            m.setattr(planner, "apply_update", counting_apply)
+            m.setattr(State, "with_update", counting_update)
             got = _plan_or_exception(problem, cfg)
         if all_plans:
             assert got == all_plans[0], seed

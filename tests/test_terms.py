@@ -1,4 +1,4 @@
-"""Unification, holds/knows_val matching, and states."""
+"""Unification, the query core and holds/knows_val matching, and states."""
 
 import random
 
@@ -13,6 +13,7 @@ from fluxcompose.terms import (
     State,
     Substitution,
     Variable,
+    extensions,
     fluent_symbol,
     holds,
     is_ground,
@@ -433,6 +434,86 @@ def test_match_ground_pattern_yields_the_start_itself():
     assert len(got) == 1 and got[0] is start
     got = list(knows_val(comp("p", X, nurse), _state(know(comp("p", doctor, nurse))), start))
     assert len(got) == 1 and got[0] is start
+
+
+# The query core, `extensions`, from an empty and from ground partial bindings:
+# its answers must equal those of holds and of the unify brute force, in order.
+def _assert_core(pattern, state, bound):
+    before = dict(bound)
+    got = extensions(pattern, state, bound)
+    assert bound == before  # the bindings passed in are never written
+    start = Substitution(dict(bound))
+    assert got == [s.bindings for s in holds(pattern, state, start)]
+    oracle = (unify(pattern, f, start) for f in _side(state, is_knowledge(pattern)))
+    assert got == [s.bindings for s in oracle if s is not None]
+    return got
+
+
+def _random_ground_start(rng):
+    """Ground bindings of some pattern variables, to leaves or to p(#ph)."""
+    return {v: rng.choice(_LEAVES + [comp("p", _PH)])
+            for v in rng.sample([X, P, SP, Y], rng.randint(1, 3))}
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_extensions_equal_holds_and_brute_force(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    state = _random_twinned_state(rng)
+    patterns = [_random_pattern(rng) for _ in range(2)]
+    patterns += [know(p) for p in patterns]
+    for fluent in rng.sample(sorted(state.fluents, key=order_key), min(2, len(state.fluents))):
+        inner = _generalized(rng, fluent)
+        patterns.append(know(inner) if is_knowledge(fluent) else inner)
+    for pattern in patterns:
+        for solution in _assert_core(pattern, state, {}):
+            # a part of a solution, which the query from it must meet again
+            part = {v: t for v, t in solution.items() if rng.random() < 0.5}
+            assert solution in _assert_core(pattern, state, part)
+        _assert_core(pattern, state, _random_ground_start(rng))
+
+
+def test_extensions_resolve_a_bound_first_argument_through_the_map():
+    state = _state(comp("p", doctor, nurse), comp("p", nurse, nurse), comp("p", doctor, general))
+    got = extensions(comp("p", X, Y), state, {X: doctor})
+    assert got == [{X: doctor, Y: general}, {X: doctor, Y: nurse}]
+    # the group was split by first argument for the bound X: by_first was taken
+    assert "table" in vars(state._index[(False, "p", 2)])
+    assert _assert_core(comp("p", X, Y), state, {X: doctor}) == got
+    assert _assert_core(know(comp("p", X, Y)), _state(*map(know, state.fluents)),
+                        {X: nurse}) == [{X: nurse, Y: nurse}]
+
+
+def test_extensions_check_a_bound_variable():
+    state = _state(comp("p", doctor, nurse), comp("p", nurse, general), comp("p", nurse, nurse))
+    assert _assert_core(comp("p", X, Y), state, {Y: nurse}) == [
+        {X: doctor, Y: nurse}, {X: nurse, Y: nurse}]
+    assert _assert_core(comp("p", X, nurse), state, {X: general}) == []
+
+
+def test_extensions_check_a_repeated_variable():
+    state = _state(comp("p", doctor, nurse))
+    assert _assert_core(comp("p", X, X), state, {}) == []
+    assert _assert_core(comp("p", X, X), state, {X: doctor}) == []
+    assert _assert_core(comp("p", X, X), _state(comp("p", nurse, nurse)), {}) == [{X: nurse}]
+
+
+def test_extensions_tell_apart_leaves_that_share_a_group_key():
+    assert _assert_core(Constant("p"), _state(comp("p")), {}) == []
+    assert _assert_core(know(comp("p")), _state(know(Constant("p"))), {}) == []
+    assert _assert_core(X, _state(comp("p")), {X: Constant("p")}) == []
+    assert _assert_core(_PH, _state(Constant(_PH.id)), {}) == []
+    assert _assert_core(comp("p", X), _state(comp("p", Constant(_PH.id))), {X: _PH}) == []
+
+
+def test_extensions_of_a_bare_variable_bound_and_unbound():
+    state = _state(comp("p", doctor), know(comp("p", doctor)), know(doctor), nurse)
+    assert _assert_core(X, state, {}) == [{X: nurse}, {X: comp("p", doctor)}]
+    assert _assert_core(X, state, {X: comp("p", doctor)}) == [{X: comp("p", doctor)}]
+    assert _assert_core(know(X), state, {X: doctor}) == [{X: doctor}]
+    # the side is the pattern's as given: X bound to a knowledge fluent is no knowledge query
+    assert _assert_core(X, state, {X: know(doctor)}) == []
+    assert list(holds(X, state, EMPTY_SUBST.bind(X, know(Y)))) == []
 
 
 @given(_terms())
