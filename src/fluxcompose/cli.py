@@ -13,7 +13,6 @@ import functools
 import os
 import sys
 from datetime import datetime
-from importlib.resources import files as package_files
 from pathlib import Path
 
 from . import composer, dsl, ontology, planner, registry as registry_mod, scenario
@@ -21,9 +20,13 @@ from .errors import FluxError
 from .terms import is_ground
 
 
+# The package's bundled data directory, found once per process.
+_DATA_DIR = Path(__file__).parent / "data"
+
+
 def data_path(name: str) -> Path:
     """Path of a bundled data file shipped with the package."""
-    return Path(str(package_files("fluxcompose").joinpath("data", name)))
+    return _DATA_DIR / name
 
 
 DEFAULTS = {

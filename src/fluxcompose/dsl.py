@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import FluxError, ParseError
 from .terms import (
@@ -143,43 +143,47 @@ class ProblemFile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | number | punct | eof
     text: str
     line: int
     col: int
 
 
+# Every character starts a match: `bad` takes any one the others do not.
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<comment>%[^\n]*)"
     r"|(?P<number>\d+)"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<punct>[()\[\],./:])"
+    r"|(?P<bad>.)",
+    re.S,
 )
 
 
 def _tokenize(source: str, source_name: str) -> list[_Token]:
+    """The tokens of source, ending in an eof token, in one regex pass.
+
+    Only whitespace runs can hold a line break: a comment stops before one.
+    """
     tokens: list[_Token] = []
     line = 1
     line_start = 0
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(line, pos - line_start + 1, "a token",
-                             repr(source[pos]), source_name)
-        kind = m.lastgroup or ""
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line, pos - line_start + 1))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "<end of input>", line, pos - line_start + 1))
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "ws":
+            text = m.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rindex("\n") + 1
+        elif kind == "bad":
+            raise ParseError(line, m.start() - line_start + 1, "a token",
+                             repr(m.group()), source_name)
+        elif kind != "comment":
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(_Token("eof", "<end of input>", line, len(source) - line_start + 1))
     return tokens
 
 

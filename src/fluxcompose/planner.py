@@ -321,7 +321,7 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
       the lexicographically first shortest plan is never cut.
     - The queue runs dry before cfg.max_depth only if a layer adds no new
       state. Every deeper state is then a twin of one already goal-tested.
-    - The key is the child itself, with no renaming walk, when no searched
+    - The key is the state itself, with no renaming walk, when no searched
       action has outputs, no searched action's adds name a placeholder and
       the initial state holds none. A child's fluents are then its parent's,
       or adds whose variables the poss binding maps to subterms of the
@@ -379,7 +379,7 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
     initial = problem.initial
     renames = (any(a.mints_placeholders for a in actions)
                or any(map(has_placeholder, initial.fluents)))
-    seen = {_pruning_key(initial)}
+    seen = {_pruning_key(initial) if renames else initial}
     queue = deque([(initial, ())])
     while queue:
         state, steps = queue.popleft()

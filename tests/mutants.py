@@ -35,8 +35,12 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 TERMS = "src/fluxcompose/terms.py"
 PLANNER = "src/fluxcompose/planner.py"
+DSL = "src/fluxcompose/dsl.py"
+CLI = "src/fluxcompose/cli.py"
 T_TERMS = "tests/test_terms.py::"
 T_PLANNER = "tests/test_planner.py::"
+T_DSL = "tests/test_dsl.py::"
+T_CLI = "tests/test_cli.py::"
 
 
 class Mutant(NamedTuple):
@@ -121,6 +125,22 @@ MUTANTS = [
     Mutant("search: early failure's closure adds nothing", PLANNER,
            "have |= schema.add_symbols", "pass",
            (T_PLANNER + "test_plan_emergency_two_steps",)),
+    # the tokenizer
+    Mutant("tokenizer: no catch-all, a stray character is skipped", DSL,
+           '\n    r"|(?P<bad>.)"', "",
+           (T_DSL + "test_parse_error_positions_after_stray_characters_and_line_breaks",
+            T_DSL + "test_tokenize_agrees_with_the_match_loop_reference")),
+    Mutant("tokenizer: a whitespace run counts one line break", DSL,
+           "line += newlines", "line += 1",
+           (T_DSL + "test_parse_error_positions_after_stray_characters_and_line_breaks",
+            T_DSL + "test_tokenize_agrees_with_the_match_loop_reference")),
+    # the CLI's exit codes
+    Mutant("cli: a missing input file exits 1", CLI,
+           """        print(f"missing input file: {exc.filename}", file=sys.stderr)
+        return 2""",
+           """        print(f"missing input file: {exc.filename}", file=sys.stderr)
+        return 1""",
+           (T_CLI + "test_missing_file_exit_2",)),
 ]
 
 

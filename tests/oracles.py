@@ -12,10 +12,12 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import re
 from dataclasses import dataclass
 from datetime import date as Date, time as Time
 from typing import Optional
 
+from fluxcompose.errors import ParseError
 from fluxcompose.planner import (
     GroundAction,
     Plan,
@@ -169,6 +171,43 @@ def walk_unescape(value: str) -> str:
             out.append(c)
             i += 1
     return "".join(out)
+
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<comment>%[^\n]*)"
+    r"|(?P<number>\d+)"
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<punct>[()\[\],./:])"
+)
+
+
+def match_loop_tokenize(source: str, source_name: str) -> list[tuple[str, str, int, int]]:
+    """The (kind, text, line, col) rows of `dsl._tokenize`, eof row last.
+
+    One `match` per token from the current position, line breaks counted in
+    every token's text; a position no token matches is a ParseError there.
+    """
+    tokens = []
+    line = 1
+    line_start = 0
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError(line, pos - line_start + 1, "a token",
+                             repr(source[pos]), source_name)
+        kind = m.lastgroup or ""
+        text = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, text, line, pos - line_start + 1))
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            line_start = pos + text.rindex("\n") + 1
+        pos = m.end()
+    tokens.append(("eof", "<end of input>", line, pos - line_start + 1))
+    return tokens
 
 
 def csv_load_roster(source: str, source_name: str = "<string>") -> Roster:

@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib
+import importlib.resources
 import io
 import json
 import os
@@ -233,6 +234,14 @@ def test_workflow_without_a_lookup_step_logs_the_ranking(tmp_path, capsys):
     sent = (tmp_path / "broadcast.log.messages").read_text(encoding="utf-8")
     assert [line.split("\t")[:2] for line in sent.splitlines()] == [
         ["doctor", "Orthopedics"]] * 2
+
+
+def test_data_path_is_the_bundled_resource_path():
+    package = importlib.resources.files("fluxcompose")
+    names = ["", *(f.name for f in package.joinpath("data").iterdir())]
+    assert "emergency.fcd" in names
+    for name in names:
+        assert data_path(name) == Path(str(package.joinpath("data", name)))
 
 
 def test_missing_file_exit_2(capsys):

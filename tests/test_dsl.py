@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import randgen
 from fluxcompose import dsl
 from fluxcompose.errors import ParseError
@@ -162,6 +163,41 @@ def test_comments_are_skipped():
 # ---------------------------------------------------------------------------
 # pretty-printing round trips
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, line, column, found", [
+    ("fluent p/1. $", 1, 13, "'$'"),
+    ("fluent p/1.\r\n\r\n\n  fluent q/1. \u00e9", 4, 15, "'\u00e9'"),
+    ("fluent p/1.\n% a comment\n\n  p", 4, 3, "'p'"),
+])
+def test_parse_error_positions_after_stray_characters_and_line_breaks(
+        text, line, column, found):
+    with pytest.raises(ParseError) as exc:
+        dsl.parse_domain(text)
+    assert (exc.value.line, exc.value.column, exc.value.found) == (line, column, found)
+
+
+# Token alphabet pieces, comments, both line-break forms and stray characters.
+TOKEN_SOURCES = st.lists(
+    st.one_of(st.sampled_from(["fluent", "X_1", "p", "42", "(", ")", "[", "]", ",",
+                               ".", "/", ":", " ", "\t", "\n", "\r\n", "%",
+                               "% note", "$", "-", "\u00e9", "\x85", "\u2028"]),
+              st.characters()),
+    max_size=40).map("".join)
+
+
+@given(TOKEN_SOURCES)
+@settings(max_examples=300)
+def test_tokenize_agrees_with_the_match_loop_reference(text):
+    try:
+        expected = oracles.match_loop_tokenize(text, "t.fcd")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            dsl._tokenize(text, "t.fcd")
+        assert (got.value.line, got.value.column, str(got.value)) == (
+            exc.line, exc.column, str(exc))
+    else:
+        assert [tuple(t) for t in dsl._tokenize(text, "t.fcd")] == expected
 
 
 def test_pretty_print_empty_domain_is_empty_text():
