@@ -48,7 +48,7 @@ def _read(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise  # `run` reports it
+        raise FluxError(f"missing input file: {path}") from None
     except OSError as exc:
         reason = exc.strerror
     except UnicodeDecodeError:
@@ -83,7 +83,7 @@ def _open_log(args: argparse.Namespace) -> scenario.EventLog:
     try:
         return scenario.EventLog(path)
     except FileNotFoundError:
-        raise  # `run` reports it
+        raise FluxError(f"missing input file: {path}") from None
     except OSError as exc:
         raise _unreadable(path, exc.strerror) from None
 
@@ -326,9 +326,6 @@ def run(argv=None) -> int:
     except scenario.FallbackRequired as exc:
         print(f"fallback required: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"missing input file: {exc.filename}", file=sys.stderr)
-        return 2
     except FluxError as exc:
         print(str(exc), file=sys.stderr)
         return 2

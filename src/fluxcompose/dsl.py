@@ -25,7 +25,7 @@ and knows_val(P) as know(P); `atom_text` writes it back.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
@@ -125,7 +125,6 @@ def make_action_schema(name: str, params: Iterable[Variable], poss: Iterable[Ter
 class DomainFile:
     fluent_decls: tuple[tuple[str, int], ...]
     actions: tuple[ActionSchema, ...]
-    source_name: str = field(default="<string>", compare=False)
 
     def declared(self) -> dict[str, int]:
         return dict(self.fluent_decls)
@@ -135,7 +134,6 @@ class DomainFile:
 class ProblemFile:
     initial: tuple[Term, ...]
     goal: tuple[Term, ...]
-    source_name: str = field(default="<string>", compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +414,7 @@ def parse_domain(source: str, source_name: str = "<string>") -> DomainFile:
             raise ParseError(dot_tok.line, dot_tok.col,
                              "remove-list variables bound by params or poss",
                              str(exc), source_name) from None
-    return DomainFile(tuple(decls), tuple(actions), source_name)
+    return DomainFile(tuple(decls), tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +440,7 @@ def parse_problem(source: str, source_name: str = "<string>") -> ProblemFile:
             bad = next(variables_in(t))
             raise GroundnessError(tok.line, tok.col, "a ground initial fluent",
                                   f"variable {bad.name}", source_name)
-    return ProblemFile(tuple(t for t, _ in init_items),
-                       tuple(t for t, _ in goal_items), source_name)
+    return ProblemFile(tuple(t for t, _ in init_items), tuple(t for t, _ in goal_items))
 
 
 # ---------------------------------------------------------------------------

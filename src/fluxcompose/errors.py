@@ -1,10 +1,13 @@
-"""Shared error types.
+"""Shared error types, and the line reader of the line-format input files.
 
 Position-carrying errors render as ``name:line:col: message`` so the CLI can
 print file context uniformly.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
+from typing import Iterator
 
 
 class FluxError(Exception):
@@ -27,3 +30,15 @@ class ParseError(FluxError):
         super().__init__(
             f"{source_name}:{line}:{column}: expected {expected}, found {found}"
         )
+
+
+def numbered_lines(text: str, inline_comments: bool) -> tuple[Iterator[tuple[int, str]], int]:
+    """The stripped non-blank lines of text, numbered from 1, and the number of
+    the line after the last. A line ends at "\\n" only, as in dsl._tokenize and
+    the event log. inline_comments cuts a "#" comment anywhere on a line."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty piece after a final "\n"
+    if inline_comments:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return filter(itemgetter(1), enumerate(map(str.strip, lines), start=1)), len(lines) + 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from typing import Iterable, Mapping, Optional
 
-from .errors import FluxError, ParseError
+from .errors import FluxError, ParseError, numbered_lines
 
 Concept = str
 
@@ -106,27 +106,24 @@ def load_taxonomy(source: str, source_name: str = "<string>") -> TaxonomyGraph:
     edges: set[tuple[str, str]] = set()
     individuals: dict[str, str] = {}
 
-    def name_token(token: str, lineno: int, col_hint: int) -> str:
+    def name_token(token: str, lineno: int) -> str:
         if not _NAME_RE.match(token):
-            raise ParseError(lineno, col_hint, "a concept name", repr(token), source_name)
+            raise ParseError(lineno, 1, "a concept name", repr(token), source_name)
         return token
 
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(source, True)[0]:
         words = line.split()
         if words[0] == "root" and len(words) == 2:
-            concepts.add(name_token(words[1], lineno, 1))
+            concepts.add(name_token(words[1], lineno))
         elif words[0] == "concept" and len(words) == 4 and words[2] == "subClassOf":
-            child = name_token(words[1], lineno, 1)
-            parent = name_token(words[3], lineno, 1)
+            child = name_token(words[1], lineno)
+            parent = name_token(words[3], lineno)
             concepts.add(child)
             concepts.add(parent)
             edges.add((child, parent))
         elif words[0] == "individual" and len(words) == 4 and words[2] == "type":
-            ind = name_token(words[1], lineno, 1)
-            concept = name_token(words[3], lineno, 1)
+            ind = name_token(words[1], lineno)
+            concept = name_token(words[3], lineno)
             if concept not in concepts:
                 raise UndeclaredConceptError(
                     lineno, 1, "a declared concept", repr(concept), source_name)
@@ -147,25 +144,26 @@ def load_taxonomy(source: str, source_name: str = "<string>") -> TaxonomyGraph:
 
 
 def _check_acyclic(concepts: Iterable[str], parents: Mapping[str, set]) -> None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {c: WHITE for c in concepts}
-    stack_path: list[str] = []
-
-    def visit(node: str) -> None:
-        color[node] = GRAY
-        stack_path.append(node)
-        for parent in sorted(parents.get(node, ())):
-            if color[parent] == GRAY:
-                cycle = stack_path[stack_path.index(parent):]
-                raise CycleError(cycle)
-            if color[parent] == WHITE:
-                visit(parent)
-        stack_path.pop()
-        color[node] = BLACK
-
-    for c in sorted(concepts):
-        if color[c] == WHITE:
-            visit(c)
+    """Raise CycleError on the first cycle of a depth-first walk up subClassOf in
+    sorted order; the walk keeps its own stack, so a chain of any depth is checked."""
+    done: set[str] = set()
+    path: list[str] = []
+    on_path: set[str] = set()
+    pending = [iter(sorted(concepts))]
+    while pending:
+        for node in pending[-1]:
+            if node in on_path:
+                raise CycleError(path[path.index(node):])
+            if node not in done:
+                path.append(node)
+                on_path.add(node)
+                pending.append(iter(sorted(parents.get(node, ()))))
+                break
+        else:
+            pending.pop()
+            if path:
+                on_path.remove(path[-1])
+                done.add(path.pop())
 
 
 def is_subsumed_by(child: Concept, ancestor: Concept, g: TaxonomyGraph) -> bool:
@@ -238,10 +236,7 @@ def load_severity_rules(source: str, source_name: str = "<string>") -> tuple[Sev
     """Parse severity rules, sorted by priority descending."""
     rules: list[SeverityRule] = []
     seen: set[tuple[str, int]] = set()
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(source, True)[0]:
         m = _RULE_RE.match(line)
         if m is None:
             raise ParseError(lineno, 1, "rule <Spec> {syms} -> <Severity> @<priority>",

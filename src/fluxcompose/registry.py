@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Mapping
 
 from . import dsl
-from .errors import FluxError, ParseError
+from .errors import FluxError, ParseError, numbered_lines
 from .ontology import Concept, MatchDegree, TaxonomyGraph, UnknownConceptError, match_degree
 from .terms import Compound, Term, Variable, know
 
@@ -112,10 +112,8 @@ def load_registry(source: str, g: TaxonomyGraph,
             raise DuplicateServiceError(svc.name)
         services[svc.name] = svc
 
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines, end = numbered_lines(source, True)
+    for lineno, line in lines:
         if block is None:
             words = line.split()
             if len(words) != 2 or words[0] != "service":
@@ -156,7 +154,7 @@ def load_registry(source: str, g: TaxonomyGraph,
             raise ParseError(lineno, exc.column, exc.expected, exc.found,
                              source_name) from None
     if block is not None:
-        raise fail(len(source.splitlines()) + 1, "'end'", "<end of input>")
+        raise fail(end, "'end'", "<end of input>")
     return Registry(services)
 
 

@@ -35,7 +35,7 @@ from .composer import (
     compose,
     execute,
 )
-from .errors import FluxError
+from .errors import FluxError, numbered_lines
 from .ontology import SeverityRule, TaxonomyGraph, classify_severity
 from .planner import SearchConfig
 from .registry import Registry
@@ -270,14 +270,14 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
 
     A row holding a NUL is a row error on every Python version (csv refuses
     it on 3.10 and passes it on from 3.11). Any other row is split on its
-    commas unless it holds a quote or is longer than csv's field size limit;
-    only those rows go through csv, and a row csv refuses is a row error.
-    The split gives csv's fields: a row is one line of splitlines, so it
-    holds no line break, and without a quote character csv's default
-    dialect ends a field at each comma and nowhere else. csv refuses such a
-    row only for a field over the limit, and those rows are the ones sent to
-    it. Rows with equal origin, destination and date cells share one
-    immutable TravelPlan.
+    commas unless it holds a quote or a "\\r", or is longer than csv's field
+    size limit; only those rows go through csv, and a row csv refuses is a
+    row error. The split gives csv's fields: a line ends at "\\n", so a row
+    holds none, and without a quote or a "\\r" csv's default dialect ends a
+    field at each comma and nowhere else. csv refuses such a row only for a
+    field over the limit, and those rows are the ones sent to it. A "\\r" in
+    an unquoted field is a row error, as csv refuses it. Rows with equal
+    origin, destination and date cells share one immutable TravelPlan.
     """
     errors: list[tuple[int, str]] = []
     coach_order: tuple[str, ...] = ()
@@ -288,11 +288,8 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
     plans: dict[tuple[str, str, str], TravelPlan] = {}
     field_limit = csv.field_size_limit()
 
-    lines = source.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    lines, end = numbered_lines(source, False)
+    for lineno, line in lines:
         if line.startswith("#coach-order:"):
             coach_order = tuple(
                 c.strip() for c in line.split(":", 1)[1].split(",") if c.strip()
@@ -310,7 +307,7 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
         if "\0" in line:
             errors.append((lineno, "bad row: line contains NUL"))
             continue
-        if '"' in line or len(line) > field_limit:
+        if '"' in line or "\r" in line or len(line) > field_limit:
             try:
                 row = next(csv.reader((line,)))
             except csv.Error as exc:
@@ -364,7 +361,7 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
             medicine_in_hand=medicine or None, travel=travel,
         ))
     if not header_seen:
-        errors.append((len(lines) + 1, "missing roster header row"))
+        errors.append((end, "missing roster header row"))
     if errors:
         raise LoadError(errors, source_name)
     return Roster(tuple(passengers), coach_order)
@@ -490,10 +487,8 @@ def load_schedule(source: str, source_name: str = "<string>"
     least one, arrivals strictly increasing."""
     stops: list[tuple[str, Time]] = []
     errors: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines, end = numbered_lines(source, True)
+    for lineno, line in lines:
         words = line.split()
         if len(words) != 4 or words[0] != "station" or words[2] != "@":
             errors.append((lineno, f"expected 'station <id> @ <HH:MM>', found {line!r}"))
@@ -508,7 +503,7 @@ def load_schedule(source: str, source_name: str = "<string>"
             continue
         stops.append((words[1], arrival))
     if not (stops or errors):
-        errors.append((len(source.splitlines()) + 1, "expected at least one station"))
+        errors.append((end, "expected at least one station"))
     if errors:
         raise LoadError(errors, source_name)
     return tuple(stops)
@@ -817,10 +812,13 @@ class MessageSink:
         self.entries: list[tuple[str, str, str]] = []
 
     def append(self, name: str, coach: str, message: str) -> int:
-        self.entries.append((name, coach, message))
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(f"{name}\t{coach}\t{message}\n")
+            try:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write(f"{name}\t{coach}\t{message}\n")
+            except OSError as exc:
+                raise FluxError(f"cannot append to message sink {self.path}: {exc}") from exc
+        self.entries.append((name, coach, message))
         return len(self.entries)
 
 
@@ -942,7 +940,7 @@ def run_script(ctx: DispatchContext, script: str,
     """Replay a scenario script of validate/report commands against a context.
 
     Lines are shell-like words: a command followed by key=value pairs. Blank
-    lines and `#` comments are skipped.
+    lines and lines starting with `#` are skipped; any other `#` is text.
     """
     steps: list[ScriptStep] = []
 
@@ -954,9 +952,8 @@ def run_script(ctx: DispatchContext, script: str,
             if key not in kv:
                 raise bad(lineno, f"missing {key}=...")
 
-    for lineno, raw in enumerate(script.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in numbered_lines(script, False)[0]:
+        if line.startswith("#"):
             continue
         try:
             words = shlex.split(line)

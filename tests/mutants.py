@@ -37,10 +37,16 @@ TERMS = "src/fluxcompose/terms.py"
 PLANNER = "src/fluxcompose/planner.py"
 DSL = "src/fluxcompose/dsl.py"
 CLI = "src/fluxcompose/cli.py"
+ERRORS = "src/fluxcompose/errors.py"
+ONTOLOGY = "src/fluxcompose/ontology.py"
+SCENARIO = "src/fluxcompose/scenario.py"
 T_TERMS = "tests/test_terms.py::"
 T_PLANNER = "tests/test_planner.py::"
 T_DSL = "tests/test_dsl.py::"
 T_CLI = "tests/test_cli.py::"
+T_LINES = "tests/test_line_formats.py::"
+T_ONTOLOGY = "tests/test_ontology.py::"
+T_SCENARIO = "tests/test_scenario.py::"
 
 
 class Mutant(NamedTuple):
@@ -134,13 +140,56 @@ MUTANTS = [
            "line += newlines", "line += 1",
            (T_DSL + "test_parse_error_positions_after_stray_characters_and_line_breaks",
             T_DSL + "test_tokenize_agrees_with_the_match_loop_reference")),
+    # the line reader of the line formats
+    Mutant("reader: lines end where str.splitlines breaks", ERRORS,
+           'lines = text.split("\\n")', "lines = text.splitlines() + ['']",
+           (T_LINES + "test_line_format_message",)),
+    Mutant("reader: inline comments kept in the declaration formats", ERRORS,
+           'lines = [line.split("#", 1)[0] for line in lines]', "pass",
+           (T_LINES + "test_line_format_message",)),
+    Mutant("roster: a row holding a carriage return is split on its commas", SCENARIO,
+           """if '"' in line or "\\r" in line or len(line) > field_limit:""",
+           """if '"' in line or len(line) > field_limit:""",
+           (T_LINES + "test_line_format_message",
+            T_SCENARIO + "test_load_roster_matches_the_csv_oracle")),
+    Mutant("taxonomy: no cycle check", ONTOLOGY,
+           "    _check_acyclic(concepts, parents)\n", "",
+           (T_ONTOLOGY + "test_load_taxonomy_two_cycle",
+            T_ONTOLOGY + "test_load_taxonomy_5000_long_cycle")),
+    Mutant("message sink: a write error escapes", SCENARIO,
+           """            except OSError as exc:
+                raise FluxError(f"cannot append to message sink""",
+           """            except () as exc:
+                raise FluxError(f"cannot append to message sink""",
+           (T_CLI + "test_message_sink_that_cannot_be_written_exit_2",)),
     # the CLI's exit codes
-    Mutant("cli: a missing input file exits 1", CLI,
-           """        print(f"missing input file: {exc.filename}", file=sys.stderr)
-        return 2""",
-           """        print(f"missing input file: {exc.filename}", file=sys.stderr)
-        return 1""",
+    Mutant("cli: a missing input file is not reported where it is read", CLI,
+           """        raise FluxError(f"missing input file: {path}") from None
+    except OSError as exc:
+        reason = exc.strerror""",
+           """        raise
+    except OSError as exc:
+        reason = exc.strerror""",
            (T_CLI + "test_missing_file_exit_2",)),
+    Mutant("cli: NoPlanFound exits 2", CLI,
+           """        print(f"no plan within depth {exc.depth}", file=sys.stderr)
+        return 1""",
+           """        print(f"no plan within depth {exc.depth}", file=sys.stderr)
+        return 2""",
+           (T_CLI + "test_report_without_a_plan_in_depth_exits_1_and_logs_nothing",)),
+    Mutant("cli: FallbackRequired exits 2", CLI,
+           """        print(f"fallback required: {exc}", file=sys.stderr)
+        return 1""",
+           """        print(f"fallback required: {exc}", file=sys.stderr)
+        return 2""",
+           (T_CLI + "test_trace_needs_validated_personnel",)),
+    Mutant("cli: FluxError exits 1", CLI,
+           """        print(str(exc), file=sys.stderr)
+        return 2""",
+           """        print(str(exc), file=sys.stderr)
+        return 1""",
+           (T_CLI + "test_missing_file_exit_2",
+            T_CLI + "test_unreadable_file_exit_2")),
 ]
 
 

@@ -220,7 +220,7 @@ def csv_load_roster(source: str, source_name: str = "<string>") -> Roster:
     passengers: list[Passenger] = []
     seen_pnrs: set[str] = set()
 
-    lines = source.splitlines()
+    lines = list(io.StringIO(source, newline="\n"))  # a line ends at "\n" only
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:

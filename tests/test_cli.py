@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from fluxcompose import cli
 from fluxcompose.cli import data_path
 from test_cli_golden import CASES, GOLDEN
+from test_ontology import chain_taxonomy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -215,6 +216,28 @@ def test_send_step_missing_its_inputs_exit_2(tmp_path, capsys):
     assert not Path(f"{log}.messages").exists()
 
 
+def test_message_sink_that_cannot_be_written_exit_2(tmp_path, capsys):
+    # the first report's send fails, so nothing is logged
+    log = tmp_path / "events.log"
+    sink = tmp_path / "events.log.messages"
+    sink.mkdir()
+    code, out, err = run(capsys, "simulate", "--log", str(log),
+                         "--script", str(data_path("emergency.scn")))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot append to message sink {sink}: ")
+    assert "Is a directory" in err
+    assert log.read_bytes() == b""
+
+
+def test_taxonomy_cycle_5000_long_exit_2(tmp_path, capsys):
+    path = tmp_path / "cycle.tax"
+    path.write_text(chain_taxonomy(5000, cyclic=True), encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--taxonomy", str(path))
+    assert code == 2
+    assert err.startswith("subClassOf cycle: C00000 -> C00001 -> ")
+    assert err.endswith(" -> C04999 -> C00000\n")
+
+
 def test_workflow_without_a_lookup_step_logs_the_ranking(tmp_path, capsys):
     # the one step sends to the request's own values; the records still name
     # the ranked responders, exactly as with the bundled registry
@@ -367,7 +390,8 @@ def test_console_script_names_a_callable_in_the_cli():
     assert callable(getattr(importlib.import_module(module), attr, None))
 
 
-# Each bundled input file, the flag that reads it, and the command it feeds.
+# Each bundled input file, the flag that reads it, and the command it feeds;
+# {tmp} stands for the example's temporary directory.
 _PLAN = ["plan", "--max-depth", "4"]
 _COMPOSE = ["compose", "--want", "ConfirmSend", "--have", "Profession=doctor",
             "--have", "Specialization=Orthopedics", "--have", "Message=help",
@@ -377,7 +401,16 @@ _MUTATED_RUNS = {
     "emergency.fcp": ("problem", _PLAN),
     "services.reg": ("registry", _COMPOSE),
     "domain.tax": ("taxonomy", _COMPOSE),
+    "roster.csv": ("roster", ["trace", "--coach", "S5", "--spec", "Orthopedics",
+                              "--validate-all"]),
+    "route.schedule": ("schedule", ["validate"]),
+    "severity.rules": ("rules", ["severity", "--spec", "Orthopedics",
+                                 "--symptoms", "pain,swelling"]),
+    "emergency.scn": ("script", ["simulate", "--log", "{tmp}/events.log"]),
 }
+# inserted characters: the grammars' punctuation, some letters and digits, a
+# tab, "\n", and characters other than "\n" that str.splitlines breaks at
+_INSERTED = "(),.:;=_ \n\"#aXyz09\x0c\x85\u2028\r\t"
 
 
 @st.composite
@@ -391,7 +424,7 @@ def _mutated(draw):
         if kind == "delete":
             text = text[:at] + text[at + draw(st.integers(1, 8)):]
         elif kind == "insert":
-            text = text[:at] + draw(st.text(st.sampled_from("(),.:;=_ \n\"#aXyz09"),
+            text = text[:at] + draw(st.text(st.sampled_from(_INSERTED),
                                             min_size=1, max_size=3)) + text[at:]
         else:
             start = draw(st.integers(0, len(text)))
@@ -409,5 +442,6 @@ def test_mutated_bundled_files_exit_0_1_or_2(mutated):
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(argv + [f"--{flag}", str(path)])
+            code = cli.run([arg.format(tmp=tmp) for arg in argv]
+                           + [f"--{flag}", str(path)])
     assert code in (0, 1, 2), (code, err.getvalue())

@@ -2,7 +2,9 @@
 
 One row per raise or append in the loaders of the taxonomy, the severity
 rules, the registry, the roster, the schedule and the simulate script, with
-its line number.
+its line number. A line ends at "\\n" only, as in the dsl tokenizer and the
+event log: the LINE_RULE rows put other characters that str.splitlines breaks
+at inside a line.
 """
 
 import csv
@@ -30,6 +32,14 @@ _GOOD_ROW = dict(zip(ROSTER_HEADER.split(","),
 def _row(**cells) -> str:
     """A roster row: a valid one with the given cells replaced."""
     return ",".join({**_GOOD_ROW, **cells}.values()) + "\n"
+
+
+def _csv_error(line: str) -> str:
+    try:
+        next(csv.reader((line,)))
+    except csv.Error as exc:
+        return str(exc)
+    raise AssertionError(f"csv accepts {line!r}")
 
 
 _HEAD = "#coach-order: S1,S2\n" + ROSTER_HEADER + "\n"
@@ -136,8 +146,37 @@ BYTE_PRESERVING = [
 ]
 
 
-@pytest.mark.parametrize("fmt, text, message", BYTE_PRESERVING,
-                         ids=[f"{i}-{row[0]}" for i, row in enumerate(BYTE_PRESERVING)])
+_CR_ROW = _row(illness="a\rb")
+# Each line number is one more than the count of "\n" before the line.
+LINE_RULE = [
+    ("taxonomy", "root A # see\x0cnote\nbad\n", f"<string>:2:1: {_DECL}, found 'bad'"),
+    ("taxonomy", "root A\x1cconcept B subClassOf A\nbad\n",
+     f"<string>:1:1: {_DECL}, found 'root A\\x1cconcept B subClassOf A'"),
+    ("rules", "rule X {a} -> Minor @1 \x85\nrule X {b} -> Major @1\n",
+     "<string>:2:1: expected a unique priority per specialization, "
+     "found 'rule X {b} -> Major @1'"),
+    ("registry", "service s\n  textDescription: a\u2028b\n  bogus\n",
+     "<string>:3:1: expected a service field or 'end', found 'bogus'"),
+    ("registry", "service s\n  textDescription: a\x0bb\u2029c\n  grounding: g\n",
+     f"<string>:4:1: {_END}"),
+    ("roster", _HEAD + _row(illness="a\u2028b") + _row(pnr="P2", seat="x"),
+     "<string>:4: bad seat 'x'"),
+    ("roster", _HEAD + _row(illness='"a\rb"') + _row(pnr="P2", seat="x"),
+     "<string>:4: bad seat 'x'"),
+    ("roster", _HEAD + _CR_ROW, f"<string>:3: bad row: {_csv_error(_CR_ROW.strip())}"),
+    ("roster", "#coach-order: S1\x1e\n", "<string>:2: missing roster header row"),
+    ("schedule", "station A @ 06:00 # stop\x0cone\nstation B @ 05:00\n",
+     "<string>:2: arrival times must strictly increase"),
+    ("schedule", "# none\x1d\n", "<string>:2: expected at least one station"),
+    ("script", 'report pnr=P1 case="a\x85b" now=x\n', "<script>:1: Invalid isoformat string: 'x'"),
+    ("script", "# steps\u2028validate P001\nwait\n", "<script>:2: unknown script command 'wait'"),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, text, message",
+    [pytest.param(*row, id=f"{i}-{row[0]}") for i, row in enumerate(BYTE_PRESERVING)]
+    + [pytest.param(*row, id=f"line-rule-{i}-{row[0]}") for i, row in enumerate(LINE_RULE)])
 def test_line_format_message(request, fmt, text, message):
     with pytest.raises(FluxError) as exc:
         _LOADERS[fmt](text, request.getfixturevalue)

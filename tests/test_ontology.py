@@ -46,6 +46,26 @@ def test_load_taxonomy_self_cycle():
         load_taxonomy("concept A subClassOf A\n")
 
 
+def chain_taxonomy(n: int, cyclic: bool) -> str:
+    """n concepts C00000, C00001, ..., each a subclass of the next, so the names
+    sort child first; with cyclic, the last is a subclass of the first too."""
+    names = [f"C{i:05d}" for i in range(n)]
+    edges = list(zip(names, names[1:])) + ([(names[-1], names[0])] if cyclic else [])
+    return "".join(f"concept {child} subClassOf {parent}\n" for child, parent in edges)
+
+
+def test_load_taxonomy_5000_deep_chain():
+    g = load_taxonomy(chain_taxonomy(5000, cyclic=False))
+    assert len(g.concepts) == 5000
+    assert g.direct_parents("C04998") == {"C04999"}
+
+
+def test_load_taxonomy_5000_long_cycle():
+    with pytest.raises(CycleError) as exc:
+        load_taxonomy(chain_taxonomy(5000, cyclic=True))
+    assert exc.value.cycle == [f"C{i:05d}" for i in range(5000)]
+
+
 def test_load_taxonomy_bad_line_position():
     with pytest.raises(ParseError) as exc:
         load_taxonomy("root Event\nconcept nonsense here\n")

@@ -147,7 +147,9 @@ def test_load_roster_field_over_the_csv_limit_is_a_row_error():
 
 # (valid cells, invalid cells) per roster column. An invalid cell makes its
 # row an error; so can valid cells together: a duplicate pnr, delivery
-# personnel without a profession, or equal origin and destination.
+# personnel without a profession, or equal origin and destination. A free-text
+# cell may hold a character other than "\n" that str.splitlines breaks at; one
+# holding a "\r" is valid only quoted, as csv refuses it in an unquoted field.
 ROSTER_CELLS = (
     (tuple(f"P{i}" for i in range(1, 13)), ("",)),
     (("Asha", "Zoë", "O'Neil", "Ravi K.", "Ana-Maria", "李雷", "Asha, Jr.", "-. '"),
@@ -158,9 +160,9 @@ ROSTER_CELLS = (
     (("doctor", "nurse"), ("",)),
     (("", "Orthopedics"), ()),
     (("yes", "no"), ("YES", "")),
-    (("", "asthma", "café", "", "flu", "a,b", 'say "hi"'), ("x\0",)),
-    (("", "insulin"), ()),
-    (("", "inhaler"), ()),
+    (("", "asthma", "café", "", "flu", "a,b", 'say "hi"', "a\x0cb", "a\rb"), ("x\0",)),
+    (("", "insulin", "in\u2028sulin"), ()),
+    (("", "inhaler", "in\rhaler", "in\x0chaler"), ()),
     (("A", "Agra"), ("",)),
     (("B", "Bhopal"), ("A",)),
     (("2011-11-05", "2012-02-29"), ("2011-02-30", "11/05/2011", "")),
