@@ -95,6 +95,17 @@ def load_registry(source: str, g: TaxonomyGraph,
             raise fail(lineno, "a fresh parameter name", repr(param))
         return param, concept
 
+    def parse_fragment(parse, lineno: int, line: str, rest: str) -> Term:
+        # an error's column counts from the source line's start: its indent,
+        # then the stripped line up to rest, which ends it
+        try:
+            return parse(rest, source_name)
+        except ParseError as exc:
+            raw = source.split("\n")[lineno - 1]
+            start = len(raw) - len(raw.lstrip()) + len(line) - len(rest)
+            raise ParseError(lineno, start + exc.column, exc.expected, exc.found,
+                             source_name) from None
+
     def finish(lineno: int) -> None:
         if block["grounding"] is None:
             raise fail(lineno, "a grounding field before 'end'", "'end'")
@@ -129,30 +140,24 @@ def load_registry(source: str, g: TaxonomyGraph,
         field, _, rest = line.partition(":")
         field = field.strip()
         rest = rest.strip()
-        try:
-            if field == "textDescription":
-                block["description"] = rest
-            elif field == "hasInput":
-                block["inputs"].append(parse_typed_param(lineno, rest))
-            elif field == "hasOutput":
-                block["outputs"].append(parse_typed_param(lineno, rest))
-            elif field == "precondition":
-                block["pre"].append(dsl.parse_atom_text(rest, source_name))
-            elif field == "effectAdd":
-                block["adds"].append(dsl.parse_term_text(rest, source_name))
-            elif field == "effectRemove":
-                block["removes"].append(dsl.parse_term_text(rest, source_name))
-            elif field == "grounding":
-                if not rest:
-                    raise fail(lineno, "a grounding stub id", repr(line))
-                block["grounding"] = rest
-            else:
-                raise fail(lineno, "a service field or 'end'", repr(line))
-        except ParseError as exc:
-            if exc.line == lineno:
-                raise
-            raise ParseError(lineno, exc.column, exc.expected, exc.found,
-                             source_name) from None
+        if field == "textDescription":
+            block["description"] = rest
+        elif field == "hasInput":
+            block["inputs"].append(parse_typed_param(lineno, rest))
+        elif field == "hasOutput":
+            block["outputs"].append(parse_typed_param(lineno, rest))
+        elif field == "precondition":
+            block["pre"].append(parse_fragment(dsl.parse_atom_text, lineno, line, rest))
+        elif field == "effectAdd":
+            block["adds"].append(parse_fragment(dsl.parse_term_text, lineno, line, rest))
+        elif field == "effectRemove":
+            block["removes"].append(parse_fragment(dsl.parse_term_text, lineno, line, rest))
+        elif field == "grounding":
+            if not rest:
+                raise fail(lineno, "a grounding stub id", repr(line))
+            block["grounding"] = rest
+        else:
+            raise fail(lineno, "a service field or 'end'", repr(line))
     if block is not None:
         raise fail(end, "'end'", "<end of input>")
     return Registry(services)

@@ -19,12 +19,12 @@ import os
 import re
 import shlex
 from bisect import bisect_left
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import date as Date, datetime, time as Time
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .composer import (
     CompositionRequest,
@@ -115,16 +115,14 @@ class EventType(Enum):
     ROBBERY = "Robbery"
 
 
-@dataclass(frozen=True)
-class TravelPlan:
+class TravelPlan(NamedTuple):
     origin: str
     destination: str
     journey_date: Date
     validated: bool = False
 
 
-@dataclass(frozen=True)
-class Passenger:
+class Passenger(NamedTuple):
     pnr: str
     name: str
     coach: str
@@ -174,6 +172,9 @@ class Roster:
     unless the update makes the passenger ready or no longer ready; then one
     position is inserted or removed. Equality and hashing see only
     passengers and coach_order.
+
+    Passenger and TravelPlan are NamedTuples: immutable, compared and hashed
+    by their field tuple, and updated with _replace.
     """
 
     __slots__ = ("coach_order", "_blocks", "_positions", "_ready", "_passengers")
@@ -277,7 +278,9 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
     field at each comma and nowhere else. csv refuses such a row only for a
     field over the limit, and those rows are the ones sent to it. A "\\r" in
     an unquoted field is a row error, as csv refuses it. Rows with equal
-    origin, destination and date cells share one immutable TravelPlan.
+    origin, destination and date cells share one immutable TravelPlan. Each
+    accepted row is built with one positional Passenger._make call, in field
+    order.
     """
     errors: list[tuple[int, str]] = []
     coach_order: tuple[str, ...] = ()
@@ -287,6 +290,7 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
     seen_pnrs: set[str] = set()
     plans: dict[tuple[str, str, str], TravelPlan] = {}
     field_limit = csv.field_size_limit()
+    make, append = Passenger._make, passengers.append
 
     lines, end = numbered_lines(source, False)
     for lineno, line in lines:
@@ -353,13 +357,10 @@ def load_roster(source: str, source_name: str = "<string>") -> Roster:
         if len(errors) > row_errors:
             continue
         seen_pnrs.add(pnr)
-        passengers.append(Passenger(
-            pnr=pnr, name=name, coach=coach, seat=seat_num, role=role_val,
-            profession=profession or None, specialization=specialization or None,
-            registered_for_service=(registered == "yes"),
-            illness=illness or None, medication=medication or None,
-            medicine_in_hand=medicine or None, travel=travel,
-        ))
+        append(make((
+            pnr, name, coach, seat_num, role_val, profession or None,
+            specialization or None, registered == "yes", illness or None,
+            medication or None, medicine or None, travel, ())))
     if not header_seen:
         errors.append((end, "missing roster header row"))
     if errors:
@@ -383,8 +384,7 @@ def register_passenger(roster: Roster, graph: TaxonomyGraph, pnr: str,
     """
     p = roster.get(pnr)
     if opt_in:
-        updated = replace(
-            p,
+        updated = p._replace(
             registered_for_service=True,
             illness=details.illness or p.illness,
             medication=details.medication or p.medication,
@@ -396,8 +396,8 @@ def register_passenger(roster: Roster, graph: TaxonomyGraph, pnr: str,
                    else PATIENT_CONCEPT)
         graph = graph.with_individual(pnr, concept)
     else:
-        updated = replace(p, registered_for_service=False,
-                          flags=p.flags + ("no medical Service",))
+        updated = p._replace(registered_for_service=False,
+                             flags=p.flags + ("no medical Service",))
     return roster.with_passenger(updated), graph, updated
 
 
@@ -413,7 +413,7 @@ def validate_travel_plan(roster: Roster, pnr: str, origin: str, destination: str
         raise ValidationMismatch("destination")
     if journey_date != p.travel.journey_date:
         raise ValidationMismatch("journeyDate")
-    updated = replace(p, travel=replace(p.travel, validated=True))
+    updated = p._replace(travel=p.travel._replace(validated=True))
     return roster.with_passenger(updated), updated
 
 

@@ -156,6 +156,21 @@ MUTANTS = [
            "    _check_acyclic(concepts, parents)\n", "",
            (T_ONTOLOGY + "test_load_taxonomy_two_cycle",
             T_ONTOLOGY + "test_load_taxonomy_5000_long_cycle")),
+    Mutant("roster: two adjacent cells swapped in the record", SCENARIO,
+           """illness or None,
+            medication or None,""",
+           """medication or None,
+            illness or None,""",
+           (T_SCENARIO + "test_load_roster_puts_each_cell_in_its_field",
+            T_SCENARIO + "test_load_roster_matches_the_csv_oracle")),
+    # the event log
+    Mutant("event log: a torn final line is not cut", SCENARIO,
+           "    end = os.fstat(fd).st_size\n", "    return\n",
+           (T_SCENARIO + "test_event_log_open_agrees_with_the_full_parse",
+            T_SCENARIO + "test_event_log_cuts_a_torn_line_longer_than_a_chunk")),
+    Mutant("event log: the next id is the largest, not one past it", SCENARIO,
+           "default=0) + 1", "default=0)",
+           (T_SCENARIO + "test_event_log_ids_continue_after_reopen",)),
     Mutant("message sink: a write error escapes", SCENARIO,
            """            except OSError as exc:
                 raise FluxError(f"cannot append to message sink""",

@@ -291,7 +291,8 @@ def csv_load_roster(source: str, source_name: str = "<string>") -> Roster:
             registered_for_service=(registered == "yes"),
             illness=illness or None, medication=medication or None,
             medicine_in_hand=medicine or None,
-            travel=TravelPlan(origin, destination, journey_date),
+            travel=TravelPlan(origin=origin, destination=destination,
+                              journey_date=journey_date),
         ))
     if not header_seen:
         errors.append((len(lines) + 1, "missing roster header row"))

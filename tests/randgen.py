@@ -473,7 +473,7 @@ def random_roster(rng: random.Random, max_passengers: int = 200,
             specialization=rng.choice(SPECIALIZATIONS),
             registered_for_service=rng.random() < 0.8,
             illness=None, medication=None, medicine_in_hand=None,
-            travel=TravelPlan("A", "B", Date(2011, 11, 5),
+            travel=TravelPlan(origin="A", destination="B", journey_date=Date(2011, 11, 5),
                               validated=rng.random() < 0.7),
         ))
     return Roster(tuple(passengers), coaches)

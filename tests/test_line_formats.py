@@ -85,9 +85,9 @@ BYTE_PRESERVING = [
     ("registry", "service s\n  output: X\n",
      "<string>:2:1: expected a service field or 'end', found 'output: X'"),
     ("registry", "service s\n  precondition: holds(f(\n",
-     "<string>:2:9: expected a term, found '<end of input>'"),
+     "<string>:2:25: expected a term, found '<end of input>'"),
     ("registry", "service s\n\n  effectAdd: p(X,\n",
-     "<string>:3:5: expected a term, found '<end of input>'"),
+     "<string>:3:18: expected a term, found '<end of input>'"),
     ("registry", "service s\n  grounding: g\n", f"<string>:3:1: {_END}"),
     ("registry", "service s\n  grounding: g", f"<string>:3:1: {_END}"),
     ("registry", "service s\n  grounding: g\n\n  \n", f"<string>:5:1: {_END}"),
@@ -143,6 +143,9 @@ BYTE_PRESERVING = [
     ("script", "report pnr=P1 now=2011-11-05T09:20 type=Fire\n",
      "<script>:1: 'Fire' is not a valid EventType"),
     ("script", "\n\nwait pnr=P1\n", "<script>:3: unknown script command 'wait'"),
+    # a registry fragment's column counts a tab indent as one character
+    ("registry", "service s\n\teffectRemove:  p(X, # c\n",
+     "<string>:2:21: expected a term, found '<end of input>'"),
 ]
 
 

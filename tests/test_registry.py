@@ -2,7 +2,7 @@
 
 import pytest
 
-from fluxcompose import registry
+from fluxcompose import dsl, registry
 from fluxcompose.errors import FluxError, ParseError
 from fluxcompose.ontology import MatchDegree, UnknownConceptError
 from fluxcompose.registry import (
@@ -57,6 +57,19 @@ def test_bad_fragment_reports_registry_line(taxonomy):
     with pytest.raises(ParseError) as exc:
         load_registry(src, taxonomy)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("indent", ["", "  ", "\t", " \t "])
+@pytest.mark.parametrize("field, fragment", [
+    ("precondition", "holds(f("), ("precondition", "knows_val(p(X) q"),
+    ("effectAdd", "p(X,"), ("effectRemove", "p(,)")])
+def test_bad_fragment_column_counts_from_the_line_start(taxonomy, indent, field, fragment):
+    line = f"{indent}{field}:  {fragment}  # note"
+    with pytest.raises(ParseError) as alone:
+        (dsl.parse_atom_text if field == "precondition" else dsl.parse_term_text)(fragment)
+    with pytest.raises(ParseError) as exc:
+        load_registry(f"service s\n{line}\n  grounding: x\nend\n", taxonomy)
+    assert (exc.value.line, exc.value.column) == (2, line.index(fragment) + alone.value.column)
 
 
 def test_too_deep_precondition_is_a_parse_error(taxonomy):

@@ -3,7 +3,7 @@
 import csv
 import random
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 from datetime import date as Date, datetime, time as Time
 
 import pytest
@@ -116,6 +116,59 @@ def test_load_roster_travel_plans_follow_each_row():
     roster = load_roster(src)
     assert [(p.travel.destination, p.travel.journey_date.day)
             for p in roster.passengers] == [("B", 5), ("B", 6), ("C", 5), ("B", 5)]
+
+
+# a row with a distinct value in every cell, and the records it loads into,
+# built by keyword so the check does not follow the loader's positional order
+DISTINCT_ROW = ("P7,Zed,S2,42,DeliveryPersonnel,nurse,Cardiology,no,"
+                "asthma,salbutamol,inhaler,Pune,Agra,2011-11-07")
+DISTINCT_TRAVEL = TravelPlan(origin="Pune", destination="Agra",
+                             journey_date=Date(2011, 11, 7), validated=False)
+DISTINCT_PASSENGER = Passenger(
+    pnr="P7", name="Zed", coach="S2", seat=42, role=Role.DELIVERY_PERSONNEL,
+    profession="nurse", specialization="Cardiology", registered_for_service=False,
+    illness="asthma", medication="salbutamol", medicine_in_hand="inhaler",
+    travel=DISTINCT_TRAVEL, flags=())
+
+
+def test_load_roster_puts_each_cell_in_its_field():
+    (p,) = load_roster(HEADER + DISTINCT_ROW + "\n").passengers
+    assert {f: getattr(p, f) for f in Passenger._fields} == {
+        "pnr": "P7", "name": "Zed", "coach": "S2", "seat": 42,
+        "role": Role.DELIVERY_PERSONNEL, "profession": "nurse",
+        "specialization": "Cardiology", "registered_for_service": False,
+        "illness": "asthma", "medication": "salbutamol", "medicine_in_hand": "inhaler",
+        "travel": DISTINCT_TRAVEL, "flags": ()}
+    assert {f: getattr(p.travel, f) for f in TravelPlan._fields} == {
+        "origin": "Pune", "destination": "Agra", "journey_date": Date(2011, 11, 7),
+        "validated": False}
+
+
+def test_loaded_passenger_equals_and_hashes_as_one_built_by_keywords():
+    (p,) = load_roster(HEADER + DISTINCT_ROW + "\n").passengers
+    assert p == DISTINCT_PASSENGER and hash(p) == hash(DISTINCT_PASSENGER)
+    assert p.travel == DISTINCT_TRAVEL and hash(p.travel) == hash(DISTINCT_TRAVEL)
+
+
+@pytest.mark.parametrize("record, field", [
+    (DISTINCT_PASSENGER, "name"), (DISTINCT_PASSENGER, "flags"),
+    (DISTINCT_PASSENGER, "nickname"), (DISTINCT_TRAVEL, "validated")])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, "x")
+    assert not hasattr(DISTINCT_PASSENGER, "nickname")
+    assert DISTINCT_PASSENGER.name == "Zed" and DISTINCT_TRAVEL.validated is False
+
+
+def test_roster_repr():
+    assert repr(load_roster(HEADER + DISTINCT_ROW + "\n")) == (
+        "Roster(passengers=(Passenger(pnr='P7', name='Zed', coach='S2', seat=42, "
+        "role=<Role.DELIVERY_PERSONNEL: 'DeliveryPersonnel'>, profession='nurse', "
+        "specialization='Cardiology', registered_for_service=False, illness='asthma', "
+        "medication='salbutamol', medicine_in_hand='inhaler', "
+        "travel=TravelPlan(origin='Pune', destination='Agra', "
+        "journey_date=datetime.date(2011, 11, 7), validated=False), flags=()),), "
+        "coach_order=('S1', 'S2', 'S3'))")
 
 
 def test_load_roster_nul_in_a_quoted_cell_is_a_row_error():
@@ -355,7 +408,7 @@ def test_roster_with_duplicate_pnrs_keeps_the_first():
     first, second = passenger("P1", "First", "S1"), passenger("P1", "Second", "S2")
     roster = Roster((first, second), ("S1", "S2"))
     assert roster.get("P1") == first
-    updated = replace(first, name="Updated")
+    updated = first._replace(name="Updated")
     assert roster.with_passenger(updated).passengers == (updated, second)
     assert roster.with_passenger(passenger("P9", "Nobody", "S1")) == roster
 
@@ -393,12 +446,12 @@ def test_roster_index_follows_updates(taxonomy, seed):
             roster, graph, updated = register_passenger(
                 roster, graph, pnr, rng.random() < 0.7, scenario.MedicalDetails())
         elif model[i].role is Role.DELIVERY_PERSONNEL:
-            updated = replace(model[i], role=Role.NONE)
+            updated = model[i]._replace(role=Role.NONE)
             roster = roster.with_passenger(updated)
         else:
-            updated = replace(model[i], role=Role.DELIVERY_PERSONNEL, profession="doctor",
-                              registered_for_service=True,
-                              travel=replace(model[i].travel, validated=True))
+            updated = model[i]._replace(role=Role.DELIVERY_PERSONNEL, profession="doctor",
+                                        registered_for_service=True,
+                                        travel=model[i].travel._replace(validated=True))
             roster = roster.with_passenger(updated)
         model[i] = updated
         fresh = Roster(tuple(model), roster.coach_order)
@@ -619,20 +672,23 @@ def log_lines(draw):
 @settings(max_examples=300, deadline=None)
 def test_event_log_open_agrees_with_the_full_parse(tmp_path_factory, lines, torn):
     # the writer's next id is one past the largest id read_event_log returns,
-    # and a log read_event_log rejects fails to open with the same message
+    # the record it appends reads back after those, and a log read_event_log
+    # rejects fails to open with the same message
     data = b"".join(lines)
     data = data[:len(data) - torn] if torn < len(data) else data
     path = tmp_path_factory.mktemp("logs") / "events.log"
     path.write_bytes(data)
     try:
-        expected = max([1] + [rid + 1 for rid, _ in read_event_log(path)])
+        before = read_event_log(path)
     except scenario.FluxError as exc:
         with pytest.raises(scenario.FluxError) as got:
             EventLog(path)
         assert str(got.value) == str(exc)
     else:
+        expected = max([1] + [rid + 1 for rid, _ in before])
         with EventLog(path) as log:
             assert log.append(sample_event_record()) == expected
+        assert read_event_log(path) == before + [(expected, sample_event_record())]
 
 
 @pytest.mark.parametrize("before", [0, 2])
