@@ -92,6 +92,37 @@ class ActionSchema:
         return frozenset(map(pattern_symbol, self.adds))
 
     @cached_property
+    def add_sources(self) -> tuple[tuple[Optional[tuple[bool, str, int]], tuple], ...]:
+        """Per add, its `pattern_symbol` and where each top-level argument's value comes from.
+
+        An argument (inside know, of the term in it) is kept as itself when it
+        is ground; an output, which takes a fresh placeholder, is None; any
+        other is the tuple of (`pattern_symbol`, position) pairs at which it is
+        a top-level argument of a poss pattern, empty for a compound holding a
+        variable or a variable met only nested or not at all. A bare-variable
+        add has no arguments.
+        """
+        columns: dict[Variable, tuple] = {}
+        for pattern in self.poss:
+            inner = pattern.args[0] if is_knowledge(pattern) else pattern
+            if isinstance(inner, Compound):
+                for j, arg in enumerate(inner.args):
+                    if isinstance(arg, Variable):
+                        columns[arg] = columns.get(arg, ()) + ((pattern_symbol(pattern), j),)
+
+        def source(arg: Term):
+            if is_ground(arg):
+                return arg
+            return None if arg in self.outputs else columns.get(arg, ())
+
+        sources = []
+        for add in self.adds:
+            inner = add.args[0] if is_knowledge(add) else add
+            args = inner.args if isinstance(inner, Compound) else ()
+            sources.append((pattern_symbol(add), tuple(map(source, args))))
+        return tuple(sources)
+
+    @cached_property
     def mints_placeholders(self) -> bool:
         """Whether an application can add a placeholder: outputs, or an add naming one."""
         return bool(self.outputs) or any(map(has_placeholder, self.adds))

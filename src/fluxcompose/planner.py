@@ -7,17 +7,21 @@ fluent not removed persists, which is the whole point of the update axioms.
 
 The search is breadth-first with canonical child ordering (action name, then
 arguments by `order_key`), so the returned plan is the shortest,
-lexicographically first among equals. Four rules, always on, shrink it: a
+lexicographically first among equals. Five rules, always on, shrink it: a
 goal symbol that no action sequence can produce fails at once, without a
-search; only the actions that can add a fluent the goal needs, directly or
+search; so does a goal pattern that wants, at a ground argument, a value that
+neither an initial fluent nor any add can give it, a variable read from a
+relation no action adds (a static one) taking only that relation's initial
+values; only the actions that can add a fluent the goal needs, directly or
 through the poss of another such action, are searched; in a domain without
 remove lists an application whose adds already hold is never made; and a
 state seen before, up to placeholder renaming, is not queued again. The
 visited set holds states, with placeholders renamed when the problem can make
-any; no state or substitution is named by its text. The symbol sets the
-first two rules read are computed once per `ActionSchema`. `plan` gives the
-soundness argument for the four rules; the tests check it against an
-unpruned enumeration of every plan.
+any; no state or substitution is named by its text. The symbol sets and add
+sources the first three rules read are computed once per `ActionSchema`, a
+static relation's initial values once per group of the initial state's
+index. `plan` gives the soundness argument for the five rules; the tests
+check it against an unpruned enumeration of every plan.
 
 The search's bindings are plain dicts of variables to ground terms: a solve
 starts empty and every fluent is ground, so no binding needs re-resolving.
@@ -38,6 +42,7 @@ from .dsl import ActionSchema, DomainFile, ProblemFile, know_misuse
 from .errors import FluxError
 from .terms import (
     Compound,
+    Constant,
     Placeholder,
     State,
     Substitution,
@@ -47,6 +52,8 @@ from .terms import (
     fluent_symbol,
     has_placeholder,
     instantiate,
+    is_ground,
+    is_knowledge,
     order_key,
     pattern_symbol,
 )
@@ -60,7 +67,9 @@ class NoPlanFound(FluxError):
 
     ``unreachable`` names the goal symbols no action sequence of any length
     can produce, sorted (``name/arity``, or ``know(name/arity)`` for
-    knowledge); it is empty when the search itself ran out.
+    knowledge). It is empty when the search itself ran out, and when the
+    static-argument rule decided: there every goal symbol can be produced,
+    but not with the wanted arguments.
     """
 
     def __init__(self, depth: int, unreachable: tuple[str, ...] = ()):
@@ -274,6 +283,66 @@ def _unreachable_goal_symbols(problem: PlanningProblem) -> tuple[str, ...]:
                         for know, name, arity in missing))
 
 
+def _static_failure(problem: PlanningProblem) -> bool:
+    """Whether some goal pattern can never hold, read from its fixed positions.
+
+    A fixed position of a goal pattern (for know(P), of P) is a top-level
+    argument that is ground and free of placeholders; `plan` states the rule
+    and argues it sound. No action is read when no goal pattern has a fixed
+    position, and nothing is decided when an action has a bare-variable add.
+    """
+    wanted = []
+    for pattern in problem.goal:
+        inner = pattern.args[0] if is_knowledge(pattern) else pattern
+        if isinstance(inner, Compound):
+            fixed = [(i, a) for i, a in enumerate(inner.args) if isinstance(a, Constant)
+                     or isinstance(a, Compound) and is_ground(a) and not has_placeholder(a)]
+            if fixed:
+                wanted.append((pattern, fixed))
+    if not wanted:
+        return False
+    added = set()
+    for schema in problem.actions:
+        added |= schema.add_symbols
+    if None in added:
+        return False
+    initial = problem.initial
+    for pattern, fixed in wanted:
+        symbol = fluent_symbol(pattern)
+        if not (_may_add(symbol, fixed, problem.actions, added, initial)
+                or extensions(pattern, initial, {})):
+            return True
+    return False
+
+
+def _may_add(symbol: tuple[bool, str, int], fixed: list[tuple[int, Term]],
+             actions: Sequence[ActionSchema], added: set, initial: State) -> bool:
+    """Whether an add of the symbol can take the value at each fixed position.
+
+    Read from each add's `ActionSchema.add_sources`; a symbol not in added is
+    static, so a variable read from it takes only its initial values.
+    """
+    for schema in actions:
+        for add_symbol, sources in schema.add_sources:
+            if add_symbol != symbol:
+                continue
+            if all(_may_take(sources[i], value, added, initial) for i, value in fixed):
+                return True
+    return False
+
+
+def _may_take(source, value: Term, added: set, initial: State) -> bool:
+    """Whether an add argument with this `ActionSchema.add_sources` entry can be value."""
+    if source is None:
+        return False
+    if not isinstance(source, tuple):
+        return source == value
+    for symbol, j in source:
+        if symbol not in added and not initial.has_argument(symbol, j, value):
+            return False
+    return True
+
+
 def _relevant_actions(goal: Iterable[Term],
                       actions: Sequence[ActionSchema]) -> Sequence[ActionSchema]:
     """The actions that can add a fluent the goal needs, chained backward.
@@ -329,7 +398,7 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
       placeholder, and `_pruning_key` would return every state unchanged.
       This is read once from the problem, not set by the caller.
 
-    Three more rules apply to every search:
+    Four more rules apply to every search:
 
     - Early failure. If a goal symbol is missing from
       `_unreachable_goal_symbols`' closure, NoPlanFound is raised before any
@@ -339,6 +408,26 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
       symbol, and removes only shrink a state (Bonet & Geffner's delete
       relaxation). A goal pattern likewise needs a fluent of its symbol, so
       no plan of any length exists.
+    - Static-argument early failure (rigid relations, as in Helmert 2009).
+      Right after it, `_static_failure` raises NoPlanFound with no symbols
+      named when a goal pattern with a fixed position, a top-level argument
+      that is ground and placeholder-free, can never hold. A symbol no action
+      adds is static: in every reachable state its fluents are a subset of
+      the initial ones, as removes only shrink a state (a bare-variable add
+      could add any symbol, so then the rule decides nothing). Say the
+      pattern holds in a reachable state through a fluent f, whose argument
+      at each fixed position i is the wanted value w_i. Either f is initial,
+      and an initial fluent matches the pattern; or f was added by some
+      application of an action through an add A of f's symbol, instantiated
+      by the poss binding and fresh placeholders for the outputs. Then at
+      each i, a ground A_i is f's argument itself, so it equals w_i; an
+      output took a placeholder, which a placeholder-free w_i never equals;
+      and a variable that is the j-th top-level argument of a poss pattern
+      over a static symbol was bound to the j-th argument of a fluent that
+      pattern matched, a fluent of the initial state, so w_i is an initial
+      j-th argument of that symbol. When neither case can occur, no plan of
+      any length exists. A goal with no fixed position, such as compose's
+      know(C(WANT)), is passed without reading any action.
     - Relevance (Nebel, Dimopoulos & Koehler 1997). Only the actions of
       `_relevant_actions`, chained backward from the goal symbols, are
       searched; the key above and the skip below are argued for the problem
@@ -356,8 +445,8 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
       no shortest plan has an irrelevant step, and every plan over the
       relevant actions is one of the problem: the lexicographically first
       shortest plan is unchanged, and when there is none the search raises
-      the same NoPlanFound(cfg.max_depth). The rule runs after early
-      failure, so `unreachable` is as before.
+      the same NoPlanFound(cfg.max_depth). The rule runs after both early
+      failures, so `unreachable` is as before.
     - Monotone skip. When no searched action has a remove list, a child is
       dropped before it is built if the schema's adds already hold in the
       parent under the poss binding, with the outputs left free. Map the
@@ -372,7 +461,7 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
     if satisfies_goal(problem.initial, problem.goal):
         return Plan(())
     missing = _unreachable_goal_symbols(problem)
-    if missing:
+    if missing or _static_failure(problem):
         raise NoPlanFound(cfg.max_depth, missing)
     actions = _relevant_actions(problem.goal, sorted(problem.actions, key=lambda a: a.name))
     monotone = not any(a.removes for a in actions)

@@ -854,7 +854,9 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
     type has no responder category) no stub runs and a fallback notice naming
     the next station is logged instead. A symptom that is empty or holds a
     comma is rejected: the log joins symptoms with commas, so its record would
-    read back as another.
+    read back as another. So is a ranked responder whose name or coach holds a
+    semicolon, the separator of the responders field, before any message is
+    sent.
 
     ctx.roster and ctx.taxonomy are rebound only after the record is
     appended: a report that raises leaves them and the log as they were, but
@@ -901,6 +903,10 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
         except FallbackRequired as exc:
             reason = str(exc)
         else:
+            responders = tuple(f"{r.name}@{r.coach}" for r in ranked)
+            for responder in responders:
+                if ";" in responder:
+                    raise FluxError(f"responder {responder!r} holds a semicolon")
             env = build_grounding_env(ranked, ctx.message_sink)
             trace = execute(workflow, env, ctx.registry)
 
@@ -913,8 +919,7 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
         kind = OutcomeKind.RESPONDER_ASSIGNED
         confirmation = trace.records[-1].outcome if trace.records else "ok"
         record = EventRecord(
-            **common, delivery_personnel=ranked[0].name,
-            responders=tuple(f"{r.name}@{r.coach}" for r in ranked),
+            **common, delivery_personnel=ranked[0].name, responders=responders,
             confirmation=trace.resolved_values().get("ACK", confirmation),
         )
     rid = ctx.log.append(record)

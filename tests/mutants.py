@@ -131,6 +131,39 @@ MUTANTS = [
     Mutant("search: early failure's closure adds nothing", PLANNER,
            "have |= schema.add_symbols", "pass",
            (T_PLANNER + "test_plan_emergency_two_steps",)),
+    # static-argument early failure; over _relevant_actions instead of every
+    # action, static would be the same set, so the mutant reads one step only
+    Mutant("static failure: static read over the actions that add a goal symbol", PLANNER,
+           """    for schema in problem.actions:
+        added |= schema.add_symbols""",
+           """    for schema in problem.actions:
+        if not schema.add_symbols.isdisjoint(map(fluent_symbol, problem.goal)):
+            added |= schema.add_symbols""",
+           (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
+    Mutant("static failure: a bare-variable add is not heeded", PLANNER,
+           """    if None in added:
+        return False
+""", "",
+           (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
+    Mutant("static failure: the initial-fluent check dropped", PLANNER,
+           """        if not (_may_add(symbol, fixed, problem.actions, added, initial)
+                or extensions(pattern, initial, {})):""",
+           """        if not _may_add(symbol, fixed, problem.actions, added, initial):""",
+           (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
+    Mutant("static failure: a placeholder counts as a fixed argument", PLANNER,
+           "if isinstance(a, Constant)\n", "if not isinstance(a, Variable)\n",
+           (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
+    Mutant("static failure: a constant looked up as itself, not by its name", TERMS,
+           "return (value.name if value.__class__ is Constant else value) in column",
+           "return value in column",
+           (T_TERMS + "test_has_argument_reads_one_position_of_one_symbol",)),
+    Mutant("static failure: an output may take any value", DSL,
+           "return None if arg in self.outputs else columns.get(arg, ())",
+           "return columns.get(arg, ())",
+           (T_PLANNER + "test_static_argument_failure_decides_before_any_search",)),
+    Mutant("static failure: the first column read, not the poss position's", PLANNER,
+           "initial.has_argument(symbol, j, value)", "initial.has_argument(symbol, 0, value)",
+           (T_PLANNER + "test_static_argument_failure_decides_before_any_search",)),
     # the tokenizer
     Mutant("tokenizer: no catch-all, a stray character is skipped", DSL,
            '\n    r"|(?P<bad>.)"', "",
@@ -163,6 +196,21 @@ MUTANTS = [
             illness or None,""",
            (T_SCENARIO + "test_load_roster_puts_each_cell_in_its_field",
             T_SCENARIO + "test_load_roster_matches_the_csv_oracle")),
+    # the roster's update and the report's one record
+    Mutant("roster: the ready pool is not updated", SCENARIO,
+           "if now_ready != _is_ready(block[j]):", "if False:",
+           (T_SCENARIO + "test_roster_index_follows_updates",)),
+    Mutant("roster: the block copy keeps the old passenger", SCENARIO,
+           "block = block[:j] + (updated,) + block[j + 1:]",
+           "block = block[:j] + (updated,) + block[j:]",
+           (T_SCENARIO + "test_roster_index_follows_updates",)),
+    Mutant("report: a record appended twice", SCENARIO,
+           "    rid = ctx.log.append(record)\n",
+           "    ctx.log.append(record)\n    rid = ctx.log.append(record)\n",
+           (T_SCENARIO + "test_report_always_appends_exactly_one_record",)),
+    Mutant("report: a responder holding the separator is logged", SCENARIO,
+           'if ";" in responder:', "if False:",
+           (T_SCENARIO + "test_report_rejects_a_responder_that_would_not_read_back",)),
     # the event log
     Mutant("event log: a torn final line is not cut", SCENARIO,
            "    end = os.fstat(fd).st_size\n", "    return\n",

@@ -8,10 +8,12 @@ For seeds 0-299 of each family of ``test_plan_golden.py``, at that file's
 depths, one row holds the plan's text or the depth and ``unreachable``
 symbols of the NoPlanFound raised. The script prints, per family and in
 total, the rows' SHA-256 and the states the search expanded (states passed to
-``planner._children``). A pruning change should leave the SHA as it was and
-expand no more states. Seeds 0-99 are also planned by the unpruned
+``planner._children``). Seeds 0-99 are also planned by the unpruned
 ``enumerate_plans`` oracle, whose first plan ``plan`` must return. Exits 1 on
-any disagreement.
+any disagreement, when the total SHA differs from PINNED_DIGEST, or when the
+states expanded exceed EXPANDED_CEILING. A pruning change leaves the digest as
+it is and may lower the ceiling to its new count; a change that alters a row
+on purpose names it and pins the new digest.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from test_plan_golden import FAMILIES
 
 SEEDS = range(300)
 ORACLE_SEEDS = range(100)
+PINNED_DIGEST = "a733cf61050be17e4d5db5acf5045084c79e37e3c2b4827c419c6b2ddd207b4a"
+EXPANDED_CEILING = 2952
 
 
 def main() -> int:
@@ -69,9 +73,18 @@ def main() -> int:
                           f"{str(plans[0]) if plans else 'no plan'}", file=sys.stderr)
         print(f"{family}\t{len(SEEDS)} rows\t{rows.hexdigest()[:16]}\t"
               f"{expanded - before} expanded")
-    print(f"total\t{len(SEEDS) * len(FAMILIES)} rows\t{total.hexdigest()}\t"
+    digest = total.hexdigest()
+    print(f"total\t{len(SEEDS) * len(FAMILIES)} rows\t{digest}\t"
           f"{expanded} expanded\t{disagreements} disagreements")
-    return 1 if disagreements else 0
+    failed = bool(disagreements)
+    if digest != PINNED_DIGEST:
+        print(f"DIGEST {digest} differs from the pinned {PINNED_DIGEST}", file=sys.stderr)
+        failed = True
+    if expanded > EXPANDED_CEILING:
+        print(f"EXPANDED {expanded} states, over the ceiling of {EXPANDED_CEILING}",
+              file=sys.stderr)
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -177,7 +177,8 @@ def test_no_plan_found_names_unreachable_goal_symbols(planning_problem, find_res
         plan(crippled, SearchConfig(max_depth=5))
     assert exc.value.unreachable == ("know(ConfirmSend/0)",)
     assert exc.value.depth == 5 and str(exc.value) == "no plan within depth 5"
-    # q/1 is reachable, q(a) is not: the search runs dry and names no symbol
+    # q/1 is reachable, q(a) is not, as copy adds only q(b): the
+    # static-argument rule refuses it before any search and names no symbol
     x = Variable("X")
     copy = dsl.make_action_schema(
         "copy", [x], [Compound("p", (x,))],
@@ -466,30 +467,32 @@ def _assert_twins_merged(monkeypatch, problem, depth):
 
 
 def test_placeholders_of_the_initial_state_keep_the_renaming_key(monkeypatch):
-    # no action has outputs, but pick(#1) and pick(#2) reach twins
+    # no action has outputs, but pick(#1) and pick(#2) reach twins; a token
+    # is never both picked and held, as pick removes what it adds picked for
     t1, t2 = Placeholder("seed", "T", 1), Placeholder("seed", "T", 2)
     x = Variable("X")
     pick = dsl.make_action_schema("pick", [x], [Compound("token", (x,))],
                                   [Compound("picked", (x,))], [Compound("token", (x,))])
     problem = PlanningProblem(State.from_terms([Compound("token", (t1,)),
                                                 Compound("token", (t2,))]),
-                              (Compound("picked", (Constant("c"),)),), (pick,))
+                              (Compound("picked", (x,)), Compound("token", (x,))), (pick,))
     _assert_twins_merged(monkeypatch, problem, 2)
 
 
 def test_outputs_and_placeholder_adds_keep_the_renaming_key(monkeypatch):
-    # make;other and other;make differ only in their placeholder's step; the
-    # goal needs flag too, or other would be irrelevant and never searched
-    o = Variable("O")
-    make = dsl.make_action_schema("make", [], [], [Compound("item", (o,))], [])
+    # make;other and other;make differ only in their placeholders' step; the
+    # goal needs flag too, or other would be irrelevant and never searched.
+    # A pair's two outputs are two placeholders, so pair(X,X) never holds
+    o, p, x = Variable("O"), Variable("P"), Variable("X")
+    make = dsl.make_action_schema("make", [], [], [Compound("pair", (o, p))], [])
     other = dsl.make_action_schema("other", [], [], [Constant("flag")], [])
-    goal = (Compound("item", (Constant("c"),)),)
+    goal = (Compound("pair", (x, x)),)
     _assert_twins_merged(monkeypatch, PlanningProblem(State(), goal + (Constant("flag"),),
                                                       (make, other)), 3)
     # a1 and a2 add twins named by placeholders written into the schemas
-    a1, a2 = (dsl.make_action_schema(name, [], [], [Compound("item", (ph,))], [])
-              for name, ph in (("a1", Placeholder("lit", "A", 1)),
-                               ("a2", Placeholder("lit", "B", 1))))
+    a1, a2 = (dsl.make_action_schema(name, [], [], [Compound("pair", phs)], [])
+              for name, phs in (("a1", (Placeholder("lit", "A", 1), Placeholder("lit", "A", 2))),
+                                ("a2", (Placeholder("lit", "B", 1), Placeholder("lit", "B", 2)))))
     _assert_twins_merged(monkeypatch, PlanningProblem(State(), goal, (a1, a2)), 2)
 
 
@@ -834,8 +837,9 @@ def test_a_bare_variable_add_makes_its_action_relevant():
 
 
 def test_a_goal_no_action_adds_runs_dry_without_naming_symbols(monkeypatch):
-    # p/1 is in the initial state, so early failure passes; no action adds
-    # p, so none is relevant and the search expands only the initial state
+    # p/2 is in the initial state, so early failure passes, and p(X,X) has no
+    # fixed argument for the static-argument rule; no action adds p, so none
+    # is relevant and the search expands only the initial state
     expanded = []
     children = planner._children
 
@@ -844,11 +848,11 @@ def test_a_goal_no_action_adds_runs_dry_without_naming_symbols(monkeypatch):
         return children(actions, states)
 
     monkeypatch.setattr(planner, "_children", recording_children)
-    x = Variable("X")
-    grow = dsl.make_action_schema("grow", [x], [Compound("p", (x,))],
+    x, y = Variable("X"), Variable("Y")
+    grow = dsl.make_action_schema("grow", [x], [Compound("p", (x, y))],
                                   [Compound("q", (x,))], [])
-    problem = PlanningProblem(State.from_terms([Compound("p", (Constant("a"),))]),
-                              (Compound("p", (Constant("b"),)),), (grow,))
+    problem = PlanningProblem(State.from_terms([Compound("p", (Constant("a"), Constant("b")))]),
+                              (Compound("p", (x, x)),), (grow,))
     with pytest.raises(NoPlanFound) as exc:
         plan(problem, SearchConfig(max_depth=4))
     assert (exc.value.depth, exc.value.unreachable) == (4, ())
@@ -872,3 +876,84 @@ def test_an_irrelevant_action_never_reaches_children(monkeypatch, planning_probl
     got = plan(full)
     assert got == plan(planning_problem)
     assert searched and all(a is not gossip for a in searched)
+
+
+# ---------------------------------------------------------------------------
+# static-argument early failure
+# ---------------------------------------------------------------------------
+
+_MOVE = ("fluent at/1.\nfluent link/2.\n"
+         "action move(X,Y) poss: holds(at(X)), holds(link(X,Y)) "
+         "update: add [at(Y)] remove [at(X)].\n")
+
+
+def _parsed(domain, problem, *extra_actions):
+    parsed = planner.make_problem(dsl.parse_domain(domain), dsl.parse_problem(problem))
+    return PlanningProblem(parsed.initial, parsed.goal, parsed.actions + extra_actions)
+
+
+@pytest.mark.parametrize("problem", [
+    # t0 links into the chain, and no link leads into t0
+    _parsed(_MOVE, "init: at(n0), link(n0,n1), link(n1,n2), link(t0,n0).\ngoal: at(t0)."),
+    # learn knows only what the static src holds, and src holds a alone
+    _parsed("fluent src/1.\nfluent c/1.\naction learn(X) poss: holds(src(X)) "
+            "update: add [know(c(X))] remove [].\n", "init: src(a).\ngoal: know(c(b))."),
+    # make's output takes a fresh placeholder, never the constant c
+    _parsed("fluent item/1.\naction make() poss: update: add [item(O)] remove [].\n",
+            "init: .\ngoal: item(c)."),
+    # switch adds mode(on), and the goal wants mode(off)
+    _parsed("fluent mode/1.\nfluent power/0.\naction switch() poss: holds(power) "
+            "update: add [mode(on)] remove [].\n", "init: power.\ngoal: mode(off)."),
+], ids=["move-chain", "know", "output", "ground-add"])
+def test_static_argument_failure_decides_before_any_search(monkeypatch, problem):
+    def no_children(actions, states):
+        raise AssertionError("the search ran")
+
+    assert enumerate_plans(problem, 4) == []
+    monkeypatch.setattr(planner, "_children", no_children)
+    with pytest.raises(NoPlanFound) as exc:
+        plan(problem, SearchConfig(max_depth=4))
+    assert (exc.value.depth, exc.value.unreachable) == (4, ())
+
+
+_W = Variable("W")
+
+
+@pytest.mark.parametrize("problem", [
+    # bridge adds a link, so link is not static
+    _parsed(_MOVE + "action bridge(X) poss: holds(at(X)) update: add [link(X,t0)] remove [].\n",
+            "init: at(n0), link(n0,n1).\ngoal: at(t0)."),
+    # conjure's bare-variable add can add any fluent, a link included
+    _parsed(_MOVE + "fluent wish/1.\n", "init: at(n0), link(n0,n1), wish(link(n1,t0)).\n"
+            "goal: at(t0).",
+            dsl.make_action_schema("conjure", [_W], [Compound("wish", (_W,))], [_W], [])),
+    # the goal names make's placeholder, which is not a fixed argument
+    PlanningProblem(State(), (Compound("item", (Placeholder("make", "O", 1),)),),
+                    (dsl.make_action_schema("make", [], [], [Compound("item", (Variable("O"),))],
+                                            []),)),
+    # Y is only nested in the static crate, so it may be t0
+    _parsed(_MOVE + "fluent crate/2.\naction unpack(X,Y) poss: holds(at(X)), "
+            "holds(crate(X,box(Y))) update: add [at(Y)] remove [].\n",
+            "init: at(n0), crate(n0,box(t0)).\ngoal: at(t0)."),
+    # ready is a 0-ary poss pattern beside the static road
+    _parsed("fluent at/1.\nfluent ready/0.\nfluent road/1.\naction go(Y) poss: holds(ready), "
+            "holds(road(Y)) update: add [at(Y)] remove [].\n", "init: ready, road(t0).\ngoal: at(t0)."),
+    # link(n0,n1) is static and no action adds it, but it holds from the start
+    _parsed(_MOVE, "init: at(n0), link(n0,n1), link(n1,n2).\ngoal: link(n0,n1), at(n2)."),
+], ids=["added", "bare-variable-add", "placeholder", "nested", "0-ary-poss", "initial"])
+def test_static_argument_failure_keeps_every_plan(problem):
+    expected = enumerate_plans(problem, 3)
+    assert expected
+    assert plan(problem, SearchConfig(max_depth=3)) == expected[0]
+
+
+def test_a_goal_without_a_fixed_argument_reads_no_action():
+    class Unread(tuple):
+        def __iter__(self):
+            raise AssertionError("an action was read")
+
+    x = Variable("X")
+    for goal in ((know(Compound("C", (x,))),), (know(x),), (Constant("flag"),),
+                 (Compound("p", (x, x)), Compound("q", (Placeholder("a", "O", 1),)))):
+        problem = PlanningProblem(State.from_terms([Constant("s")]), goal, Unread())
+        assert not planner._static_failure(problem)

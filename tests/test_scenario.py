@@ -837,6 +837,22 @@ def test_report_rejects_a_symptom_that_would_not_read_back(dispatch_context, sym
     assert ctx.message_sink.entries == []
 
 
+@pytest.mark.parametrize("name, coach", [("Doc;tor", "S2"), ("Doctor", "S;2")])
+def test_report_rejects_a_responder_that_would_not_read_back(dispatch_context, name, coach):
+    # the log joins responders with ";", so this record would read back as
+    # two responders; load_roster admits no such name, a hand-built roster can
+    ctx = dispatch_context
+    ctx.roster = Roster((passenger("P1", name, coach),
+                         passenger("P2", "Pat", "S1", role=Role.NONE, profession=None,
+                                   specialization=None)), ("S1", coach))
+    roster, taxonomy = ctx.roster, ctx.taxonomy
+    with pytest.raises(scenario.FluxError, match="holds a semicolon"):
+        report_emergency(ctx, "P2", info(), NOW)
+    assert ctx.roster is roster and ctx.taxonomy is taxonomy
+    assert ctx.log.path.read_bytes() == b""
+    assert ctx.message_sink.entries == []
+
+
 def test_report_always_appends_exactly_one_record(dispatch_context):
     report_emergency(dispatch_context, "P003", info(), NOW)
     report_emergency(dispatch_context, "P001", info(), NOW)  # fallback
