@@ -11,17 +11,17 @@ lexicographically first among equals. Five rules, always on, shrink it: a
 goal symbol that no action sequence can produce fails at once, without a
 search; so does a goal pattern that wants, at a ground argument, a value that
 neither an initial fluent nor any add can give it, a variable read from a
-relation no action adds (a static one) taking only that relation's initial
-values; only the actions that can add a fluent the goal needs, directly or
-through the poss of another such action, are searched; in a domain without
-remove lists an application whose adds already hold is never made; and a
-state seen before, up to placeholder renaming, is not queued again. The
-visited set holds states, with placeholders renamed when the problem can make
-any; no state or substitution is named by its text. The symbol sets and add
-sources the first three rules read are computed once per `ActionSchema`, a
-static relation's initial values once per group of the initial state's
-index. `plan` gives the soundness argument for the five rules; the tests
-check it against an unpruned enumeration of every plan.
+relation no action of the first rule's closure adds (a static one) taking
+only that relation's initial values; only the actions that can add a fluent
+the goal needs, directly or through the poss of another such action, are
+searched; in a domain without remove lists an application whose adds already
+hold is never made; and a state seen before, up to placeholder renaming, is
+not queued again. The visited set holds states, with placeholders renamed
+when the problem can make any; no state or substitution is named by its
+text. The symbol sets and add sources the first three rules read are
+computed once per `ActionSchema`. `plan` gives the soundness argument for
+the five rules; the tests check it against an unpruned enumeration of every
+plan.
 
 The search's bindings are plain dicts of variables to ground terms: a solve
 starts empty and every fluent is ground, so no binding needs re-resolving.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .dsl import ActionSchema, DomainFile, ProblemFile, know_misuse
 from .errors import FluxError
@@ -260,36 +260,41 @@ def _children(actions: list[ActionSchema], states: Iterable[State]):
     return out
 
 
-def _unreachable_goal_symbols(problem: PlanningProblem) -> tuple[str, ...]:
-    """Goal symbols outside the closure of the initial symbols under the actions.
+def _unreachable_goal_symbols(
+        problem: PlanningProblem) -> tuple[tuple[str, ...], Optional[set]]:
+    """Goal symbols outside the closure of the initial symbols under the actions,
+    and the symbols the closure's actions add.
 
     The closure ignores arguments and remove lists: an action fires once every
     symbol its poss queries is present (a bare-variable pattern always is),
     and then adds its add symbols. A bare-variable add could add any fluent,
-    so then nothing is reported missing.
+    so then nothing is reported missing and the added symbols are None.
     """
     # None, the symbol of a bare-variable poss pattern, is always present
     have = {None, *map(fluent_symbol, problem.initial.fluents)}
+    added = set()
     size = None
     while size != len(have):
         size = len(have)
         for schema in problem.actions:
             if schema.poss_symbols <= have:
                 if None in schema.add_symbols:
-                    return ()
+                    return (), None
+                added |= schema.add_symbols
                 have |= schema.add_symbols
     missing = set(map(pattern_symbol, problem.goal)) - have
     return tuple(sorted(f"know({name}/{arity})" if know else f"{name}/{arity}"
-                        for know, name, arity in missing))
+                        for know, name, arity in missing)), added
 
 
-def _static_failure(problem: PlanningProblem) -> bool:
+def _static_failure(problem: PlanningProblem, added: set) -> bool:
     """Whether some goal pattern can never hold, read from its fixed positions.
 
     A fixed position of a goal pattern (for know(P), of P) is a top-level
-    argument that is ground and free of placeholders; `plan` states the rule
-    and argues it sound. No action is read when no goal pattern has a fixed
-    position, and nothing is decided when an action has a bare-variable add.
+    argument that is ground and free of placeholders; added holds the symbols
+    some action can add, the others are static. `plan` states the rule and
+    argues it sound. No action is read when no goal pattern has a fixed
+    position.
     """
     wanted = []
     for pattern in problem.goal:
@@ -299,17 +304,9 @@ def _static_failure(problem: PlanningProblem) -> bool:
                      or isinstance(a, Compound) and is_ground(a) and not has_placeholder(a)]
             if fixed:
                 wanted.append((pattern, fixed))
-    if not wanted:
-        return False
-    added = set()
-    for schema in problem.actions:
-        added |= schema.add_symbols
-    if None in added:
-        return False
     initial = problem.initial
     for pattern, fixed in wanted:
-        symbol = fluent_symbol(pattern)
-        if not (_may_add(symbol, fixed, problem.actions, added, initial)
+        if not (_may_add(fluent_symbol(pattern), fixed, problem.actions, added, initial)
                 or extensions(pattern, initial, {})):
             return True
     return False
@@ -319,8 +316,7 @@ def _may_add(symbol: tuple[bool, str, int], fixed: list[tuple[int, Term]],
              actions: Sequence[ActionSchema], added: set, initial: State) -> bool:
     """Whether an add of the symbol can take the value at each fixed position.
 
-    Read from each add's `ActionSchema.add_sources`; a symbol not in added is
-    static, so a variable read from it takes only its initial values.
+    Read from each add's `ActionSchema.add_sources`.
     """
     for schema in actions:
         for add_symbol, sources in schema.add_sources:
@@ -332,13 +328,25 @@ def _may_add(symbol: tuple[bool, str, int], fixed: list[tuple[int, Term]],
 
 
 def _may_take(source, value: Term, added: set, initial: State) -> bool:
-    """Whether an add argument with this `ActionSchema.add_sources` entry can be value."""
+    """Whether an add argument with this `ActionSchema.add_sources` entry can be value.
+
+    A variable at position j of a poss pattern over a static symbol, one not
+    in added, can be value only if an initial fluent of that symbol has value
+    as its argument j (for knowledge, of the term inside know). The fluents
+    are scanned up to the first such one.
+    """
     if source is None:
         return False
     if not isinstance(source, tuple):
         return source == value
     for symbol, j in source:
-        if symbol not in added and not initial.has_argument(symbol, j, value):
+        if symbol in added:
+            continue
+        know = symbol[0]
+        for f in initial.fluents_of(symbol):
+            if (f.args[0] if know else f).args[j] == value:
+                break
+        else:
             return False
     return True
 
@@ -411,22 +419,23 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
     - Static-argument early failure (rigid relations, as in Helmert 2009).
       Right after it, `_static_failure` raises NoPlanFound with no symbols
       named when a goal pattern with a fixed position, a top-level argument
-      that is ground and placeholder-free, can never hold. A symbol no action
-      adds is static: in every reachable state its fluents are a subset of
-      the initial ones, as removes only shrink a state (a bare-variable add
-      could add any symbol, so then the rule decides nothing). Say the
-      pattern holds in a reachable state through a fluent f, whose argument
-      at each fixed position i is the wanted value w_i. Either f is initial,
-      and an initial fluent matches the pattern; or f was added by some
-      application of an action through an add A of f's symbol, instantiated
-      by the poss binding and fresh placeholders for the outputs. Then at
-      each i, a ground A_i is f's argument itself, so it equals w_i; an
-      output took a placeholder, which a placeholder-free w_i never equals;
-      and a variable that is the j-th top-level argument of a poss pattern
-      over a static symbol was bound to the j-th argument of a fluent that
-      pattern matched, a fluent of the initial state, so w_i is an initial
-      j-th argument of that symbol. When neither case can occur, no plan of
-      any length exists. A goal with no fixed position, such as compose's
+      that is ground and placeholder-free, can never hold. A symbol that no
+      action of the closure adds is static: an action outside the closure
+      never fires, so in every reachable state the symbol's fluents are a
+      subset of the initial ones, as removes only shrink a state (a
+      bare-variable add could add any symbol, so then the rule decides
+      nothing). Say the pattern holds in a reachable state through a fluent
+      f, whose argument at each fixed position i is the wanted value w_i.
+      Either f is initial, and an initial fluent matches the pattern; or f was
+      added by some application of an action through an add A of f's symbol,
+      instantiated by the poss binding and fresh placeholders for the
+      outputs. Then at each i, a ground A_i is f's argument itself, so it
+      equals w_i; an output took a placeholder, which a placeholder-free w_i
+      never equals; and a variable that is the j-th top-level argument of a
+      poss pattern over a static symbol was bound to the j-th argument of a
+      fluent that pattern matched, a fluent of the initial state, so w_i is
+      an initial j-th argument of that symbol. When neither case can occur, no plan of any
+      length exists. A goal with no fixed position, such as compose's
       know(C(WANT)), is passed without reading any action.
     - Relevance (Nebel, Dimopoulos & Koehler 1997). Only the actions of
       `_relevant_actions`, chained backward from the goal symbols, are
@@ -460,8 +469,8 @@ def plan(problem: PlanningProblem, cfg: SearchConfig = SearchConfig()) -> Plan:
     """
     if satisfies_goal(problem.initial, problem.goal):
         return Plan(())
-    missing = _unreachable_goal_symbols(problem)
-    if missing or _static_failure(problem):
+    missing, added = _unreachable_goal_symbols(problem)
+    if missing or added is not None and _static_failure(problem, added):
         raise NoPlanFound(cfg.max_depth, missing)
     actions = _relevant_actions(problem.goal, sorted(problem.actions, key=lambda a: a.name))
     monotone = not any(a.removes for a in actions)

@@ -16,8 +16,7 @@ placeholder (for knowledge, that of P), and the group holds more than one
 fluent, it scans only the fluents with that first argument, from a map the
 group builds on its first such query. A bare-variable pattern scans every
 fluent of its side, sorted for that query, unless it is bound. A compound
-renders its text once. `State.has_argument` looks a value up among a
-symbol's arguments at one position, in a set its group likewise builds once.
+renders its text once.
 
 A child made by `State.with_update` from an indexed state inherits the
 index. On the child's first query only the groups of the symbols whose
@@ -342,15 +341,9 @@ class State:
     def __contains__(self, term: Term) -> bool:
         return term in self.fluents
 
-    def has_argument(self, symbol: tuple[bool, str, int], j: int, value: Term) -> bool:
-        """Whether a fluent of the `fluent_symbol` has value as its argument j.
-
-        For knowledge, argument j of the term inside ``know``. The values at j
-        are kept as a set on the index's group, so a child sharing the group
-        shares the set.
-        """
-        group = self._index.get(symbol)
-        return group is not None and group.has_argument(j, value)
+    def fluents_of(self, symbol: tuple[bool, str, int]) -> tuple[Term, ...]:
+        """The fluents of one `fluent_symbol`, in canonical order, read from the index."""
+        return self._index.get(symbol, ())
 
 
 class _Group(tuple):
@@ -369,23 +362,6 @@ class _Group(tuple):
                 lists.setdefault((t.args[0] if is_knowledge(t) else t).args[0], []).append(t)
             table = self.__dict__["table"] = {k: tuple(v) for k, v in lists.items()}
         return table.get(arg, ())
-
-    def has_argument(self, j: int, value: Term) -> bool:
-        """Whether a fluent has value as its argument j, from a set built on first demand.
-
-        For a knowledge fluent the arguments are those of the term inside
-        ``know``. Each set is stored whole, once, as the map of `by_first` is.
-        A constant is keyed by its name, which hashes without running Python
-        code as a dataclass's hash does; a name never equals a term.
-        """
-        columns = self.__dict__.setdefault("columns", {})
-        column = columns.get(j)
-        if column is None:
-            know = is_knowledge(self[0])
-            args = [(t.args[0] if know else t).args[j] for t in self]
-            column = columns[j] = frozenset(
-                [a.name if a.__class__ is Constant else a for a in args])
-        return (value.name if value.__class__ is Constant else value) in column
 
 
 # A state's groups by fluent symbol.

@@ -131,39 +131,35 @@ MUTANTS = [
     Mutant("search: early failure's closure adds nothing", PLANNER,
            "have |= schema.add_symbols", "pass",
            (T_PLANNER + "test_plan_emergency_two_steps",)),
-    # static-argument early failure; over _relevant_actions instead of every
-    # action, static would be the same set, so the mutant reads one step only
-    Mutant("static failure: static read over the actions that add a goal symbol", PLANNER,
-           """    for schema in problem.actions:
-        added |= schema.add_symbols""",
-           """    for schema in problem.actions:
-        if not schema.add_symbols.isdisjoint(map(fluent_symbol, problem.goal)):
-            added |= schema.add_symbols""",
+    # static-argument early failure
+    Mutant("static failure: only the adds of an action adding a goal symbol count", PLANNER,
+           "                added |= schema.add_symbols\n",
+           """                if not schema.add_symbols.isdisjoint(map(pattern_symbol, problem.goal)):
+                    added |= schema.add_symbols
+""",
            (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
     Mutant("static failure: a bare-variable add is not heeded", PLANNER,
-           """    if None in added:
-        return False
-""", "",
+           "return (), None", "return (), added",
            (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
     Mutant("static failure: the initial-fluent check dropped", PLANNER,
-           """        if not (_may_add(symbol, fixed, problem.actions, added, initial)
+           """        if not (_may_add(fluent_symbol(pattern), fixed, problem.actions, added, initial)
                 or extensions(pattern, initial, {})):""",
-           """        if not _may_add(symbol, fixed, problem.actions, added, initial):""",
+           """        if not _may_add(fluent_symbol(pattern), fixed, problem.actions, added, initial):""",
            (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
     Mutant("static failure: a placeholder counts as a fixed argument", PLANNER,
            "if isinstance(a, Constant)\n", "if not isinstance(a, Variable)\n",
            (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
-    Mutant("static failure: a constant looked up as itself, not by its name", TERMS,
-           "return (value.name if value.__class__ is Constant else value) in column",
-           "return value in column",
-           (T_TERMS + "test_has_argument_reads_one_position_of_one_symbol",)),
     Mutant("static failure: an output may take any value", DSL,
            "return None if arg in self.outputs else columns.get(arg, ())",
            "return columns.get(arg, ())",
            (T_PLANNER + "test_static_argument_failure_decides_before_any_search",)),
     Mutant("static failure: the first column read, not the poss position's", PLANNER,
-           "initial.has_argument(symbol, j, value)", "initial.has_argument(symbol, 0, value)",
+           "if (f.args[0] if know else f).args[j] == value:",
+           "if (f.args[0] if know else f).args[0] == value:",
            (T_PLANNER + "test_static_argument_failure_decides_before_any_search",)),
+    Mutant("static failure: a known relation read with its know wrapper", PLANNER,
+           "if (f.args[0] if know else f).args[j] == value:", "if f.args[j] == value:",
+           (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
     # the tokenizer
     Mutant("tokenizer: no catch-all, a stray character is skipped", DSL,
            '\n    r"|(?P<bad>.)"', "",

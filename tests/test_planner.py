@@ -935,12 +935,22 @@ _W = Variable("W")
     _parsed(_MOVE + "fluent crate/2.\naction unpack(X,Y) poss: holds(at(X)), "
             "holds(crate(X,box(Y))) update: add [at(Y)] remove [].\n",
             "init: at(n0), crate(n0,box(t0)).\ngoal: at(t0)."),
+    # go's bare-variable poss pattern reads Y as a whole world fluent, one that make adds
+    PlanningProblem(State(), (Compound("at", (Constant("t0"),)),),
+                    (dsl.make_action_schema("make", [], [], [Constant("t0")], []),
+                     dsl.make_action_schema("go", [Variable("Y")], [Variable("Y")],
+                                            [Compound("at", (Variable("Y"),))], []))),
+    # learn reads X from the known, static src, and src(b) is known
+    _parsed("fluent src/1.\nfluent c/1.\naction learn(X) poss: knows_val(src(X)) "
+            "update: add [know(c(X))] remove [].\n", "init: know(src(a)), know(src(b)).\n"
+            "goal: know(c(b))."),
     # ready is a 0-ary poss pattern beside the static road
     _parsed("fluent at/1.\nfluent ready/0.\nfluent road/1.\naction go(Y) poss: holds(ready), "
             "holds(road(Y)) update: add [at(Y)] remove [].\n", "init: ready, road(t0).\ngoal: at(t0)."),
     # link(n0,n1) is static and no action adds it, but it holds from the start
     _parsed(_MOVE, "init: at(n0), link(n0,n1), link(n1,n2).\ngoal: link(n0,n1), at(n2)."),
-], ids=["added", "bare-variable-add", "placeholder", "nested", "0-ary-poss", "initial"])
+], ids=["added", "bare-variable-add", "placeholder", "nested", "bare-variable-poss",
+         "know-poss", "0-ary-poss", "initial"])
 def test_static_argument_failure_keeps_every_plan(problem):
     expected = enumerate_plans(problem, 3)
     assert expected
@@ -956,4 +966,4 @@ def test_a_goal_without_a_fixed_argument_reads_no_action():
     for goal in ((know(Compound("C", (x,))),), (know(x),), (Constant("flag"),),
                  (Compound("p", (x, x)), Compound("q", (Placeholder("a", "O", 1),)))):
         problem = PlanningProblem(State.from_terms([Constant("s")]), goal, Unread())
-        assert not planner._static_failure(problem)
+        assert not planner._static_failure(problem, set())

@@ -484,20 +484,12 @@ def test_extensions_resolve_a_bound_first_argument_through_the_map():
                         {X: nurse}) == [{X: nurse, Y: nurse}]
 
 
-def test_has_argument_reads_one_position_of_one_symbol():
-    # constants are looked up by name, every other term as itself; a name
-    # never stands for the compound or placeholder that renders like it
-    tied, ph = Constant("f(a)"), Placeholder("s", "P", 1)
-    f_a = comp("f", Constant("a"))
-    state = _state(comp("p", doctor, f_a), comp("p", nurse, ph), know(comp("q", tied, general)))
-    world, knowledge = (False, "p", 2), (True, "q", 2)
-    assert [state.has_argument(world, 1, v) for v in (f_a, ph, tied, Constant("#out_s_P_1"),
-                                                      nurse)] == [True, True, False, False, False]
-    assert state.has_argument(world, 0, nurse) and not state.has_argument(world, 0, general)
-    assert state.has_argument(knowledge, 0, tied) and not state.has_argument(knowledge, 0, f_a)
-    assert state.has_argument(knowledge, 1, general)
-    assert not state.has_argument((False, "q", 2), 0, tied)
-    assert set(vars(state._index[world])["columns"]) == {0, 1}
+def test_fluents_of_reads_one_symbol_in_canonical_order():
+    p_dn, p_ng = comp("p", doctor, nurse), comp("p", nurse, general)
+    state = _state(p_ng, p_dn, know(p_dn))
+    assert state.fluents_of((False, "p", 2)) == (p_dn, p_ng)
+    assert state.fluents_of((True, "p", 2)) == (know(p_dn),)
+    assert state.fluents_of((False, "p", 1)) == ()
 
 
 def test_extensions_check_a_bound_variable():
