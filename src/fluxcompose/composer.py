@@ -18,9 +18,19 @@ from typing import Callable, Mapping, Optional, Union
 
 from .errors import FluxError
 from .ontology import Concept, MatchDegree, TaxonomyGraph, UnknownConceptError, match_degree
-from .planner import Plan, PlanningProblem, SearchConfig, plan as find_plan
+from .planner import GroundAction, Plan, PlanningProblem, SearchConfig, plan as find_plan
 from .registry import Registry
-from .terms import Compound, Constant, Placeholder, State, Term, Variable, know
+from .terms import (
+    Compound,
+    Constant,
+    Placeholder,
+    State,
+    Term,
+    Variable,
+    fluent_symbol,
+    know,
+    leaf_args,
+)
 
 
 class ExecutionError(FluxError):
@@ -177,20 +187,91 @@ def build_problem(req: CompositionRequest, reg: Registry,
 
 
 def compose(req: CompositionRequest, reg: Registry, g: TaxonomyGraph,
-            cfg: SearchConfig = SearchConfig()) -> Workflow:
+            cfg: SearchConfig = SearchConfig(),
+            memo: Optional[dict] = None) -> Workflow:
     """Plan a workflow for the request and wire every step input to a source.
 
     Raises NoPlanFound when the registry cannot satisfy the request within the
     configured depth.
+
+    memo, when given, is a dict the caller keeps across calls (a
+    `DispatchContext` keeps one); it plans each request *shape* once. Each
+    request value that no action names (`Registry.action_constants`) becomes
+    a slot, numbered by first appearance in req.have. The key holds the
+    built initial state with values replaced by slots, so the taxonomy's
+    ancestor facts too; the goal; cfg; the registry; and the text order of
+    every constant that can become a step argument: the initial state's and
+    the actions', merged with a "#" sentinel that stands for every
+    placeholder text. A miss plans the concrete problem and stores its plan
+    over slots; a hit maps the slots back to this request's values. Either
+    way the wiring is derived under g. NoPlanFound is not stored. The memo
+    holds each registry it keys on, so no other registry can take its id.
+    A value starting with "#", or an initial fluent or action pattern with a
+    compound argument (or a bare-variable pattern), plans without the memo:
+    "#" stands in for placeholder texts only when no value starts with it,
+    and a compound's text order does not follow its constants' order.
+
+    Soundness. `plan` returns the lexicographically first shortest plan, and
+    `Plan.sort_key` compares args one whole text at a time. Say two problems
+    P and P' share a key, and let σ map each slot's value in P to its value
+    in P', fixing every other constant. σ is a bijection on the constants
+    of P and the actions: those outside the slots appear alike in both
+    keys, and a slot's value appears in neither key. No action or goal names
+    a value σ moves, so matching a pattern commutes with σ, and σ maps the
+    plans of P onto the plans of σ(P) = P'. With no compound argument in a
+    pattern or initial fluent, every step argument is a constant of the
+    initial state or the actions, or a placeholder; as the key's order
+    signature matches, σ keeps the text order of every two of them (a value
+    not starting with "#" sorts against every placeholder text as against
+    "#"). So σ also keeps the order of the plans, and the first plan of P
+    maps to the first plan of P'.
     """
     problem = build_problem(req, reg, g)
-    p = find_plan(problem, cfg)
+    p = find_plan(problem, cfg) if memo is None else _plan_by_shape(
+        problem, req, reg, cfg, memo)
     wiring: list[WireEntry] = []
     for i, ga in enumerate(p.steps):
         svc = reg.get(ga.name)
         for (param, concept), arg in zip(svc.inputs, ga.args):
             wiring.append(WireEntry(i, param, _source_of(arg, concept, req, g)))
     return Workflow(p, tuple(wiring))
+
+
+def _plan_by_shape(problem: PlanningProblem, req: CompositionRequest, reg: Registry,
+                   cfg: SearchConfig, memo: dict) -> Plan:
+    """`plan` of the problem, read from or stored in memo by the request's shape (see `compose`)."""
+    named = reg.action_constants
+    if named is None:
+        return find_plan(problem, cfg)
+    slots: dict[str, int] = {}
+    for _, value in req.have:
+        if value.startswith("#"):
+            return find_plan(problem, cfg)
+        if value not in named and value not in slots:
+            slots[value] = len(slots)
+
+    def slot(arg: Term):
+        return slots.get(arg.name, arg) if isinstance(arg, Constant) else arg
+
+    texts = {"#", *named}
+    rows = []
+    for fluent in problem.initial.fluents:
+        args = leaf_args(fluent)
+        if args is None:
+            return find_plan(problem, cfg)
+        texts.update(a.name for a in args if isinstance(a, Constant))
+        rows.append((fluent_symbol(fluent), tuple(map(slot, args))))
+    key = (id(reg), cfg, problem.goal, frozenset(rows),
+           tuple(slots.get(t, t) for t in sorted(texts)))
+    stored = memo.get(key)
+    if stored is None:
+        found = find_plan(problem, cfg)
+        memo[key] = reg, tuple((s.name, tuple(map(slot, s.args))) for s in found.steps)
+        return found
+    values = tuple(map(Constant, slots))
+    return Plan(tuple(GroundAction(name, tuple(values[a] if isinstance(a, int) else a
+                                               for a in args))
+                      for name, args in stored[1]))
 
 
 def _source_of(arg: Term, concept: Concept, req: CompositionRequest,

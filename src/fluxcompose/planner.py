@@ -271,7 +271,7 @@ def _unreachable_goal_symbols(
     so then nothing is reported missing and the added symbols are None.
     """
     # None, the symbol of a bare-variable poss pattern, is always present
-    have = {None, *map(fluent_symbol, problem.initial.fluents)}
+    have = {None, *problem.initial.symbols()}
     added = set()
     size = None
     while size != len(have):

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Optional
 
 from . import dsl
 from .errors import FluxError, ParseError, numbered_lines
 from .ontology import Concept, MatchDegree, TaxonomyGraph, UnknownConceptError, match_degree
-from .terms import Compound, Term, Variable, know
+from .terms import Compound, Constant, Term, Variable, know, leaf_args
 
 
 class DuplicateServiceError(FluxError):
@@ -68,6 +68,23 @@ class Registry:
     def input_concepts(self) -> frozenset[Concept]:
         """The concepts some service takes as input."""
         return frozenset(c for svc in self.services.values() for _, c in svc.inputs)
+
+    @cached_property
+    def action_constants(self) -> Optional[frozenset[str]]:
+        """The names of the constants the compiled actions' poss, adds and removes hold.
+
+        None when an argument of some pattern is a compound, or a pattern is a
+        bare variable (see `terms.leaf_args`); `composer.compose` then plans
+        every request afresh.
+        """
+        names = set()
+        for schema in self.actions:
+            for pattern in (*schema.poss, *schema.adds, *schema.removes):
+                args = leaf_args(pattern)
+                if args is None:
+                    return None
+                names.update(a.name for a in args if isinstance(a, Constant))
+        return frozenset(names)
 
     def __len__(self) -> int:
         return len(self.services)

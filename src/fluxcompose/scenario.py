@@ -19,7 +19,7 @@ import os
 import re
 import shlex
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import date as Date, datetime, time as Time
 from enum import Enum
 from itertools import chain
@@ -798,6 +798,8 @@ class DispatchContext:
     log: EventLog
     message_sink: "MessageSink"
     search_config: SearchConfig = SearchConfig()
+    # composer.compose's plans by request shape, kept across reports
+    plan_memo: dict = field(default_factory=dict)
 
 
 class MessageSink:
@@ -896,7 +898,8 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
             world_facts=(Compound("availableRole",
                                   (Constant("doctor"), Constant(spec_value))),),
         )
-        workflow = compose(request, ctx.registry, taxonomy, ctx.search_config)
+        workflow = compose(request, ctx.registry, taxonomy, ctx.search_config,
+                           ctx.plan_memo)
         try:
             ranked = trace_resources(roster, info.event_type, p.coach,
                                      info.specialization, p.name)

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, KeysView, Mapping, Optional, Union
 
 from .errors import FluxError
 
@@ -169,6 +169,19 @@ def fluent_symbol(term: Term) -> tuple[bool, str, int]:
     if term.functor == KNOW and len(term.args) == 1:
         return (True,) + functor_arity(term.args[0])
     return (False, term.functor, len(term.args))
+
+
+def leaf_args(term: Term) -> Optional[tuple[Term, ...]]:
+    """The arguments of a fluent or pattern (for know(P), of P) when none is a compound.
+
+    A constant or a placeholder is its own one argument. None when an
+    argument is a compound, and for a bare variable, in know(...) or not.
+    """
+    inner = term.args[0] if is_knowledge(term) else term
+    if isinstance(inner, Compound):
+        args = inner.args
+        return None if any(isinstance(a, Compound) for a in args) else args
+    return None if isinstance(inner, Variable) else (inner,)
 
 
 def pattern_symbol(pattern: Term) -> Optional[tuple[bool, str, int]]:
@@ -344,6 +357,10 @@ class State:
     def fluents_of(self, symbol: tuple[bool, str, int]) -> tuple[Term, ...]:
         """The fluents of one `fluent_symbol`, in canonical order, read from the index."""
         return self._index.get(symbol, ())
+
+    def symbols(self) -> KeysView:
+        """The `fluent_symbol`s of the state's fluents, read from the index."""
+        return self._index.keys()
 
 
 class _Group(tuple):

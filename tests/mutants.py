@@ -40,6 +40,7 @@ CLI = "src/fluxcompose/cli.py"
 ERRORS = "src/fluxcompose/errors.py"
 ONTOLOGY = "src/fluxcompose/ontology.py"
 SCENARIO = "src/fluxcompose/scenario.py"
+COMPOSER = "src/fluxcompose/composer.py"
 T_TERMS = "tests/test_terms.py::"
 T_PLANNER = "tests/test_planner.py::"
 T_DSL = "tests/test_dsl.py::"
@@ -47,6 +48,7 @@ T_CLI = "tests/test_cli.py::"
 T_LINES = "tests/test_line_formats.py::"
 T_ONTOLOGY = "tests/test_ontology.py::"
 T_SCENARIO = "tests/test_scenario.py::"
+T_COMPOSER = "tests/test_composer.py::"
 
 
 class Mutant(NamedTuple):
@@ -160,6 +162,36 @@ MUTANTS = [
     Mutant("static failure: a known relation read with its know wrapper", PLANNER,
            "if (f.args[0] if know else f).args[j] == value:", "if f.args[j] == value:",
            (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
+    # compose's memo of plans by request shape
+    Mutant("memo: the key without the text order of the values", COMPOSER,
+           "           tuple(slots.get(t, t) for t in sorted(texts)))",
+           "           ())",
+           (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",)),
+    Mutant("memo: the key without the registry", COMPOSER,
+           "key = (id(reg), cfg,", "key = (cfg,",
+           (T_SCENARIO + "test_a_report_after_the_registry_is_rebound_plans_with_the_new_one",)),
+    Mutant("memo: a hit's slots not mapped back to the request's values", COMPOSER,
+           "values[a] if isinstance(a, int) else a", "a",
+           (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",
+            T_COMPOSER + "test_memo_path_equals_a_fresh_compose",
+            T_SCENARIO + "test_a_memo_hit_after_a_registration_wires_as_a_fresh_compose")),
+    Mutant("memo: a value an action names is slotted", COMPOSER,
+           "if value not in named and value not in slots", "if value not in slots",
+           (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",)),
+    Mutant("memo: a value starting with # is slotted", COMPOSER,
+           'if value.startswith("#"):', "if False:",
+           (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",)),
+    Mutant("memo: the text order without the placeholders' sentinel", COMPOSER,
+           'texts = {"#", *named}', "texts = set(named)",
+           (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",)),
+    Mutant("memo: an initial fluent with a compound argument is keyed", COMPOSER,
+           """        if args is None:
+            return find_plan(problem, cfg)
+        texts""",
+           """        if args is None:
+            args = (fluent.args[0] if fluent.functor == "know" else fluent).args
+        texts""",
+           (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",)),
     # the tokenizer
     Mutant("tokenizer: no catch-all, a stray character is skipped", DSL,
            '\n    r"|(?P<bad>.)"', "",

@@ -7,9 +7,13 @@ exercising parsers and loaders stay independent of these constructions.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
+from fluxcompose.composer import CompositionRequest
 from fluxcompose.dsl import ActionSchema, DomainFile, make_action_schema
+from fluxcompose.ontology import TaxonomyGraph
 from fluxcompose.planner import PlanningProblem, check_poss
+from fluxcompose.registry import Registry, ServiceDescription
 from fluxcompose.scenario import Passenger, Role, Roster, TravelPlan
 from fluxcompose.terms import Compound, Constant, State, Term, Variable, know
 
@@ -378,6 +382,79 @@ def random_registry_problem(rng: random.Random) -> PlanningProblem:
         goal.append(known(f"c{rng.randint(1, length)}", Variable("W1")))
     rng.shuffle(goal)
     return PlanningProblem(State.from_terms(initial), tuple(goal), tuple(actions))
+
+
+# Request values: "k" may be named by an action, and "#x" plans without the
+# composer's memo; the rest tie and flip in text order against each other and
+# against "#", the first character of every placeholder text.
+REQUEST_VALUES = ("a", "b", "B", "ab", "k", "z", "_", "#x")
+
+
+def random_registry_request(rng: random.Random
+                            ) -> tuple[Registry, TaxonomyGraph, CompositionRequest]:
+    """A registry, taxonomy and request shaped as `random_registry_problem`'s problems.
+
+    Concepts c0..cL (L = 2..3), with c0s under c0, so a value held at c0s is
+    known at c0 too. A service takes 1-2 inputs and gives 1-2 outputs, now
+    and then filing one output under a second concept; some need ready of an
+    input, open, or ready(k), some add ready of an input or an output, or
+    open, and about one registry in four has a service that removes one of
+    its input facts, ready of an input, or open. Distractors lead into dead.
+    The request holds 1-3 values from REQUEST_VALUES at c0 or c0s, ready of
+    some of them, and sometimes open or ready(k); it wants cL, sometimes with
+    a second concept or with lost, which nothing produces.
+    """
+    length = rng.randint(2, 3)
+    concepts = [f"c{i}" for i in range(length + 1)]
+    g = TaxonomyGraph(frozenset(concepts + ["c0s", "dead", "lost"]),
+                      {"c0s": frozenset({"c0"})})
+    names = iter(rng.sample("abcdefghijklmnopqrstuvwxyz", 12))
+    x0, o0, is_open = Variable("X0"), Variable("O0"), Constant("open")
+
+    def ready(value: Term) -> Compound:
+        return Compound("ready", (value,))
+
+    services: list[ServiceDescription] = []
+
+    def service(label: str, ins: list[str], gives: list[str]) -> None:
+        pre = [rng.choice((ready(x0), is_open, ready(Constant("k"))))] \
+            if rng.random() < 0.3 else []
+        adds = [rng.choice((ready(x0), ready(o0), is_open))] if rng.random() < 0.25 else []
+        if rng.random() < 0.2:
+            adds.append(know(Compound(rng.choice(concepts[1:]), (o0,))))
+        services.append(ServiceDescription(
+            next(names) + label, "", tuple((f"X{j}", c) for j, c in enumerate(ins)),
+            tuple((f"O{j}", c) for j, c in enumerate(gives)), tuple(pre), tuple(adds), (),
+            "stub"))
+
+    for i in range(1, length + 1):
+        for _ in range(rng.randint(1, 2)):
+            ins = rng.sample(concepts[:i], rng.randint(1, min(2, i)))
+            service(str(i), ins, [f"c{i}"] + (["dead"] if rng.random() < 0.1 else []))
+    for j in range(rng.randint(0, 2)):
+        service(f"dead{j}", rng.sample(concepts[:length], 1), ["dead"])
+    if rng.random() < 0.25:
+        k = rng.randrange(len(services))
+        victim = services[k]
+        removed = rng.choice((know(Compound(victim.inputs[0][1], (x0,))), ready(x0), is_open))
+        services[k] = replace(victim, extra_removes=(removed,))
+
+    have = tuple((rng.choice(("c0", "c0s")), rng.choice(REQUEST_VALUES))
+                 for _ in range(rng.randint(1, 3)))
+    facts: list[Term] = [ready(Constant(v)) for _, v in have if rng.random() < 0.4]
+    if rng.random() < 0.5:
+        facts.append(is_open)
+    if rng.random() < 0.3:
+        facts.append(ready(Constant("k")))
+    want = [f"c{length}"]
+    roll = rng.random()
+    if roll < 0.2:
+        want.append("lost")
+    elif roll < 0.5:
+        want.append(f"c{rng.randint(1, length)}")
+    rng.shuffle(want)
+    return (Registry({s.name: s for s in services}), g,
+            CompositionRequest(have, tuple(want), tuple(dict.fromkeys(facts))))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,4 +446,76 @@ def test_mutated_bundled_files_exit_0_1_or_2(mutated):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run([arg.format(tmp=tmp) for arg in argv]
                            + [f"--{flag}", str(path)])
+    assert code in (0, 1, 2), (code, err.getvalue())
+
+
+# A valid run of each command, flag by flag; {tmp} stands for the example's
+# temporary directory, which holds a copy of the bundled script and of the
+# bundled registry, so that no path an example names is outside it.
+_ARGV_BASES = {
+    "validate": [],
+    "plan": [["--max-depth", "4"], ["--format", "lines"]],
+    "compose": [["--want", "ConfirmSend"], ["--have", "Profession=doctor"],
+                ["--have", "Specialization=Orthopedics"], ["--have", "Message=help"],
+                ["--fact", "availableRole(doctor,Orthopedics)"], ["--max-depth", "4"]],
+    "trace": [["--coach", "S5"], ["--spec", "Orthopedics"], ["--validate-all"]],
+    "severity": [["--spec", "Orthopedics"], ["--symptoms", "pain,swelling"]],
+    "report": [["--log", "{tmp}/events.log"], ["--pnr", "P004"],
+               ["--now", "2011-11-05T09:20"], ["--spec", "Orthopedics"], ["--case", "fell"]],
+    "simulate": [["--log", "{tmp}/events.log"], ["--script", "{tmp}/emergency.scn"]],
+}
+_ARGV_VALUES = ("0", "-1", "1", "3", "", "lines", "text", "Medical", "Robbery", "S5", "S99",
+                "Orthopedics", "P003", "P004", "P999", "2011-11-05T09:20", "11/05", "{tmp}",
+                "{tmp}/missing", "{tmp}/events.log", "{tmp}/services.reg",
+                "{tmp}/emergency.scn", "ConfirmSend", "Name", "Profession=doctor", "=",
+                "availableRole(doctor,Orthopedics)", "f(X)", "pain,,swelling", ",")
+_UNKNOWN_FLAGS = ("--bogus", "--max-dept", "-x", "--have=", "-h")
+
+
+@st.composite
+def _argv(draw):
+    """A command's valid argv with a flag dropped, added, repeated, unknown or
+    given another value."""
+    command = draw(st.sampled_from(sorted(_ARGV_BASES)))
+    pairs = [list(pair) for pair in _ARGV_BASES[command]]
+    _, _, paths, flags = cli.COMMANDS[command]
+    own = [f"--{p}" for p in paths] + [flag for flag, _ in flags]
+    value = st.sampled_from(_ARGV_VALUES) | st.text("-=,:()aS5#", max_size=5)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["value", "value", "drop", "add", "repeat", "unknown"]))
+        at = draw(st.integers(0, len(pairs)))
+        if kind == "value" and pairs:
+            pair = pairs[min(at, len(pairs) - 1)]
+            pair[1:] = [draw(value)]
+        elif kind == "drop" and pairs:
+            del pairs[min(at, len(pairs) - 1)]
+        elif kind == "repeat" and pairs:
+            pairs.append(list(draw(st.sampled_from(pairs))))
+        elif kind == "unknown":
+            pairs.insert(at, [draw(st.sampled_from(_UNKNOWN_FLAGS))]
+                         + draw(st.lists(value, max_size=1)))
+        else:
+            pairs.insert(at, [draw(st.sampled_from(own)), draw(value)])
+    return [command] + [arg for pair in pairs for arg in pair]
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_mutated_argv_exits_0_1_or_2(argv):
+    # run in the temporary directory, as a mutated --log names a relative
+    # path, and with no FLUXCOMPOSE_LOG, which would override it
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("FLUXCOMPOSE_LOG", None)
+        for name in ("emergency.scn", "services.reg"):
+            shutil.copy(data_path(name), Path(tmp) / name)
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run([arg.replace("{tmp}", tmp) for arg in argv])
+        except SystemExit as exc:  # argparse: usage errors, and -h
+            code = exc.code
+        finally:
+            os.chdir(cwd)
     assert code in (0, 1, 2), (code, err.getvalue())

@@ -1,6 +1,10 @@
 """Request translation, workflow wiring, and execution against grounding stubs."""
 
+import random
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluxcompose import composer, scenario
 from fluxcompose.composer import (
@@ -17,7 +21,9 @@ from fluxcompose.composer import (
 from fluxcompose.ontology import MatchDegree, UnknownConceptError, load_taxonomy
 from fluxcompose.planner import NoPlanFound
 from fluxcompose.registry import Registry, load_registry
-from fluxcompose.terms import Compound, Constant
+from fluxcompose.errors import FluxError
+from fluxcompose.terms import Compound, Constant, know
+import randgen
 from oracles import enumerate_plans, validate_plan
 
 EMERGENCY_REQUEST = CompositionRequest(
@@ -132,6 +138,97 @@ def test_workflow_serialization_is_stable(service_registry, taxonomy):
     b = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
     assert a.to_lines(service_registry) == b.to_lines(service_registry)
     assert a.to_lines(service_registry)[0].startswith("step\t0\tfindResource\t")
+
+
+# ---------------------------------------------------------------------------
+# compose's memo of plans by request shape
+# ---------------------------------------------------------------------------
+
+
+# Requests through one memo where a careless key would share a plan: values
+# in another text order, values that sort apart against the placeholder
+# texts, an action's constant held as a value, and a compound whose text
+# order does not follow its constant's.
+_ITEM = "root Item\nroot Made\nroot Done\n"
+_PICK = "service pick\n  hasInput: X : Item\n  hasOutput: D : Done\n  grounding: stub\n"
+_MEMO_CASES = {
+    # pick(V) and pick(W) tie on length, and the values' text order decides:
+    # (y, x) has (a, b)'s slots in the other order, (c, d) takes (a, b)'s plan
+    "tie order": (
+        _PICK + "end\n",
+        [((("Item", v), ("Item", w)), ()) for v, w in (("a", "b"), ("y", "x"), ("c", "d"))],
+        ("Done",)),
+    # make; use(V) or make; use(#out_make_Y_1), by V's text against "#out_make_Y_1"
+    "placeholder order": (
+        "service make\n  hasOutput: Y : Item\n  hasOutput: M : Made\n  grounding: stub\nend\n"
+        "service use\n  hasInput: X : Item\n  hasOutput: D : Done\n  grounding: stub\nend\n",
+        [((("Item", v),), ()) for v in ("#a", "#z", "!", "a")], ("Done", "Made")),
+    # pick needs ok(k): k is an action's constant, a and z are not
+    "a named value": (
+        _PICK + "  precondition: holds(ok(k))\nend\n",
+        [((("Item", v), ("Item", w)), (Compound("ok", (Constant(v),)),))
+         for v, w in (("k", "z"), ("a", "k"))], ("Done",)),
+    # f(a) sorts before g but after e
+    "a compound argument": (
+        _PICK + "end\n",
+        [((("Item", v),), (know(Compound("Item", (Compound("f", (Constant("a"),)),))),))
+         for v in ("g", "e")], ("Done",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEMO_CASES))
+def test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care(case):
+    source, requests, want = _MEMO_CASES[case]
+    g = load_taxonomy(_ITEM)
+    reg = load_registry(source, g)
+    memo = {}
+    for have, facts in requests:
+        request = CompositionRequest(have=have, want=want, world_facts=facts)
+        try:
+            fresh = compose(request, reg, g)
+        except FluxError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                compose(request, reg, g, memo=memo)
+        else:
+            assert compose(request, reg, g, memo=memo) == fresh
+
+
+def _renamed_request(request: CompositionRequest, renaming: dict) -> CompositionRequest:
+    def rename(t):
+        if isinstance(t, Compound):
+            return Compound(t.functor, tuple(map(rename, t.args)))
+        if isinstance(t, Constant):
+            return Constant(renaming.get(t.name, t.name))
+        return t
+
+    return CompositionRequest(
+        have=tuple((c, renaming.get(v, v)) for c, v in request.have),
+        want=request.want, world_facts=tuple(map(rename, request.world_facts)))
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_memo_path_equals_a_fresh_compose(seed):
+    # a registry request, then two bijective renamings of its values, through
+    # one memo: each workflow equals a fresh compose, whether the memo missed,
+    # hit, or was passed by
+    rng = random.Random(seed)
+    reg, g, request = randgen.random_registry_request(rng)
+    values = list(dict.fromkeys(v for _, v in request.have))
+    pool = randgen.REQUEST_VALUES + ("y", "Q", "ba")
+    memo = {}
+    for renaming in ({}, dict(zip(values, rng.sample(pool, len(values)))),
+                     dict(zip(values, rng.sample(pool, len(values))))):
+        renamed = _renamed_request(request, renaming)
+        try:
+            fresh = compose(renamed, reg, g)
+        except NoPlanFound:
+            with pytest.raises(NoPlanFound):
+                compose(renamed, reg, g, memo=memo)
+            continue
+        got = compose(renamed, reg, g, memo=memo)
+        assert got == fresh
+        assert got.to_lines(reg) == fresh.to_lines(reg)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 import randgen
-from fluxcompose import registry, scenario
+from fluxcompose import composer, registry, scenario
 from fluxcompose.cli import data_path
 from fluxcompose.planner import NoPlanFound, SearchConfig
 from fluxcompose.scenario import (
@@ -890,6 +890,45 @@ def test_report_trichotomy_on_random_rosters(taxonomy, service_registry,
                             OutcomeKind.FALLBACK_NOTICE)
     logged = read_event_log(log_path)
     assert len(logged) == 1 and logged[0][1] == outcome.record
+
+
+def test_a_memo_hit_after_a_registration_wires_as_a_fresh_compose(dispatch_context,
+                                                                  monkeypatch):
+    # P004's report registers them and rebinds ctx.taxonomy; P003's report,
+    # of the same shape, is a memo hit composed under the new taxonomy
+    ctx = dispatch_context
+    composed = []
+
+    def spy(request, reg, g, cfg, memo):
+        workflow = composer.compose(request, reg, g, cfg, memo)
+        composed.append((workflow, composer.compose(request, reg, g, cfg), g))
+        return workflow
+
+    monkeypatch.setattr(scenario, "compose", spy)
+    report_emergency(ctx, "P004", info(symptoms=("pain", "swelling")), NOW)
+    rebound = ctx.taxonomy
+    assert rebound.individuals["P004"] == "PatientPopulation"
+    sent = list(ctx.message_sink.entries)
+    outcome = report_emergency(ctx, "P003", info(), NOW)
+    assert len(ctx.plan_memo) == 1
+    workflow, fresh, g = composed[-1]
+    assert g is rebound
+    assert workflow == fresh and workflow.to_lines(ctx.registry) == fresh.to_lines(ctx.registry)
+    sink = scenario.MessageSink()
+    sink.entries = sent
+    env = scenario.build_grounding_env(outcome.responders, sink)
+    assert outcome.trace == composer.execute(fresh, env, ctx.registry)
+    assert sink.entries == ctx.message_sink.entries
+
+
+def test_a_report_after_the_registry_is_rebound_plans_with_the_new_one(dispatch_context):
+    ctx = dispatch_context
+    report_emergency(ctx, "P003", info(), NOW)
+    source = data_path("services.reg").read_text().replace("findResource", "locateResource")
+    ctx.registry = registry.load_registry(source, ctx.taxonomy)
+    outcome = report_emergency(ctx, "P003", info(), NOW)
+    assert [r.service for r in outcome.trace.records] == ["locateResource", "notifyResource"]
+    assert len(ctx.plan_memo) == 2
 
 
 BUNDLED_SERVICES = tuple(re.findall(r"(?ms)^service .*?^end\n",
