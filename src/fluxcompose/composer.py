@@ -5,7 +5,7 @@ it wants known at completion, and ground facts seeding the initial state. The
 composer compiles every registered service into an action, plans by
 progression, wires each step input to its source (a request value or an
 earlier step's output placeholder), and can execute the workflow against
-in-process grounding stubs that bind placeholders to concrete values.
+in-process grounding stubs, feeding each step input from its wired source.
 
 Workflows and traces serialize to tab-separated lines (one record per line)
 for golden tests; the field order is documented in the README.
@@ -13,6 +13,7 @@ for golden tests; the field order is documented in the README.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
@@ -195,28 +196,35 @@ def compose(req: CompositionRequest, reg: Registry, g: TaxonomyGraph,
     configured depth.
 
     memo, when given, is a dict the caller keeps across calls (a
-    `DispatchContext` keeps one); it plans each request *shape* once. Each
+    `DispatchContext` keeps one); it composes each request *shape* once. Each
     request value that no action names (`Registry.action_constants`) becomes
-    a slot, numbered by first appearance in req.have. The key holds the
-    built initial state with values replaced by slots, so the taxonomy's
-    ancestor facts too; the goal; cfg; the registry; and the text order of
-    every constant that can become a step argument: the initial state's and
-    the actions', merged with a "#" sentinel that stands for every
-    placeholder text. A miss plans the concrete problem and stores its plan
-    over slots; a hit maps the slots back to this request's values. Either
-    way the wiring is derived under g. NoPlanFound is not stored. The memo
-    holds each registry it keys on, so no other registry can take its id.
-    A value starting with "#", or an initial fluent or action pattern with a
-    compound argument (or a bare-variable pattern), plans without the memo:
-    "#" stands in for placeholder texts only when no value starts with it,
-    and a compound's text order does not follow its constants' order.
+    a slot, numbered by first appearance in req.have. The key is read from
+    the request alone: the registry; cfg; the taxonomy's concept structure
+    (the identity of g.concepts and g.parents, which
+    `TaxonomyGraph.with_individual` shares); req.want; req.have in order as
+    (concept, slot or value) pairs; the world facts with slots for values;
+    and the text order of every constant that can become a step argument,
+    the values' and the world facts', merged with the actions' and a "#"
+    sentinel that stands for every placeholder text. A miss builds the
+    problem, plans and wires it, and stores the workflow over slots; a hit
+    puts this request's values back into the stored workflow and builds no
+    problem. Only a workflow is stored, never an error. The memo holds each
+    registry and concept structure it keys on, so no other object can take
+    their ids. A value starting with "#", or a world fact or action pattern
+    with a compound argument (or a bare-variable one), composes without the
+    memo: "#" stands in for placeholder texts only when no value starts with
+    it, and a compound's text order does not follow its constants' order.
 
-    Soundness. `plan` returns the lexicographically first shortest plan, and
-    `Plan.sort_key` compares args one whole text at a time. Say two problems
-    P and P' share a key, and let σ map each slot's value in P to its value
-    in P', fixing every other constant. σ is a bijection on the constants
-    of P and the actions: those outside the slots appear alike in both
-    keys, and a slot's value appears in neither key. No action or goal names
+    Soundness. The built initial state is a function of req.have, the world
+    facts, the concept structure and reg.input_concepts, and the goal one of
+    req.want. So two requests with one key give problems P and P' whose
+    initial states, with slots for values, are equal, as are their goals,
+    actions and cfg. `plan` returns the lexicographically first shortest
+    plan, and `Plan.sort_key` compares args one whole text at a time. Let σ
+    map each slot's value in P to its value in P', fixing every other
+    constant. σ is a bijection on the constants of P and the actions: those
+    outside the slots appear alike in both keys, and a slot's value appears
+    in neither key. No action or goal names
     a value σ moves, so matching a pattern commutes with σ, and σ maps the
     plans of P onto the plans of σ(P) = P'. With no compound argument in a
     pattern or initial fluent, every step argument is a constant of the
@@ -224,54 +232,93 @@ def compose(req: CompositionRequest, reg: Registry, g: TaxonomyGraph,
     signature matches, σ keeps the text order of every two of them (a value
     not starting with "#" sorts against every placeholder text as against
     "#"). So σ also keeps the order of the plans, and the first plan of P
-    maps to the first plan of P'.
+    maps to the first plan of P'. The wiring maps too: `_source_of` compares
+    values only for equality, which the bijection σ keeps, and reads the
+    held concepts from the key and match degrees from the same concept
+    structure. A hit skips `build_problem`'s concept and ground checks: the
+    miss that stored its key passed them.
     """
-    problem = build_problem(req, reg, g)
-    p = find_plan(problem, cfg) if memo is None else _plan_by_shape(
-        problem, req, reg, cfg, memo)
+    shape = None if memo is None else _shape(req, reg, g, cfg)
+    if shape is not None:
+        key, values = shape
+        stored = memo.get(key)
+        if stored is not None:
+            return _bind(stored, values)
+    p = find_plan(build_problem(req, reg, g), cfg)
     wiring: list[WireEntry] = []
     for i, ga in enumerate(p.steps):
         svc = reg.get(ga.name)
         for (param, concept), arg in zip(svc.inputs, ga.args):
             wiring.append(WireEntry(i, param, _source_of(arg, concept, req, g)))
-    return Workflow(p, tuple(wiring))
+    workflow = Workflow(p, tuple(wiring))
+    if shape is not None:
+        memo[key] = _slotted(workflow, values, (reg, g.concepts, g.parents))
+    return workflow
 
 
-def _plan_by_shape(problem: PlanningProblem, req: CompositionRequest, reg: Registry,
-                   cfg: SearchConfig, memo: dict) -> Plan:
-    """`plan` of the problem, read from or stored in memo by the request's shape (see `compose`)."""
+def _shape(req: CompositionRequest, reg: Registry, g: TaxonomyGraph,
+           cfg: SearchConfig) -> Optional[tuple[tuple, tuple[str, ...]]]:
+    """The memo key of the request and its values by slot (see `compose`).
+
+    None when the request composes afresh.
+    """
     named = reg.action_constants
     if named is None:
-        return find_plan(problem, cfg)
+        return None
     slots: dict[str, int] = {}
-    for _, value in req.have:
+    have = []
+    for concept, value in req.have:
         if value.startswith("#"):
-            return find_plan(problem, cfg)
-        if value not in named and value not in slots:
-            slots[value] = len(slots)
+            return None
+        if value not in named:
+            value = slots.setdefault(value, len(slots))
+        have.append((concept, value))
 
     def slot(arg: Term):
         return slots.get(arg.name, arg) if isinstance(arg, Constant) else arg
 
-    texts = {"#", *named}
-    rows = []
-    for fluent in problem.initial.fluents:
-        args = leaf_args(fluent)
+    texts = {"#", *slots}
+    facts = []
+    for fact in req.world_facts:
+        args = leaf_args(fact)
         if args is None:
-            return find_plan(problem, cfg)
+            return None
         texts.update(a.name for a in args if isinstance(a, Constant))
-        rows.append((fluent_symbol(fluent), tuple(map(slot, args))))
-    key = (id(reg), cfg, problem.goal, frozenset(rows),
-           tuple(slots.get(t, t) for t in sorted(texts)))
-    stored = memo.get(key)
-    if stored is None:
-        found = find_plan(problem, cfg)
-        memo[key] = reg, tuple((s.name, tuple(map(slot, s.args))) for s in found.steps)
-        return found
-    values = tuple(map(Constant, slots))
-    return Plan(tuple(GroundAction(name, tuple(values[a] if isinstance(a, int) else a
-                                               for a in args))
-                      for name, args in stored[1]))
+        facts.append((fluent_symbol(fact), tuple(map(slot, args))))
+    order = reg.action_constant_order
+    key = (id(reg), cfg, id(g.concepts), id(g.parents), req.want, tuple(have), tuple(facts),
+           tuple((bisect_left(order, t), slots.get(t, t)) for t in sorted(texts)))
+    return key, tuple(slots)
+
+
+def _slotted(workflow: Workflow, values: tuple[str, ...], held: tuple) -> tuple:
+    """The memo entry of a workflow: each step and wire entry that holds a value
+    as a row with its slot, every other one as it is; held keeps the key's ids."""
+    slots = {value: i for i, value in enumerate(values)}
+    steps = []
+    for ga in workflow.plan.steps:
+        args = tuple(slots.get(a.name, a) if isinstance(a, Constant) else a for a in ga.args)
+        steps.append((ga.name, args) if any(isinstance(a, int) for a in args) else ga)
+    wiring = []
+    for w in workflow.wiring:
+        s = w.source
+        if isinstance(s, RequestSource) and s.value in slots:
+            wiring.append((w.step, w.param, s.concept, slots[s.value], s.degree))
+        else:
+            wiring.append(w)
+    return held, tuple(steps), tuple(wiring)
+
+
+def _bind(stored: tuple, values: tuple[str, ...]) -> Workflow:
+    """A stored workflow with the request's values in its slots (see `_slotted`)."""
+    _, steps, wiring = stored
+    constants = tuple(map(Constant, values))
+    return Workflow(
+        Plan(tuple(GroundAction(s[0], tuple(constants[a] if isinstance(a, int) else a
+                                            for a in s[1]))
+                   if type(s) is tuple else s for s in steps)),
+        tuple(WireEntry(w[0], w[1], RequestSource(w[2], values[w[3]], w[4]))
+              if type(w) is tuple else w for w in wiring))
 
 
 def _source_of(arg: Term, concept: Concept, req: CompositionRequest,
@@ -297,22 +344,16 @@ def _source_of(arg: Term, concept: Concept, req: CompositionRequest,
 
 
 def execute(w: Workflow, env: GroundingEnv, reg: Registry) -> ExecutionTrace:
-    """Run a workflow's steps in order, binding placeholders to stub outputs.
+    """Run a workflow's steps in order, feeding each step from its wire entries.
 
-    Each stub receives the step's bound inputs and must return a value for
-    every declared output parameter; the returned values replace that step's
-    placeholders for all downstream steps. On stub failure an ExecutionError
-    is raised carrying the trace up to (excluding) the failed step.
+    A `RequestSource` gives its value and a `StepSource` the output an earlier
+    step returned. Each stub receives the step's bound inputs and must return
+    a value for every declared output parameter. On stub failure an
+    ExecutionError is raised carrying the trace up to (excluding) the failed
+    step.
     """
     records: list[TraceRecord] = []
-    bound: dict[Placeholder, str] = {}
-
-    def resolve(arg: Term) -> str:
-        if isinstance(arg, Placeholder):
-            return bound[arg]
-        if isinstance(arg, Constant):
-            return arg.name
-        raise FluxError(f"cannot resolve non-ground argument {arg}")
+    produced: dict[tuple[int, str], str] = {}
 
     def failed(step: int, reason: str) -> ExecutionError:
         return ExecutionError(step, reason, ExecutionTrace(tuple(records)))
@@ -322,8 +363,9 @@ def execute(w: Workflow, env: GroundingEnv, reg: Registry) -> ExecutionTrace:
         stub = env.stubs.get(svc.grounding_stub_id)
         if stub is None:
             raise failed(i, f"no grounding stub {svc.grounding_stub_id!r}")
-        inputs = {param: resolve(arg)
-                  for (param, _), arg in zip(svc.inputs, ga.args)}
+        inputs = {e.param: e.source.value if isinstance(e.source, RequestSource)
+                  else produced[e.source.step, e.source.out_param]
+                  for e in w.wiring if e.step == i}
         try:
             result = stub(inputs)
         except GroundingFailure as exc:
@@ -334,7 +376,7 @@ def execute(w: Workflow, env: GroundingEnv, reg: Registry) -> ExecutionTrace:
                 raise failed(i, f"stub returned no value for output {param!r}")
             value = result.outputs[param]
             outputs.append((param, value))
-            bound[Placeholder(svc.name, param, i + 1)] = value
+            produced[i, param] = value
         records.append(TraceRecord(
             i, svc.name, tuple(sorted(inputs.items())), tuple(outputs),
             result.outcome))

@@ -86,6 +86,12 @@ class Registry:
                 names.update(a.name for a in args if isinstance(a, Constant))
         return frozenset(names)
 
+    @cached_property
+    def action_constant_order(self) -> Optional[tuple[str, ...]]:
+        """`action_constants` in text order, sorted once for `composer.compose`'s memo key."""
+        named = self.action_constants
+        return None if named is None else tuple(sorted(named))
+
     def __len__(self) -> int:
         return len(self.services)
 

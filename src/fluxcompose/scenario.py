@@ -427,8 +427,7 @@ def parse_symptoms(text: str) -> frozenset[str]:
     return frozenset(s for s in text.split(",") if s)
 
 
-@dataclass(frozen=True)
-class Responder:
+class Responder(NamedTuple):
     name: str
     profession: str
     specialization: Optional[str]
@@ -466,10 +465,8 @@ def trace_resources(roster: Roster, event_type: EventType, coach: str,
             continue
         if p.name == patient_name:
             continue
-        eligible.append(Responder(
-            name=p.name, profession=p.profession, specialization=p.specialization,
-            coach=p.coach, distance=abs(roster.coach_index(p.coach) - patient_pos),
-        ))
+        eligible.append(Responder(p.name, p.profession, p.specialization, p.coach,
+                                  abs(roster.coach_index(p.coach) - patient_pos)))
     if not eligible:
         raise FallbackRequired()
     eligible.sort(key=lambda r: responder_sort_key(r, specialization))
@@ -798,7 +795,8 @@ class DispatchContext:
     log: EventLog
     message_sink: "MessageSink"
     search_config: SearchConfig = SearchConfig()
-    # composer.compose's plans by request shape, kept across reports
+    # composer.compose's wired workflows by request shape, keyed from the
+    # request itself, kept across reports
     plan_memo: dict = field(default_factory=dict)
 
 

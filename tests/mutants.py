@@ -162,34 +162,40 @@ MUTANTS = [
     Mutant("static failure: a known relation read with its know wrapper", PLANNER,
            "if (f.args[0] if know else f).args[j] == value:", "if f.args[j] == value:",
            (T_PLANNER + "test_static_argument_failure_keeps_every_plan",)),
-    # compose's memo of plans by request shape
+    # compose's memo of workflows by request shape
     Mutant("memo: the key without the text order of the values", COMPOSER,
-           "           tuple(slots.get(t, t) for t in sorted(texts)))",
+           "           tuple((bisect_left(order, t), slots.get(t, t)) for t in sorted(texts)))",
            "           ())",
            (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",)),
     Mutant("memo: the key without the registry", COMPOSER,
            "key = (id(reg), cfg,", "key = (cfg,",
            (T_SCENARIO + "test_a_report_after_the_registry_is_rebound_plans_with_the_new_one",)),
+    Mutant("memo: the key without the concept structure", COMPOSER,
+           "id(g.concepts), id(g.parents), ", "",
+           (T_COMPOSER + "test_one_memo_under_two_taxonomies_composes_as_each_does",)),
+    Mutant("memo: the key holds req.have sorted, not in order", COMPOSER,
+           "tuple(have)", "tuple(sorted(have))",
+           (T_COMPOSER + "test_a_memo_hit_keeps_the_first_of_two_sources_of_equal_degree",)),
     Mutant("memo: a hit's slots not mapped back to the request's values", COMPOSER,
-           "values[a] if isinstance(a, int) else a", "a",
+           "constants[a] if isinstance(a, int) else a", "a",
            (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",
             T_COMPOSER + "test_memo_path_equals_a_fresh_compose",
             T_SCENARIO + "test_a_memo_hit_after_a_registration_wires_as_a_fresh_compose")),
     Mutant("memo: a value an action names is slotted", COMPOSER,
-           "if value not in named and value not in slots", "if value not in slots",
+           "if value not in named:", "if True:",
            (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",)),
     Mutant("memo: a value starting with # is slotted", COMPOSER,
            'if value.startswith("#"):', "if False:",
            (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",)),
     Mutant("memo: the text order without the placeholders' sentinel", COMPOSER,
-           'texts = {"#", *named}', "texts = set(named)",
+           'texts = {"#", *slots}', "texts = set(slots)",
            (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",)),
-    Mutant("memo: an initial fluent with a compound argument is keyed", COMPOSER,
+    Mutant("memo: a world fact with a compound argument is keyed", COMPOSER,
            """        if args is None:
-            return find_plan(problem, cfg)
+            return None
         texts""",
            """        if args is None:
-            args = (fluent.args[0] if fluent.functor == "know" else fluent).args
+            args = (fact.args[0] if fact.functor == "know" else fact).args
         texts""",
            (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",)),
     # the tokenizer

@@ -141,7 +141,7 @@ def test_workflow_serialization_is_stable(service_registry, taxonomy):
 
 
 # ---------------------------------------------------------------------------
-# compose's memo of plans by request shape
+# compose's memo of workflows by request shape
 # ---------------------------------------------------------------------------
 
 
@@ -163,16 +163,17 @@ _MEMO_CASES = {
         "service make\n  hasOutput: Y : Item\n  hasOutput: M : Made\n  grounding: stub\nend\n"
         "service use\n  hasInput: X : Item\n  hasOutput: D : Done\n  grounding: stub\nend\n",
         [((("Item", v),), ()) for v in ("#a", "#z", "!", "a")], ("Done", "Made")),
-    # pick needs ok(k): k is an action's constant, a and z are not
+    # pick needs ok(k): k is an action's constant, a, j and z are not; (j, z)
+    # has no plan, and would take (k, z)'s if k were a slot
     "a named value": (
         _PICK + "  precondition: holds(ok(k))\nend\n",
         [((("Item", v), ("Item", w)), (Compound("ok", (Constant(v),)),))
-         for v, w in (("k", "z"), ("a", "k"))], ("Done",)),
-    # f(a) sorts before g but after e
+         for v, w in (("k", "z"), ("a", "k"), ("j", "z"))], ("Done",)),
+    # e sorts before f(a) and g after it; pick(f(a)) has no source to wire
     "a compound argument": (
         _PICK + "end\n",
         [((("Item", v),), (know(Compound("Item", (Compound("f", (Constant("a"),)),))),))
-         for v in ("g", "e")], ("Done",)),
+         for v in ("e", "g")], ("Done",)),
 }
 
 
@@ -206,14 +207,21 @@ def _renamed_request(request: CompositionRequest, renaming: dict) -> Composition
         want=request.want, world_facts=tuple(map(rename, request.world_facts)))
 
 
+def _echo(inputs: dict) -> StubResult:
+    # every output of randgen's services, named after the step's inputs
+    fed = ",".join(f"{k}={v}" for k, v in sorted(inputs.items()))
+    return StubResult({"O0": f"0<{fed}>", "O1": f"1<{fed}>"})
+
+
 @given(st.integers(0, 2**32))
 @settings(max_examples=200, deadline=None)
 def test_memo_path_equals_a_fresh_compose(seed):
     # a registry request, then two bijective renamings of its values, through
     # one memo: each workflow equals a fresh compose, whether the memo missed,
-    # hit, or was passed by
+    # hit, or was passed by, and executes alike
     rng = random.Random(seed)
     reg, g, request = randgen.random_registry_request(rng)
+    env = GroundingEnv(stubs={"stub": _echo})
     values = list(dict.fromkeys(v for _, v in request.have))
     pool = randgen.REQUEST_VALUES + ("y", "Q", "ba")
     memo = {}
@@ -229,6 +237,72 @@ def test_memo_path_equals_a_fresh_compose(seed):
         got = compose(renamed, reg, g, memo=memo)
         assert got == fresh
         assert got.to_lines(reg) == fresh.to_lines(reg)
+        assert execute(got, env, reg) == execute(fresh, env, reg)
+
+
+def test_a_memo_hit_builds_no_problem_and_plans_nothing(service_registry, taxonomy,
+                                                        monkeypatch):
+    memo = {}
+    first = compose(EMERGENCY_REQUEST, service_registry, taxonomy, memo=memo)
+    request = CompositionRequest(
+        have=(("Profession", "doctor"), ("Specialization", "Orthopedics"),
+              ("Message", "hurry")),
+        want=EMERGENCY_REQUEST.want, world_facts=EMERGENCY_REQUEST.world_facts)
+    fresh = compose(request, service_registry, taxonomy)
+    calls = []
+
+    def spy(name):
+        def refuse(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} called on a memo hit")
+        return refuse
+
+    for name in ("build_problem", "find_plan", "_source_of"):
+        monkeypatch.setattr(composer, name, spy(name))
+    got = compose(request, service_registry, taxonomy, memo=memo)
+    assert calls == []
+    assert got == fresh and got != first
+    assert len(memo) == 1
+
+
+# Held is a plugin match for use's input only where it is under C0
+_HELD_UNDER_C0 = "root C0\nroot Done\nconcept Held subClassOf C0\n"
+_HELD_APART = "root C0\nroot Done\nroot Held\n"
+
+
+def test_one_memo_under_two_taxonomies_composes_as_each_does():
+    # the taxonomies differ only in Held's edge; the registry is one object
+    under, apart = load_taxonomy(_HELD_UNDER_C0), load_taxonomy(_HELD_APART)
+    assert under.concepts == apart.concepts
+    reg = load_registry("service use\n  hasInput: X : C0\n  hasOutput: D : Done\n"
+                        "  grounding: stub\nend\n", under)
+    request = CompositionRequest(have=(("Held", "v"),), want=("Done",))
+    memo = {}
+    for g in (under, apart, under):
+        try:
+            fresh = compose(request, reg, g)
+        except NoPlanFound:
+            with pytest.raises(NoPlanFound):
+                compose(request, reg, g, memo=memo)
+        else:
+            assert compose(request, reg, g, memo=memo) == fresh
+    assert len(memo) == 1
+
+
+def test_a_memo_hit_keeps_the_first_of_two_sources_of_equal_degree():
+    # v is held at A and at B, both under Item: the first held is the source,
+    # so the two orders of have wire pick's input apart
+    g = load_taxonomy("root Item\nroot Done\nconcept A subClassOf Item\n"
+                      "concept B subClassOf Item\n")
+    reg = load_registry(_PICK + "end\n", g)
+    memo = {}
+    for have in ((("A", "v"), ("B", "v")), (("B", "v"), ("A", "v")),
+                 (("A", "w"), ("B", "w")), (("B", "w"), ("A", "w"))):
+        request = CompositionRequest(have=have, want=("Done",))
+        fresh = compose(request, reg, g)
+        assert fresh.wiring[0].source.concept == have[0][0]
+        assert compose(request, reg, g, memo=memo) == fresh
+    assert len(memo) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +321,19 @@ def test_execute_emergency_workflow(service_registry, taxonomy, grounded_env):
     assert dict(notify.inputs) == {"P": "Ravi", "CN": "S7", "MSG": "help"}
     assert notify.outcome == "ConfirmSend"
     assert sink.entries == [("Ravi", "S7", "help")]
+
+
+def test_execute_feeds_each_step_from_its_wiring(service_registry, taxonomy, grounded_env):
+    # the wiring, not the plan's arguments, decides what a step receives
+    env, sink = grounded_env
+    wf = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
+    rewired = composer.Workflow(wf.plan, tuple(
+        composer.WireEntry(w.step, w.param, RequestSource("Message", "rewired",
+                                                          MatchDegree.EXACT))
+        if w.param == "MSG" else w for w in wf.wiring))
+    trace = execute(rewired, env, service_registry)
+    assert dict(trace.records[1].inputs) == {"P": "Ravi", "CN": "S7", "MSG": "rewired"}
+    assert sink.entries == [("Ravi", "S7", "rewired")]
 
 
 def test_execute_empty_workflow(service_registry, grounded_env):
