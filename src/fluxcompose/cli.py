@@ -135,7 +135,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     try:
         found = planner.plan(problem, _search_config(args))
     except planner.NoPlanFound as exc:
-        print(f"no plan within depth {exc.depth}")
+        print(exc)
         return 1
     if args.format == "lines":
         for i, step in enumerate(found.steps):
@@ -168,7 +168,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
     try:
         workflow = composer.compose(request, reg, graph, _search_config(args))
     except planner.NoPlanFound as exc:
-        print(f"no plan within depth {exc.depth}")
+        print(exc)
         return 1
     if args.format == "lines":
         for line in workflow.to_lines(reg):
@@ -321,7 +321,7 @@ def run(argv=None) -> int:
     try:
         return args.handler(args)
     except planner.NoPlanFound as exc:
-        print(f"no plan within depth {exc.depth}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 1
     except scenario.FallbackRequired as exc:
         print(f"fallback required: {exc}", file=sys.stderr)

@@ -249,7 +249,8 @@ def compose(req: CompositionRequest, reg: Registry, g: TaxonomyGraph,
     for i, ga in enumerate(p.steps):
         svc = reg.get(ga.name)
         for (param, concept), arg in zip(svc.inputs, ga.args):
-            wiring.append(WireEntry(i, param, _source_of(arg, concept, req, g)))
+            wiring.append(WireEntry(i, param, _source_of(arg, concept, req, g,
+                                                         p.steps[:i], reg)))
     workflow = Workflow(p, tuple(wiring))
     if shape is not None:
         memo[key] = _slotted(workflow, values, (reg, g.concepts, g.parents))
@@ -321,11 +322,17 @@ def _bind(stored: tuple, values: tuple[str, ...]) -> Workflow:
               if type(w) is tuple else w for w in wiring))
 
 
-def _source_of(arg: Term, concept: Concept, req: CompositionRequest,
-               g: TaxonomyGraph) -> Source:
+def _source_of(arg: Term, concept: Concept, req: CompositionRequest, g: TaxonomyGraph,
+               earlier: tuple[GroundAction, ...], reg: Registry) -> Source:
+    """A step input's source: a request value, or the output of the earlier step
+    a placeholder's seq names if that step runs the placeholder's service and
+    the service declares the output (a world fact's placeholder may not)."""
     if isinstance(arg, Placeholder):
-        return StepSource(arg.seq - 1, arg.param, concept)
-    if isinstance(arg, Constant):
+        step = arg.seq - 1
+        if (0 <= step < len(earlier) and earlier[step].name == arg.action
+                and any(param == arg.param for param, _ in reg.get(arg.action).outputs)):
+            return StepSource(step, arg.param, concept)
+    elif isinstance(arg, Constant):
         best: Optional[RequestSource] = None
         for have_concept, value in req.have:
             if value != arg.name:

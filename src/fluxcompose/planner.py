@@ -17,18 +17,16 @@ the goal needs, directly or through the poss of another such action, are
 searched; in a domain without remove lists an application whose adds already
 hold is never made; and a state seen before, up to placeholder renaming, is
 not queued again. The visited set holds states, with placeholders renamed
-when the problem can make any; no state or substitution is named by its
+when the problem can make any; no state or binding is named by its
 text. The symbol sets and add sources the first three rules read are
 computed once per `ActionSchema`. `plan` gives the soundness argument for
 the five rules; the tests check it against an unpruned enumeration of every
 plan.
 
-The search's bindings are plain dicts of variables to ground terms: a solve
-starts empty and every fluent is ground, so no binding needs re-resolving.
-Poss, the monotone skip and the goal test query `terms.extensions` with
-them, a step's args are read from them, and `apply_update` builds a child
-from them with `terms.instantiate`. `check_poss` wraps the same bindings in
-`Substitution`s for callers outside the search.
+The search has one query, `terms.holds`, and one binding type, `Bindings`,
+a dict of variables to ground terms. `check_poss`, the monotone skip and the
+goal test solve their conjunctions with `holds`; a step's args are read from
+its poss bindings, and `apply_update` instantiates the update by them.
 """
 
 from __future__ import annotations
@@ -45,12 +43,11 @@ from .terms import (
     Constant,
     Placeholder,
     State,
-    Substitution,
     Term,
     Variable,
-    extensions,
     fluent_symbol,
     has_placeholder,
+    holds,
     instantiate,
     is_ground,
     is_knowledge,
@@ -58,7 +55,7 @@ from .terms import (
     pattern_symbol,
 )
 
-# A search binding: variables to ground terms (see `terms.extensions`).
+# A binding: variables to ground terms (see `terms.holds`).
 Bindings = dict[Variable, Term]
 
 
@@ -79,7 +76,7 @@ class NoPlanFound(FluxError):
 
 
 class PreconditionViolation(FluxError):
-    """A substitution passed to apply_update does not satisfy the schema's poss."""
+    """Bindings passed to apply_update do not satisfy the schema's poss."""
 
 
 @dataclass(frozen=True)
@@ -156,14 +153,14 @@ def _solve(patterns: Iterable[Term], state: State,
     """
     results = [{} if start is None else start]
     for pattern in patterns:
-        results = [new for bound in results for new in extensions(pattern, state, bound)]
+        results = [new for bound in results for new in holds(pattern, state, bound)]
         if not results:
             return results
     return results
 
 
-def _poss(schema: ActionSchema, state: State) -> list[Bindings]:
-    """The bindings under which the schema's poss conjunction holds, as `check_poss` gives them.
+def check_poss(schema: ActionSchema, state: State) -> list[Bindings]:
+    """The bindings under which the schema's poss conjunction holds.
 
     Each grounds the schema's params and poss variables, and none repeats; an
     empty list means the action is not applicable. Keeping those that bind
@@ -175,32 +172,26 @@ def _poss(schema: ActionSchema, state: State) -> list[Bindings]:
     return [b for b in _solve(schema.poss, state) if all(p in b for p in params)]
 
 
-def check_poss(schema: ActionSchema, state: State) -> list[Substitution]:
-    """All substitutions under which the schema's poss conjunction holds (see `_poss`)."""
-    return [Substitution(b) for b in _poss(schema, state)]
-
-
 def output_binding(schema: ActionSchema, step: int) -> dict[Variable, Placeholder]:
     """Deterministic fresh placeholders for the schema's outputs at a 1-based step."""
     return {v: Placeholder(schema.name, v.name, step) for v in schema.outputs}
 
 
-def apply_update(schema: ActionSchema, subst: Substitution | Bindings, state: State,
+def apply_update(schema: ActionSchema, bindings: Bindings, state: State,
                  step: int = 1, _checked: bool = False) -> State:
     """Progress a state through one action application.
 
-    subst is a `Substitution` or, as the search passes it, a plain dict of
-    bindings. Output variables are bound to fresh placeholders for the given
-    step, then the update is applied: Z2 = (Z1 minus removes) union adds.
-    Raises PreconditionViolation when subst does not satisfy poss in this
-    state.
+    Output variables are bound to fresh placeholders for the given step, then
+    the update is applied: Z2 = (Z1 minus removes) union adds. Raises
+    PreconditionViolation when bindings is not one of `check_poss`'s in this
+    state; the search, whose bindings come from there, passes _checked.
     """
-    if isinstance(subst, Substitution):
-        subst = subst.bindings
-    if not _checked and subst not in _poss(schema, state):
+    if not _checked and bindings not in check_poss(schema, state):
+        shown = ", ".join(f"{v.name}={t}" for v, t in
+                          sorted(bindings.items(), key=lambda p: p[0].name))
         raise PreconditionViolation(
-            f"substitution {Substitution(subst)} does not satisfy poss of {schema.name}")
-    full = {**subst, **output_binding(schema, step)}
+            f"substitution {{{shown}}} does not satisfy poss of {schema.name}")
+    full = {**bindings, **output_binding(schema, step)}
     return state.with_update([instantiate(t, full) for t in schema.adds],
                              [instantiate(t, full) for t in schema.removes])
 
@@ -254,7 +245,7 @@ def _children(actions: list[ActionSchema], states: Iterable[State]):
     for state in states:
         for schema in actions:
             name, params = schema.name, schema.params
-            for b in _poss(schema, state):
+            for b in check_poss(schema, state):
                 out.append((state, schema, b, GroundAction(name, tuple([b[p] for p in params]))))
     out.sort(key=lambda child: child[3].sort_key())
     return out
@@ -307,7 +298,7 @@ def _static_failure(problem: PlanningProblem, added: set) -> bool:
     initial = problem.initial
     for pattern, fixed in wanted:
         if not (_may_add(fluent_symbol(pattern), fixed, problem.actions, added, initial)
-                or extensions(pattern, initial, {})):
+                or holds(pattern, initial)):
             return True
     return False
 

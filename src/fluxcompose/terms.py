@@ -6,17 +6,16 @@ On its first query a state groups its fluents by `fluent_symbol` (knowledge
 or world, then functor and arity; for ``know(T)``, those of T), each group in
 canonical `order_key` order.
 
-There is one query core, `extensions(pattern, state, bound)`, and two entry
-points to it: `holds`, which takes and yields `Substitution`s, and the
-planner's search, which passes plain dicts. A pattern ``know(P)`` scans only
-the knowledge group of P's symbol, any other pattern only the world group of
-its own; `knows_val(P)` is ``holds(know(P))``. When the pattern's first
-argument, looked up in the bound dict if it is a variable, is a constant or a
-placeholder (for knowledge, that of P), and the group holds more than one
-fluent, it scans only the fluents with that first argument, from a map the
-group builds on its first such query. A bare-variable pattern scans every
-fluent of its side, sorted for that query, unless it is bound. A compound
-renders its text once.
+There is one query, `holds(pattern, state, bound)`, and one binding type, a
+plain dict of variables to ground terms; the planner's search calls it. A
+pattern ``know(P)`` scans only the knowledge group of P's symbol, any other
+pattern only the world group of its own; `knows_val(P)` is
+``holds(know(P))``. When the pattern's first argument, looked up in the bound
+dict if it is a variable, is a constant or a placeholder (for knowledge, that
+of P), and the group holds more than one fluent, it scans only the fluents
+with that first argument, from a map the group builds on its first such
+query. A bare-variable pattern scans every fluent of its side, sorted for
+that query, unless it is bound. A compound renders its text once.
 
 A child made by `State.with_update` from an indexed state inherits the
 index. On the child's first query only the groups of the symbols whose
@@ -27,31 +26,27 @@ split by first argument once per problem. That sharing is what makes the map
 pay: built anew for every state, it cost more than the scans it saved.
 
 A query matches one way: it walks the pattern against a ground fluent, and
-only the pattern's variables get bound. The core takes its bindings ground,
-and copies them into the match before the walk: a bound variable is then an
-equality check, like a variable met a second time, and the pattern is never
-rebuilt. An unbound variable is bound to a ground subterm of the fluent, so
-no variable is ever bound to another variable, no occurs check can fire, and
-every extension is ground again. So is every binding of a search: it starts
-empty, and every fluent is ground. The result is exactly what `unify` of the
-pattern and the fluent would give. `holds` takes any start, one that binds a
-variable to a non-ground term included: it resolves the pattern by it,
-matches from no bindings, and re-resolves the stored values that mention a
-newly bound variable, as `Substitution.bind` does, so the result stays
-idempotent.
-`instantiate` is the one place a binding map is applied to a term.
-`unify` itself has no caller at run time.
+only the pattern's variables get bound. The bindings it starts from must be
+ground; it copies them into the match before the walk, so a bound variable
+is an equality check, like a variable met a second time, and the pattern is
+never rebuilt. An unbound variable is bound to a ground subterm of the
+fluent, so no variable is ever bound to another variable, no occurs check
+can fire, and every extension is ground again. So is every binding of a
+search: it starts empty, and every fluent is ground. The result is exactly
+what `unify` of the pattern and the fluent would give. `instantiate` is the
+one place a binding map is applied to a term.
 
 Everything here is immutable; operations are pure functions returning new
-values, and a term left unchanged by a substitution is returned as is. The
+values, and a term left unchanged by a binding map is returned as is. The
 index and the rendered text are computed lazily but always to the same value,
-so states, terms and substitutions can be shared freely across threads.
+so states and terms can be shared freely across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, KeysView, Mapping, Optional, Union
 
 from .errors import FluxError
@@ -213,54 +208,16 @@ def order_key(*terms: Term) -> tuple[tuple[str, ...], _Tie]:
 
 
 # ---------------------------------------------------------------------------
-# Substitutions and unification
+# Binding maps and unification
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Substitution:
-    """Idempotent variable binding map.
-
-    Bindings are kept fully resolved: no stored value contains a bound
-    variable, so applying a substitution twice equals applying it once, and
-    the occurs check guarantees no binding is cyclic.
-    """
-
-    bindings: Mapping[Variable, Term] = field(default_factory=dict)
-
-    def apply(self, term: Term) -> Term:
-        """The term with bound variables replaced; an unchanged term is returned as is."""
-        return instantiate(term, self.bindings)
-
-    def bind(self, var: Variable, term: Term) -> Optional["Substitution"]:
-        """Extend with var -> term, re-resolving stored values. None if occurs check fires."""
-        resolved = self.apply(term)
-        if _occurs(var, resolved):
-            return None
-        single = Substitution({var: resolved})
-        updated = {v: single.apply(t) for v, t in self.bindings.items()}
-        updated[var] = resolved
-        return Substitution(updated)
-
-    def __len__(self) -> int:
-        return len(self.bindings)
-
-    def __str__(self) -> str:
-        inner = ", ".join(
-            f"{v.name}={t}" for v, t in sorted(self.bindings.items(), key=lambda p: p[0].name)
-        )
-        return "{" + inner + "}"
-
-
-EMPTY_SUBST = Substitution({})
 
 
 def instantiate(term: Term, bindings: Mapping[Variable, Term]) -> Term:
     """The term with each variable bound in bindings replaced by its value.
 
-    One pass: the values are taken as they are, so for an idempotent map, as a
-    `Substitution`'s or a ground one, the result holds no bound variable. A
-    term left unchanged is returned as is.
+    One pass: the values are taken as they are, so for an idempotent map, as
+    `unify`'s or a ground one, the result holds no bound variable. A term left
+    unchanged is returned as is.
     """
     if isinstance(term, Variable):
         return bindings.get(term, term)
@@ -271,6 +228,10 @@ def instantiate(term: Term, bindings: Mapping[Variable, Term]) -> Term:
     return term
 
 
+# The default start of a query or unification; read-only, as `unify` may return it.
+_NO_BINDINGS: Mapping[Variable, Term] = MappingProxyType({})
+
+
 def _occurs(var: Variable, term: Term) -> bool:
     if isinstance(term, Variable):
         return term == var
@@ -279,27 +240,43 @@ def _occurs(var: Variable, term: Term) -> bool:
     return False
 
 
-def unify(t1: Term, t2: Term, subst: Substitution = EMPTY_SUBST) -> Optional[Substitution]:
-    """Most general unifier of t1 and t2 extending subst, or None on non-match.
+def _bind(bindings: Mapping[Variable, Term], var: Variable,
+          term: Term) -> Optional[dict[Variable, Term]]:
+    """A new map: bindings plus var -> term, stored values re-resolved; None if
+    the occurs check fires."""
+    resolved = instantiate(term, bindings)
+    if _occurs(var, resolved):
+        return None
+    single = {var: resolved}
+    out = {v: instantiate(t, single) for v, t in bindings.items()}
+    out[var] = resolved
+    return out
 
+
+def unify(t1: Term, t2: Term,
+          bindings: Mapping[Variable, Term] = _NO_BINDINGS) -> Optional[Mapping[Variable, Term]]:
+    """Most general unifier of t1 and t2 extending bindings, or None on non-match.
+
+    bindings must be idempotent (no stored value holds a bound variable) and
+    is never written: a result that binds more is a new dict, its stored
+    values re-resolved at each binding and kept acyclic by the occurs check.
     None signals a failed match (functor/arity clash or occurs check), not a
-    fault; applying a successful result to both terms yields equal trees.
-    Nothing in the package calls it at run time (queries match one way, see
-    `holds`). It is kept as the tests' oracle for that matching and as a span
-    target of perfbench's tracer.
+    fault. Nothing in the package calls it at run time: it is the tests'
+    oracle for `holds`'s one-way matching and a span target of perfbench's
+    tracer.
     """
-    a = subst.apply(t1)
-    b = subst.apply(t2)
+    a = instantiate(t1, bindings)
+    b = instantiate(t2, bindings)
     if a == b:
-        return subst
+        return bindings
     if isinstance(a, Variable):
-        return subst.bind(a, b)
+        return _bind(bindings, a, b)
     if isinstance(b, Variable):
-        return subst.bind(b, a)
+        return _bind(bindings, b, a)
     if isinstance(a, Compound) and isinstance(b, Compound):
         if a.functor != b.functor or len(a.args) != len(b.args):
             return None
-        out: Optional[Substitution] = subst
+        out: Optional[Mapping[Variable, Term]] = bindings
         for x, y in zip(a.args, b.args):
             out = unify(x, y, out)
             if out is None:
@@ -452,16 +429,18 @@ def _match(pattern: Term, fluent: Term, new: dict) -> bool:
     return pattern == fluent
 
 
-def extensions(pattern: Term, state: State,
-               bound: Mapping[Variable, Term]) -> list[dict[Variable, Term]]:
+def holds(pattern: Term, state: State,
+          bound: Mapping[Variable, Term] = _NO_BINDINGS) -> list[dict[Variable, Term]]:
     """Every extension of the ground bindings under which pattern matches a fluent.
 
-    The query core. Every value in bound must be ground. A ``know(P)`` pattern
-    queries the knowledge fluents, matching P against the term inside each
-    ``know``; any other pattern, a bare variable included, queries the world
-    fluents. Each extension is a new dict: bound plus the pattern's other
-    variables, each bound to a ground subterm of one fluent. They come in
-    canonical fluent order.
+    The one query. Every value in bound must be ground, and bound is never
+    written. A ``know(P)`` pattern queries the knowledge fluents, matching P
+    against the term inside each ``know``; any other pattern, a bare variable
+    included, queries the world fluents. Each extension is a new dict: bound
+    plus the pattern's other variables, each bound to a ground subterm of one
+    fluent, equal to ``unify(pattern, fluent, bound)``. They come in canonical
+    fluent order, so results are deterministic; an empty list means the
+    pattern does not hold.
     """
     # is_knowledge inlined: this runs for every query of a search
     knowledge = (isinstance(pattern, Compound) and pattern.functor == KNOW
@@ -481,38 +460,8 @@ def extensions(pattern: Term, state: State,
     return out
 
 
-def holds(pattern: Term, state: State,
-          subst: Substitution = EMPTY_SUBST) -> Iterator[Substitution]:
-    """Yield every extension of subst under which pattern matches a fluent.
-
-    A ``know(P)`` pattern queries the knowledge fluents, any other pattern the
-    world fluents. The side is read from the pattern as given, before subst
-    resolves it. Each result equals ``unify(pattern, fluent, subst)`` for a
-    fluent of that side it succeeds on (see the module docstring), and they
-    come in canonical (sorted) fluent order, so results are deterministic.
-    A match that binds nothing yields subst itself. An empty sequence means
-    the pattern does not hold.
-
-    The pattern resolved by subst is matched by `extensions` from no
-    bindings, and subst's values are re-resolved under each match, as
-    `Substitution.bind` does; a start may bind a variable to a non-ground term.
-    """
-    resolved = subst.apply(pattern)
-    if is_knowledge(resolved) != is_knowledge(pattern):
-        return  # a world variable bound to know(...): no world fluent is one
-    for new in extensions(resolved, state, {}):
-        if not new:
-            yield subst
-            continue
-        yield Substitution({**{v: instantiate(t, new) for v, t in subst.bindings.items()},
-                            **new})
-
-
 def knows_val(pattern: Term, state: State,
-              subst: Substitution = EMPTY_SUBST) -> Iterator[Substitution]:
-    """``holds(know(pattern), state, subst)``: the values of pattern that are known.
-
-    A binding to a Placeholder counts as known: the value will exist by the
-    time the producing step has executed.
-    """
-    return holds(know(pattern), state, subst)
+              bound: Mapping[Variable, Term] = _NO_BINDINGS) -> list[dict[Variable, Term]]:
+    """``holds(know(pattern), state, bound)``: the known values of pattern. A
+    Placeholder counts as known: its value exists once its step has run."""
+    return holds(know(pattern), state, bound)

@@ -38,11 +38,11 @@ from fluxcompose.scenario import (
 
 
 def _applications(problem: PlanningProblem, state):
-    """Every (schema, substitution, ground action) applicable in state, canonically sorted."""
-    out = [(schema, subst, GroundAction(schema.name,
-                                        tuple(subst.apply(p) for p in schema.params)))
+    """Every (schema, bindings, ground action) applicable in state, canonically sorted."""
+    out = [(schema, bindings, GroundAction(schema.name,
+                                           tuple(bindings[p] for p in schema.params)))
            for schema in sorted(problem.actions, key=lambda a: a.name)
-           for subst in check_poss(schema, state)]
+           for bindings in check_poss(schema, state)]
     out.sort(key=lambda app: app[2].sort_key())
     return out
 
@@ -61,8 +61,8 @@ def enumerate_plans(problem: PlanningProblem, max_depth: int) -> list[Plan]:
             found.append(Plan(steps))
         if len(steps) == max_depth:
             return
-        for schema, subst, ga in _applications(problem, state):
-            rec(apply_update(schema, subst, state, step=len(steps) + 1, _checked=True),
+        for schema, bindings, ga in _applications(problem, state):
+            rec(apply_update(schema, bindings, state, step=len(steps) + 1, _checked=True),
                 steps + (ga,))
 
     rec(problem.initial, ())
@@ -81,7 +81,7 @@ class PlanCheck:
 def validate_plan(problem: PlanningProblem, p: Plan) -> PlanCheck:
     """Simulate a plan from the initial state; report the first failing step.
 
-    A step is its ground action, so it is applied under every substitution of
+    A step is its ground action, so it is applied under every binding of
     its poss that binds its params to its arguments, and the simulation
     follows every state that reaches. The check passes when each step's poss
     holds in one of the progressed states and one final state satisfies the
@@ -94,10 +94,10 @@ def validate_plan(problem: PlanningProblem, p: Plan) -> PlanCheck:
         if schema is None or len(ga.args) != len(schema.params):
             return PlanCheck(False, i)
         states = list(dict.fromkeys(
-            apply_update(schema, subst, state, step=i + 1, _checked=True)
+            apply_update(schema, bindings, state, step=i + 1, _checked=True)
             for state in states
-            for subst in check_poss(schema, state)
-            if all(subst.apply(param) == arg
+            for bindings in check_poss(schema, state)
+            if all(bindings[param] == arg
                    for param, arg in zip(schema.params, ga.args))))
         if not states:
             return PlanCheck(False, i)

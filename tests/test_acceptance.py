@@ -26,7 +26,7 @@ from fluxcompose.planner import (
     plan,
 )
 from fluxcompose.scenario import EventType, FallbackRequired, trace_resources
-from fluxcompose.terms import Compound, Constant, Substitution, Variable, know
+from fluxcompose.terms import Compound, Constant, Variable, instantiate, know
 
 
 @contextmanager
@@ -95,12 +95,12 @@ def test_criterion_2_frame_property():
                            for s in check_poss(a, state)]
                 if not options:
                     break
-                schema, subst = rng.choice(options)
+                schema, bindings = rng.choice(options)
                 z1 = state
-                z2 = apply_update(schema, subst, z1, step=step, _checked=True)
-                full = Substitution({**subst.bindings, **output_binding(schema, step)})
-                adds = {full.apply(t) for t in schema.adds}
-                removes = {full.apply(t) for t in schema.removes}
+                z2 = apply_update(schema, bindings, z1, step=step, _checked=True)
+                full = {**bindings, **output_binding(schema, step)}
+                adds = {instantiate(t, full) for t in schema.adds}
+                removes = {instantiate(t, full) for t in schema.removes}
                 before = z1.fluents
                 after = z2.fluents
                 for f in before:

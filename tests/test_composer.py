@@ -22,7 +22,7 @@ from fluxcompose.ontology import MatchDegree, UnknownConceptError, load_taxonomy
 from fluxcompose.planner import NoPlanFound
 from fluxcompose.registry import Registry, load_registry
 from fluxcompose.errors import FluxError
-from fluxcompose.terms import Compound, Constant, know
+from fluxcompose.terms import Compound, Constant, Placeholder, know
 import randgen
 from oracles import enumerate_plans, validate_plan
 
@@ -265,6 +265,52 @@ def test_a_memo_hit_builds_no_problem_and_plans_nothing(service_registry, taxono
     assert len(memo) == 1
 
 
+# A placeholder held in the request's world facts: pick takes it as Item.
+# Alone, pick is step 0; after first(s), step 1.
+_FIRST = ("service first\n  hasInput: A : Start\n  hasOutput: B : Mid\n"
+          "  grounding: stub\nend\n")
+_WORLD_PLACEHOLDER_CASES = [
+    (False, Placeholder("pick", "D", 1)),   # the consuming step itself
+    (False, Placeholder("other", "Q", 1)),  # a step that is not other
+    (True, Placeholder("pick", "D", 2)),    # the consuming step itself
+    (True, Placeholder("first", "Q", 1)),   # first declares no Q
+    (True, Placeholder("other", "B", 1)),   # step 0 is not other
+    (True, Placeholder("first", "B", 3)),   # no step 2 before step 1
+]
+
+
+def _world_placeholder_request(after_first: bool, placeholder: Placeholder):
+    g = load_taxonomy(_ITEM + "root Start\nroot Mid\n")
+    reg = load_registry((_FIRST if after_first else "") + _PICK + "end\n", g)
+    request = CompositionRequest(
+        have=(("Start", "s"),) if after_first else (),
+        want=("Mid", "Done") if after_first else ("Done",),
+        world_facts=(know(Compound("Item", (placeholder,))),))
+    return request, reg, g
+
+
+@pytest.mark.parametrize("after_first,placeholder", _WORLD_PLACEHOLDER_CASES)
+def test_a_world_fact_placeholder_no_earlier_step_made_has_no_source(after_first,
+                                                                     placeholder):
+    request, reg, g = _world_placeholder_request(after_first, placeholder)
+    memo = {}
+    for _ in range(2):  # the error is not stored in the memo
+        with pytest.raises(FluxError,
+                           match=re.escape(f"no source for step input Item={placeholder}")):
+            compose(request, reg, g, memo=memo)
+        assert memo == {}
+    with pytest.raises(FluxError, match="no source for step input"):
+        compose(request, reg, g)
+
+
+def test_a_world_fact_placeholder_an_earlier_step_made_is_its_output():
+    request, reg, g = _world_placeholder_request(True, Placeholder("first", "B", 1))
+    workflow = compose(request, reg, g)
+    assert workflow.to_lines(reg)[1] == "step\t1\tpick\tX=out:0:B"
+    memo = {}  # such a request is memoized: the cases above store nothing
+    assert compose(request, reg, g, memo=memo) == workflow and len(memo) == 1
+
+
 # Held is a plugin match for use's input only where it is under C0
 _HELD_UNDER_C0 = "root C0\nroot Done\nconcept Held subClassOf C0\n"
 _HELD_APART = "root C0\nroot Done\nroot Held\n"
@@ -413,9 +459,9 @@ def test_execution_agrees_with_plan_and_goal(service_registry, taxonomy,
     state = problem.initial
     for i, ga in enumerate(wf.plan.steps):
         schema = schemas[ga.name]
-        subst = next(s for s in check_poss(schema, state)
-                     if all(s.apply(p) == a for p, a in zip(schema.params, ga.args)))
-        state = apply_update(schema, subst, state, step=i + 1, _checked=True)
+        bindings = next(b for b in check_poss(schema, state)
+                        if all(b[p] == a for p, a in zip(schema.params, ga.args)))
+        state = apply_update(schema, bindings, state, step=i + 1, _checked=True)
     resolved_by_param = {}
     for i, record in enumerate(trace.records):
         svc = service_registry.get(record.service)

@@ -1,4 +1,4 @@
-"""Unification, the query core and holds/knows_val matching, and states."""
+"""Unification, the one query holds and knows_val over it, and states."""
 
 import random
 
@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fluxcompose.terms import (
-    EMPTY_SUBST,
     Compound,
     Constant,
     Placeholder,
     State,
-    Substitution,
     Variable,
-    extensions,
     fluent_symbol,
     holds,
+    instantiate,
     is_ground,
     is_knowledge,
     know,
@@ -24,7 +22,8 @@ from fluxcompose.terms import (
     unify,
 )
 
-PR, SP, P, X = Variable("PR"), Variable("SP"), Variable("P"), Variable("X")
+PR, SP, P, X, Y = (Variable("PR"), Variable("SP"), Variable("P"), Variable("X"),
+                  Variable("Y"))
 doctor, orthopedics, nurse, general = (
     Constant("doctor"), Constant("orthopedics"), Constant("nurse"), Constant("general"))
 
@@ -39,16 +38,12 @@ def comp(functor, *args):
 
 
 def test_unify_single_variable():
-    got = unify(comp("Profession", PR), comp("Profession", doctor))
-    assert got is not None
-    assert got.apply(PR) == doctor
+    assert unify(comp("Profession", PR), comp("Profession", doctor)) == {PR: doctor}
 
 
 def test_unify_available_pattern():
     got = unify(comp("available", PR, SP), comp("available", doctor, orthopedics))
-    assert got is not None
-    assert got.apply(PR) == doctor
-    assert got.apply(SP) == orthopedics
+    assert got == {PR: doctor, SP: orthopedics}
 
 
 def test_unify_occurs_check():
@@ -64,22 +59,21 @@ def test_unify_functor_and_arity_clash():
 def test_unify_extends_given_substitution():
     base = unify(PR, doctor)
     got = unify(comp("available", PR, SP), comp("available", doctor, orthopedics), base)
-    assert got is not None
-    assert got.apply(SP) == orthopedics
+    assert got == {PR: doctor, SP: orthopedics}
+    assert base == {PR: doctor}  # the bindings passed in are never written
     assert unify(comp("available", PR, SP), comp("available", nurse, orthopedics), base) is None
 
 
 def test_unify_applies_both_sides_equal():
     got = unify(comp("f", X, nurse), comp("f", doctor, SP))
-    assert got.apply(comp("f", X, nurse)) == got.apply(comp("f", doctor, SP))
+    assert instantiate(comp("f", X, nurse), got) == instantiate(comp("f", doctor, SP), got)
 
 
 def test_placeholders_are_ground_constants():
     ph = Placeholder("findResource", "NAME", 1)
     assert is_ground(ph)
     assert str(ph) == "#out_findResource_NAME_1"
-    got = unify(P, ph)
-    assert got.apply(P) == ph
+    assert unify(P, ph) == {P: ph}
     assert unify(ph, Placeholder("findResource", "NAME", 2)) is None
 
 
@@ -123,8 +117,8 @@ def test_unify_symmetric_success(t1, t2):
     assert (a is None) == (b is None)
     if a is not None:
         # unified results are equal up to variable renaming
-        left = _rename_canonically(a.apply(t1), {})
-        right = _rename_canonically(b.apply(t2), {})
+        left = _rename_canonically(instantiate(t1, a), {})
+        right = _rename_canonically(instantiate(t2, b), {})
         assert left == right
 
 
@@ -142,8 +136,8 @@ def test_substitution_apply_is_idempotent(t1, t2):
     got = unify(t1, t2)
     if got is not None:
         for t in (t1, t2):
-            once = got.apply(t)
-            assert got.apply(once) == once
+            once = instantiate(t, got)
+            assert instantiate(once, got) == once
 
 
 def test_substitution_never_binds_var_to_term_containing_it():
@@ -167,46 +161,40 @@ def _side(state, knowledge):
 
 def test_holds_matches_pattern_against_world():
     state = _state(comp("available", doctor, orthopedics))
-    got = list(holds(comp("available", PR, SP), state))
-    assert len(got) == 1
-    assert got[0].apply(PR) == doctor and got[0].apply(SP) == orthopedics
+    assert holds(comp("available", PR, SP), state) == [{PR: doctor, SP: orthopedics}]
 
 
 def test_holds_empty_state():
-    assert list(holds(comp("available", PR, SP), State())) == []
+    assert holds(comp("available", PR, SP), State()) == []
 
 
 def test_holds_filters_by_bound_constant():
     state = _state(comp("available", doctor, orthopedics),
                    comp("available", nurse, general))
-    got = list(holds(comp("available", doctor, SP), state))
-    assert len(got) == 1
-    assert got[0].apply(SP) == orthopedics
+    assert holds(comp("available", doctor, SP), state) == [{SP: orthopedics}]
 
 
 def test_knows_val_matches_knowledge():
     state = _state(know(comp("Profession", doctor)))
-    got = list(knows_val(comp("Profession", PR), state))
-    assert len(got) == 1 and got[0].apply(PR) == doctor
+    assert knows_val(comp("Profession", PR), state) == [{PR: doctor}]
 
 
 def test_knows_val_placeholder_counts_as_known():
     ph = Placeholder("findResource", "NAME", 1)
     state = _state(know(comp("Name", ph)))
-    got = list(knows_val(comp("Name", P), state))
-    assert len(got) == 1 and got[0].apply(P) == ph
+    assert knows_val(comp("Name", P), state) == [{P: ph}]
 
 
 def test_knows_val_empty_knowledge():
-    assert list(knows_val(Constant("ConfirmSend"), State())) == []
+    assert knows_val(Constant("ConfirmSend"), State()) == []
 
 
 def test_knowledge_and_world_are_separate():
     state = _state(comp("f", doctor), know(comp("f", doctor)))
-    assert len(list(holds(comp("f", X), state))) == 1
-    assert len(list(knows_val(comp("f", X), state))) == 1
+    assert len(holds(comp("f", X), state)) == 1
+    assert len(knows_val(comp("f", X), state)) == 1
     # a know(...) pattern queries the knowledge fluents, as knows_val does
-    assert [s.bindings for s in holds(know(comp("f", X)), state)] == [{X: doctor}]
+    assert holds(know(comp("f", X)), state) == [{X: doctor}]
 
 
 @given(st.data())
@@ -226,7 +214,7 @@ def test_holds_equals_brute_force_on_random_states(data):
     pattern = Compound(rng.choice("pqr"), pattern_args) if pattern_args \
         else Constant(rng.choice("pqr"))
 
-    got = list(holds(pattern, state))
+    got = holds(pattern, state)
     oracle = []
     for f in _side(state, knowledge=False):
         s = unify(pattern, f)
@@ -249,7 +237,7 @@ def test_knows_val_equals_brute_force_on_random_states(data):
     pattern = Compound(rng.choice("pq"), tuple(
         rng.choice([X, P] + consts) for _ in range(rng.randint(0, 2))))
 
-    got = list(knows_val(pattern, state))
+    got = knows_val(pattern, state)
     oracle = []
     for f in _side(state, knowledge=True):
         s = unify(know(pattern), f)
@@ -279,18 +267,16 @@ def _random_pattern(rng):
         return rng.choice([X, P])
     if roll < 0.25:
         return rng.choice(_LEAVES)
-    pool = [X, P, SP, Variable("Y")] + _LEAVES
+    pool = [X, P, SP, Y] + _LEAVES
     args = tuple(comp("p", rng.choice(pool)) if rng.random() < 0.15 else rng.choice(pool)
                  for _ in range(rng.randint(0, 3)))
     return Compound(rng.choice("pqr"), args)
 
 
-def _random_start(rng):
-    """A start substitution binding some pattern variables (X possibly to Y)."""
-    start = EMPTY_SUBST
-    for var in rng.sample([X, P, SP], rng.randint(0, 2)):
-        start = start.bind(var, rng.choice(_LEAVES + [Variable("Y"), comp("p", _PH)]))
-    return start
+def _random_start(rng, least=0):
+    """Ground bindings of at least least pattern variables, to leaves or to p(#ph)."""
+    return {v: rng.choice(_LEAVES + [comp("p", _PH)])
+            for v in rng.sample([X, P, SP, Y], rng.randint(least, 3))}
 
 
 def _random_twinned_state(rng):
@@ -306,9 +292,9 @@ def test_holds_equals_brute_force_over_mixed_symbols(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     state = _random_twinned_state(rng)
     pattern, start = _random_pattern(rng), _random_start(rng)
-    got = [s.bindings for s in holds(pattern, state, start)]
-    oracle = [s.bindings for s in (unify(pattern, f, start)
-                                   for f in _side(state, knowledge=False)) if s is not None]
+    got = holds(pattern, state, start)
+    oracle = [s for s in (unify(pattern, f, start)
+                          for f in _side(state, knowledge=False)) if s is not None]
     assert got == oracle
 
 
@@ -318,19 +304,19 @@ def test_knows_val_equals_brute_force_over_mixed_symbols(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     state = _random_twinned_state(rng)
     pattern, start = _random_pattern(rng), _random_start(rng)
-    got = [s.bindings for s in knows_val(pattern, state, start)]
-    oracle = [s.bindings for s in (unify(know(pattern), f, start)
-                                   for f in _side(state, knowledge=True)) if s is not None]
+    got = knows_val(pattern, state, start)
+    oracle = [s for s in (unify(know(pattern), f, start)
+                          for f in _side(state, knowledge=True)) if s is not None]
     assert got == oracle
-    assert [s.bindings for s in holds(know(pattern), state, start)] == oracle
+    assert holds(know(pattern), state, start) == oracle
 
 
 def test_bare_variables_see_only_their_own_side():
     state = _state(comp("p", doctor), know(comp("p", doctor)), know(doctor), nurse)
-    assert [s.apply(X) for s in holds(X, state)] == [nurse, comp("p", doctor)]
-    assert [s.apply(X) for s in knows_val(X, state)] == [doctor, comp("p", doctor)]
+    assert [s[X] for s in holds(X, state)] == [nurse, comp("p", doctor)]
+    assert [s[X] for s in knows_val(X, state)] == [doctor, comp("p", doctor)]
     # the side is the pattern's as given: X bound to a knowledge fluent is no knowledge query
-    assert list(holds(X, state, EMPTY_SUBST.bind(X, know(doctor)))) == []
+    assert holds(X, state, {X: know(doctor)}) == []
 
 
 # Children made by with_update inherit their parent's index: each answer must
@@ -367,10 +353,10 @@ def _assert_answers(pattern, state, start):
     fresh = State(state.fluents)
     for query, knowledge, oracle_pattern in ((holds, False, pattern),
                                              (knows_val, True, know(pattern))):
-        got = [s.bindings for s in query(pattern, state, start)]
-        assert got == [s.bindings for s in query(pattern, fresh, start)]
+        got = query(pattern, state, start)
+        assert got == query(pattern, fresh, start)
         oracle = (unify(oracle_pattern, f, start) for f in _side(state, knowledge))
-        assert got == [s.bindings for s in oracle if s is not None]
+        assert got == [s for s in oracle if s is not None]
 
 
 @given(st.data())
@@ -391,28 +377,17 @@ def test_children_answer_like_fresh_states(data):
 
 
 # Named cases of one-way matching, each checked against the unify oracle too.
-Y = Variable("Y")
-
-
-def _both_ways(pattern, fluents, start=EMPTY_SUBST):
+def _both_ways(pattern, fluents):
     """holds over the fluents and knows_val over their know() twins, which must agree."""
-    got = list(holds(pattern, State.from_terms(fluents), start))
-    known = list(knows_val(pattern, State.from_terms(map(know, fluents)), start))
-    assert known == got
-    assert got == [s for s in (unify(pattern, f, start) for f in sorted(fluents, key=str))
+    got = holds(pattern, State.from_terms(fluents))
+    assert knows_val(pattern, State.from_terms(map(know, fluents))) == got
+    assert got == [s for s in (unify(pattern, f) for f in sorted(fluents, key=str))
                    if s is not None]
     return got
 
 
-def test_match_through_a_start_binding_rebinds_its_owner():
-    start = EMPTY_SUBST.bind(X, Y)
-    got = _both_ways(comp("p", Y), [comp("p", doctor)], start)
-    assert [s.bindings for s in got] == [{X: doctor, Y: doctor}]
-
-
 def test_match_repeated_variable_needs_equal_arguments():
-    got = _both_ways(comp("p", X, X), [comp("p", doctor, doctor)])
-    assert [s.bindings for s in got] == [{X: doctor}]
+    assert _both_ways(comp("p", X, X), [comp("p", doctor, doctor)]) == [{X: doctor}]
     assert _both_ways(comp("p", X, X), [comp("p", doctor, nurse)]) == []
 
 
@@ -427,32 +402,27 @@ def test_match_constant_is_not_the_nullary_compound():
     assert _both_ways(comp("p"), [Constant("p")]) == []
 
 
-def test_match_ground_pattern_yields_the_start_itself():
-    start = EMPTY_SUBST.bind(X, doctor)
+def test_match_ground_pattern_yields_the_start_as_a_new_dict():
+    start = {X: doctor}
     state = _state(comp("p", doctor, nurse), comp("p", nurse, nurse))
-    got = list(holds(comp("p", X, nurse), state, start))
-    assert len(got) == 1 and got[0] is start
-    got = list(knows_val(comp("p", X, nurse), _state(know(comp("p", doctor, nurse))), start))
-    assert len(got) == 1 and got[0] is start
+    got = holds(comp("p", X, nurse), state, start)
+    assert got == [start] and got[0] is not start
+    got[0][Y] = nurse  # an answer is the caller's own
+    assert start == {X: doctor}
+    got = knows_val(comp("p", X, nurse), _state(know(comp("p", doctor, nurse))), start)
+    assert got == [start] and got[0] is not start
 
 
-# The query core, `extensions`, from an empty and from ground partial bindings:
-# its answers must equal those of holds and of the unify brute force, in order.
+# The extensions holds gives from an empty and from ground partial bindings:
+# they must equal those of a fresh state and of the unify brute force, in order.
 def _assert_core(pattern, state, bound):
     before = dict(bound)
-    got = extensions(pattern, state, bound)
+    got = holds(pattern, state, bound)
     assert bound == before  # the bindings passed in are never written
-    start = Substitution(dict(bound))
-    assert got == [s.bindings for s in holds(pattern, state, start)]
-    oracle = (unify(pattern, f, start) for f in _side(state, is_knowledge(pattern)))
-    assert got == [s.bindings for s in oracle if s is not None]
+    assert got == holds(pattern, State(state.fluents), bound)
+    oracle = (unify(pattern, f, bound) for f in _side(state, is_knowledge(pattern)))
+    assert got == [s for s in oracle if s is not None]
     return got
-
-
-def _random_ground_start(rng):
-    """Ground bindings of some pattern variables, to leaves or to p(#ph)."""
-    return {v: rng.choice(_LEAVES + [comp("p", _PH)])
-            for v in rng.sample([X, P, SP, Y], rng.randint(1, 3))}
 
 
 @given(st.data())
@@ -470,12 +440,12 @@ def test_extensions_equal_holds_and_brute_force(data):
             # a part of a solution, which the query from it must meet again
             part = {v: t for v, t in solution.items() if rng.random() < 0.5}
             assert solution in _assert_core(pattern, state, part)
-        _assert_core(pattern, state, _random_ground_start(rng))
+        _assert_core(pattern, state, _random_start(rng, least=1))
 
 
 def test_extensions_resolve_a_bound_first_argument_through_the_map():
     state = _state(comp("p", doctor, nurse), comp("p", nurse, nurse), comp("p", doctor, general))
-    got = extensions(comp("p", X, Y), state, {X: doctor})
+    got = holds(comp("p", X, Y), state, {X: doctor})
     assert got == [{X: doctor, Y: general}, {X: doctor, Y: nurse}]
     # the group was split by first argument for the bound X: by_first was taken
     assert "table" in vars(state._index[(False, "p", 2)])
@@ -521,16 +491,14 @@ def test_extensions_of_a_bare_variable_bound_and_unbound():
     assert _assert_core(know(X), state, {X: doctor}) == [{X: doctor}]
     # the side is the pattern's as given: X bound to a knowledge fluent is no knowledge query
     assert _assert_core(X, state, {X: know(doctor)}) == []
-    assert list(holds(X, state, EMPTY_SUBST.bind(X, know(Y)))) == []
 
 
 @given(_terms())
 def test_apply_returns_an_unchanged_term_itself(t):
-    assert EMPTY_SUBST.apply(t) is t
-    unrelated = Substitution({Variable("Z"): doctor})
-    assert unrelated.apply(t) is t
+    assert instantiate(t, {}) is t
+    assert instantiate(t, {Variable("Z"): doctor}) is t
     if is_ground(t):
-        assert Substitution({X: nurse}).apply(t) is t
+        assert instantiate(t, {X: nurse}) is t
 
 
 def _render(t):
