@@ -176,10 +176,9 @@ def cmd_compose(args: argparse.Namespace) -> int:
     else:
         if workflow.is_empty:
             print("request already satisfied; empty workflow")
-        for i, step in enumerate(workflow.plan.steps, start=1):
-            wires = "; ".join(
-                f"{w.param}<-{w.source}" for w in workflow.wiring if w.step == i - 1)
-            print(f"{i}. {step.name}" + (f"  [{wires}]" if wires else ""))
+        for i, (name, wires) in enumerate(zip(workflow.services, workflow.wiring), start=1):
+            text = "; ".join(f"{param}<-{source}" for param, source in wires)
+            print(f"{i}. {name}" + (f"  [{text}]" if text else ""))
     return 0
 
 

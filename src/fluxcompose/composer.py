@@ -17,6 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
+from .dsl import know_misuse
 from .errors import FluxError
 from .ontology import Concept, MatchDegree, TaxonomyGraph, UnknownConceptError, match_degree
 from .planner import GroundAction, Plan, PlanningProblem, SearchConfig, plan as find_plan
@@ -69,7 +70,6 @@ class RequestSource:
 class StepSource:
     step: int
     out_param: str
-    concept: Concept
 
     def __str__(self) -> str:
         return f"out:{self.step}:{self.out_param}"
@@ -79,30 +79,31 @@ Source = Union[RequestSource, StepSource]
 
 
 @dataclass(frozen=True)
-class WireEntry:
-    step: int
-    param: str
-    source: Source
-
-
-@dataclass(frozen=True)
 class Workflow:
-    plan: Plan
-    wiring: tuple[WireEntry, ...]
+    """Service names in step order, and each step's (param, source) pairs in its
+    service's input order. `plan` is read from the wiring: a request source
+    gives its value, a step source the placeholder that step minted."""
+
+    services: tuple[str, ...]
+    wiring: tuple[tuple[tuple[str, Source], ...], ...]
+
+    @property
+    def plan(self) -> Plan:
+        return Plan(tuple(
+            GroundAction(name, tuple(
+                Constant(s.value) if isinstance(s, RequestSource)
+                else Placeholder(self.services[s.step], s.out_param, s.step + 1)
+                for _, s in wires))
+            for name, wires in zip(self.services, self.wiring)))
 
     @property
     def is_empty(self) -> bool:
-        return not self.plan.steps
+        return not self.services
 
     def to_lines(self, reg: Registry) -> list[str]:
-        """One `step` record per plan step: index, service, semicolon-joined wires."""
-        lines = []
-        for i, ga in enumerate(self.plan.steps):
-            wires = ";".join(
-                f"{w.param}={w.source}" for w in self.wiring if w.step == i
-            )
-            lines.append(f"step\t{i}\t{ga.name}\t{wires}")
-        return lines
+        """One `step` record per step: index, service, semicolon-joined wires."""
+        return [f"step\t{i}\t{name}\t" + ";".join(f"{p}={s}" for p, s in wires)
+                for i, (name, wires) in enumerate(zip(self.services, self.wiring))]
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,8 @@ def build_problem(req: CompositionRequest, reg: Registry,
     typed value; when a held concept strictly specializes a concept some
     service takes as input, the knowledge is also asserted at the ancestor
     concept so the planner can wire it (a plugin-degree match). Goals are
-    know(C(_)) patterns, one per wanted concept.
+    know(C(_)) patterns, one per wanted concept. A world fact misusing the
+    reserved know is refused as `planner.make_problem` refuses an initial one.
     """
     for concept, _ in req.have:
         if not g.declares(concept):
@@ -174,6 +176,11 @@ def build_problem(req: CompositionRequest, reg: Registry,
     for concept in req.want:
         if not g.declares(concept):
             raise UnknownConceptError(concept)
+
+    for fact in req.world_facts:
+        misuse = know_misuse(fact)
+        if misuse:
+            raise FluxError("world fact %s: expected %s, found %s" % (fact, *misuse))
 
     initial: list[Term] = list(req.world_facts)
     for concept, value in req.have:
@@ -206,11 +213,12 @@ def compose(req: CompositionRequest, reg: Registry, g: TaxonomyGraph,
     and the text order of every constant that can become a step argument,
     the values' and the world facts', merged with the actions' and a "#"
     sentinel that stands for every placeholder text. A miss builds the
-    problem, plans and wires it, and stores the workflow over slots; a hit
-    puts this request's values back into the stored workflow and builds no
-    problem. Only a workflow is stored, never an error. The memo holds each
-    registry and concept structure it keys on, so no other object can take
-    their ids. A value starting with "#", or a world fact or action pattern
+    problem, plans and wires it, and stores the workflow it returns with the
+    request's values by slot; a hit rewrites the stored workflow's request
+    sources that hold a slot value to this request's value in that slot, and
+    builds no problem. Only a workflow is stored, never an error. The memo
+    holds each registry and concept structure it keys on, so no other object
+    can take their ids. A value starting with "#", or a world fact or action pattern
     with a compound argument (or a bare-variable one), composes without the
     memo: "#" stands in for placeholder texts only when no value starts with
     it, and a compound's text order does not follow its constants' order.
@@ -235,25 +243,26 @@ def compose(req: CompositionRequest, reg: Registry, g: TaxonomyGraph,
     maps to the first plan of P'. The wiring maps too: `_source_of` compares
     values only for equality, which the bijection σ keeps, and reads the
     held concepts from the key and match degrees from the same concept
-    structure. A hit skips `build_problem`'s concept and ground checks: the
-    miss that stored its key passed them.
+    structure. A request source holds a value of req.have, which σ moves
+    exactly when it is a slot value, as `_rebind` does. `plan` is a function
+    of the wiring, so σ maps it exactly as it maps the wiring. A hit skips
+    `build_problem`'s concept, know and ground checks: the miss that stored
+    its key passed them.
     """
     shape = None if memo is None else _shape(req, reg, g, cfg)
     if shape is not None:
         key, values = shape
         stored = memo.get(key)
         if stored is not None:
-            return _bind(stored, values)
-    p = find_plan(build_problem(req, reg, g), cfg)
-    wiring: list[WireEntry] = []
-    for i, ga in enumerate(p.steps):
-        svc = reg.get(ga.name)
-        for (param, concept), arg in zip(svc.inputs, ga.args):
-            wiring.append(WireEntry(i, param, _source_of(arg, concept, req, g,
-                                                         p.steps[:i], reg)))
-    workflow = Workflow(p, tuple(wiring))
+            return _rebind(stored, values)
+    steps = find_plan(build_problem(req, reg, g), cfg).steps
+    workflow = Workflow(
+        tuple(ga.name for ga in steps),
+        tuple(tuple((param, _source_of(arg, concept, req, g, steps[:i], reg))
+                    for (param, concept), arg in zip(reg.get(ga.name).inputs, ga.args))
+              for i, ga in enumerate(steps)))
     if shape is not None:
-        memo[key] = _slotted(workflow, values, (reg, g.concepts, g.parents))
+        memo[key] = ((reg, g.concepts, g.parents), workflow, values)
     return workflow
 
 
@@ -292,34 +301,16 @@ def _shape(req: CompositionRequest, reg: Registry, g: TaxonomyGraph,
     return key, tuple(slots)
 
 
-def _slotted(workflow: Workflow, values: tuple[str, ...], held: tuple) -> tuple:
-    """The memo entry of a workflow: each step and wire entry that holds a value
-    as a row with its slot, every other one as it is; held keeps the key's ids."""
-    slots = {value: i for i, value in enumerate(values)}
-    steps = []
-    for ga in workflow.plan.steps:
-        args = tuple(slots.get(a.name, a) if isinstance(a, Constant) else a for a in ga.args)
-        steps.append((ga.name, args) if any(isinstance(a, int) for a in args) else ga)
-    wiring = []
-    for w in workflow.wiring:
-        s = w.source
-        if isinstance(s, RequestSource) and s.value in slots:
-            wiring.append((w.step, w.param, s.concept, slots[s.value], s.degree))
-        else:
-            wiring.append(w)
-    return held, tuple(steps), tuple(wiring)
-
-
-def _bind(stored: tuple, values: tuple[str, ...]) -> Workflow:
-    """A stored workflow with the request's values in its slots (see `_slotted`)."""
-    _, steps, wiring = stored
-    constants = tuple(map(Constant, values))
-    return Workflow(
-        Plan(tuple(GroundAction(s[0], tuple(constants[a] if isinstance(a, int) else a
-                                            for a in s[1]))
-                   if type(s) is tuple else s for s in steps)),
-        tuple(WireEntry(w[0], w[1], RequestSource(w[2], values[w[3]], w[4]))
-              if type(w) is tuple else w for w in wiring))
+def _rebind(stored: tuple, values: tuple[str, ...]) -> Workflow:
+    """A stored workflow with each request source that holds a slot value given
+    this request's value in that slot (see `compose`)."""
+    _, workflow, slotted = stored
+    to_value = dict(zip(slotted, values))
+    return Workflow(workflow.services, tuple(
+        tuple((param, RequestSource(s.concept, to_value[s.value], s.degree))
+              if isinstance(s, RequestSource) and s.value in to_value else (param, s)
+              for param, s in wires)
+        for wires in workflow.wiring))
 
 
 def _source_of(arg: Term, concept: Concept, req: CompositionRequest, g: TaxonomyGraph,
@@ -331,7 +322,7 @@ def _source_of(arg: Term, concept: Concept, req: CompositionRequest, g: Taxonomy
         step = arg.seq - 1
         if (0 <= step < len(earlier) and earlier[step].name == arg.action
                 and any(param == arg.param for param, _ in reg.get(arg.action).outputs)):
-            return StepSource(step, arg.param, concept)
+            return StepSource(step, arg.param)
     elif isinstance(arg, Constant):
         best: Optional[RequestSource] = None
         for have_concept, value in req.have:
@@ -351,7 +342,7 @@ def _source_of(arg: Term, concept: Concept, req: CompositionRequest, g: Taxonomy
 
 
 def execute(w: Workflow, env: GroundingEnv, reg: Registry) -> ExecutionTrace:
-    """Run a workflow's steps in order, feeding each step from its wire entries.
+    """Run a workflow's steps in order, feeding each step from its wiring.
 
     A `RequestSource` gives its value and a `StepSource` the output an earlier
     step returned. Each stub receives the step's bound inputs and must return
@@ -365,14 +356,14 @@ def execute(w: Workflow, env: GroundingEnv, reg: Registry) -> ExecutionTrace:
     def failed(step: int, reason: str) -> ExecutionError:
         return ExecutionError(step, reason, ExecutionTrace(tuple(records)))
 
-    for i, ga in enumerate(w.plan.steps):
-        svc = reg.get(ga.name)
+    for i, (name, wires) in enumerate(zip(w.services, w.wiring)):
+        svc = reg.get(name)
         stub = env.stubs.get(svc.grounding_stub_id)
         if stub is None:
             raise failed(i, f"no grounding stub {svc.grounding_stub_id!r}")
-        inputs = {e.param: e.source.value if isinstance(e.source, RequestSource)
-                  else produced[e.source.step, e.source.out_param]
-                  for e in w.wiring if e.step == i}
+        inputs = {param: s.value if isinstance(s, RequestSource)
+                  else produced[s.step, s.out_param]
+                  for param, s in wires}
         try:
             result = stub(inputs)
         except GroundingFailure as exc:

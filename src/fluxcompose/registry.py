@@ -171,10 +171,9 @@ def load_registry(source: str, g: TaxonomyGraph,
             block["outputs"].append(parse_typed_param(lineno, rest))
         elif field == "precondition":
             block["pre"].append(parse_fragment(dsl.parse_atom_text, lineno, line, rest))
-        elif field == "effectAdd":
-            block["adds"].append(parse_fragment(dsl.parse_term_text, lineno, line, rest))
-        elif field == "effectRemove":
-            block["removes"].append(parse_fragment(dsl.parse_term_text, lineno, line, rest))
+        elif field in ("effectAdd", "effectRemove"):
+            block["adds" if field == "effectAdd" else "removes"].append(
+                parse_fragment(_parse_effect, lineno, line, rest))
         elif field == "grounding":
             if not rest:
                 raise fail(lineno, "a grounding stub id", repr(line))
@@ -184,6 +183,15 @@ def load_registry(source: str, g: TaxonomyGraph,
     if block is not None:
         raise fail(end, "'end'", "<end of input>")
     return Registry(services)
+
+
+def _parse_effect(text: str, source_name: str) -> Term:
+    """One effect pattern, refused at its start if it misuses know, as in a domain file."""
+    term = dsl.parse_term_text(text, source_name)
+    misuse = dsl.know_misuse(term)
+    if misuse:
+        raise ParseError(1, 1, *misuse, source_name)
+    return term
 
 
 def compile_service_to_action(svc: ServiceDescription) -> dsl.ActionSchema:

@@ -41,6 +41,7 @@ ERRORS = "src/fluxcompose/errors.py"
 ONTOLOGY = "src/fluxcompose/ontology.py"
 SCENARIO = "src/fluxcompose/scenario.py"
 COMPOSER = "src/fluxcompose/composer.py"
+REGISTRY = "src/fluxcompose/registry.py"
 T_TERMS = "tests/test_terms.py::"
 T_PLANNER = "tests/test_planner.py::"
 T_DSL = "tests/test_dsl.py::"
@@ -49,6 +50,7 @@ T_LINES = "tests/test_line_formats.py::"
 T_ONTOLOGY = "tests/test_ontology.py::"
 T_SCENARIO = "tests/test_scenario.py::"
 T_COMPOSER = "tests/test_composer.py::"
+T_REGISTRY = "tests/test_registry.py::"
 
 
 class Mutant(NamedTuple):
@@ -168,7 +170,8 @@ MUTANTS = [
            "tuple(have)", "tuple(sorted(have))",
            (T_COMPOSER + "test_a_memo_hit_keeps_the_first_of_two_sources_of_equal_degree",)),
     Mutant("memo: a hit's slots not mapped back to the request's values", COMPOSER,
-           "constants[a] if isinstance(a, int) else a", "a",
+           "RequestSource(s.concept, to_value[s.value], s.degree)",
+           "RequestSource(s.concept, s.value, s.degree)",
            (T_COMPOSER + "test_memo_agrees_with_a_fresh_compose_where_the_key_needs_care",
             T_COMPOSER + "test_memo_path_equals_a_fresh_compose",
             T_SCENARIO + "test_a_memo_hit_after_a_registration_wires_as_a_fresh_compose")),
@@ -195,6 +198,20 @@ MUTANTS = [
                 and any(param == arg.param for param, _ in reg.get(arg.action).outputs)):""",
            "        if True:",
            (T_COMPOSER + "test_a_world_fact_placeholder_no_earlier_step_made_has_no_source",)),
+    Mutant("wiring: the placeholder read from a step source is off by one", COMPOSER,
+           "Placeholder(self.services[s.step], s.out_param, s.step + 1)",
+           "Placeholder(self.services[s.step], s.out_param, s.step)",
+           (T_COMPOSER + "test_compose_emergency_workflow",
+            T_COMPOSER + "test_a_workflow_plan_read_from_its_wiring_is_the_plan_found")),
+    # the reserved know in the inputs that are not domain files
+    Mutant("know: a world fact's misuse let through", COMPOSER,
+           "misuse = know_misuse(fact)", "misuse = None",
+           (T_COMPOSER + "test_a_world_fact_misusing_know_is_refused",
+            T_CLI + "test_fact_misusing_know_exit_2")),
+    Mutant("know: a registry effect's misuse let through", REGISTRY,
+           "misuse = dsl.know_misuse(term)", "misuse = None",
+           (T_REGISTRY + "test_know_misused_in_an_effect_rejected_as_in_domains",
+            T_CLI + "test_registry_effect_misusing_know_exit_2")),
     # the tokenizer
     Mutant("tokenizer: no catch-all, a stray character is skipped", DSL,
            '\n    r"|(?P<bad>.)"', "",

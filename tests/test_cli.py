@@ -351,6 +351,31 @@ def test_fact_past_the_nesting_limit_exit_2(capsys, depth):
     assert err == "<--fact>:1:1: expected shallower nesting, found term nesting too deep\n"
 
 
+@pytest.mark.parametrize("fact, misuse", [
+    ("know(a,b)", "expected know with exactly one argument, found 'know(a,b)'"),
+    ("know(know(x))", "expected a fluent inside know(...), found nested know"),
+    ("know", "expected know with exactly one argument, found 'know'"),
+])
+def test_fact_misusing_know_exit_2(capsys, fact, misuse):
+    code, out, err = run(capsys, "compose", "--have", "Profession=doctor",
+                         "--want", "Profession", "--fact", fact)
+    assert code == 2 and out == ""
+    assert err == f"world fact {fact}: {misuse}\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["compose", "--want", "ConfirmSend"]])
+@pytest.mark.parametrize("effect, error", [
+    ("effectAdd: know(a,b)", "2:14: expected know with exactly one argument, found 'know(a,b)'"),
+    ("effectRemove: know", "2:17: expected know with exactly one argument, found 'know'"),
+])
+def test_registry_effect_misusing_know_exit_2(tmp_path, capsys, command, effect, error):
+    path = tmp_path / "know.reg"
+    path.write_text(f"service s\n  {effect}\n  grounding: x\nend\n")
+    code, _, err = run(capsys, *command, "--registry", str(path))
+    assert code == 2
+    assert err == f"{path}:{error}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--max-depth", "3"],
     ["validate", "--format", "lines"],

@@ -19,7 +19,7 @@ from fluxcompose.composer import (
     execute,
 )
 from fluxcompose.ontology import MatchDegree, UnknownConceptError, load_taxonomy
-from fluxcompose.planner import NoPlanFound
+from fluxcompose.planner import NoPlanFound, plan as find_plan
 from fluxcompose.registry import Registry, load_registry
 from fluxcompose.errors import FluxError
 from fluxcompose.terms import Compound, Constant, Placeholder, know
@@ -86,6 +86,25 @@ def test_build_problem_unknown_concept(service_registry, taxonomy):
                       service_registry, taxonomy)
 
 
+@pytest.mark.parametrize("fact, found", [
+    (Compound("know", (Constant("a"), Constant("b"))),
+     "expected know with exactly one argument, found 'know(a,b)'"),
+    (Constant("know"), "expected know with exactly one argument, found 'know'"),
+    (know(know(Constant("x"))), "expected a fluent inside know(...), found nested know"),
+])
+def test_a_world_fact_misusing_know_is_refused(service_registry, taxonomy, fact, found):
+    request = CompositionRequest(have=(("Profession", "doctor"),), want=("Profession",),
+                                 world_facts=(fact,))
+    message = f"world fact {fact}: {found}"
+    with pytest.raises(FluxError, match=re.escape(message)):
+        build_problem(request, service_registry, taxonomy)
+    memo = {}
+    for _ in range(2):  # the error is not stored in the memo
+        with pytest.raises(FluxError, match=re.escape(message)):
+            compose(request, service_registry, taxonomy, memo=memo)
+        assert memo == {}
+
+
 # ---------------------------------------------------------------------------
 # compose
 # ---------------------------------------------------------------------------
@@ -93,14 +112,31 @@ def test_build_problem_unknown_concept(service_registry, taxonomy):
 
 def test_compose_emergency_workflow(service_registry, taxonomy):
     wf = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
-    assert [s.name for s in wf.plan.steps] == ["findResource", "notifyResource"]
-    sources = {(w.step, w.param): w.source for w in wf.wiring}
-    assert sources[(0, "PR")] == RequestSource("Profession", "doctor",
-                                               MatchDegree.EXACT)
-    assert sources[(1, "P")] == StepSource(0, "P", "Name")
-    assert sources[(1, "CN")] == StepSource(0, "CN", "Coach")
-    assert sources[(1, "MSG")] == RequestSource("Message", "help", MatchDegree.EXACT)
+    assert wf.services == ("findResource", "notifyResource")
+    assert wf.wiring == (
+        (("PR", RequestSource("Profession", "doctor", MatchDegree.EXACT)),
+         ("SP", RequestSource("Specialization", "Orthopedics", MatchDegree.EXACT))),
+        (("P", StepSource(0, "P")), ("CN", StepSource(0, "CN")),
+         ("MSG", RequestSource("Message", "help", MatchDegree.EXACT))),
+    )
     problem = build_problem(EMERGENCY_REQUEST, service_registry, taxonomy)
+    assert wf.plan == find_plan(problem)
+    assert validate_plan(problem, wf.plan)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_a_workflow_plan_read_from_its_wiring_is_the_plan_found(seed):
+    reg, g, request = randgen.random_registry_request(random.Random(seed))
+    problem = build_problem(request, reg, g)
+    try:
+        found = find_plan(problem)
+    except NoPlanFound:
+        with pytest.raises(NoPlanFound):
+            compose(request, reg, g)
+        return
+    wf = compose(request, reg, g)
+    assert wf.plan == found
     assert validate_plan(problem, wf.plan)
 
 
@@ -127,10 +163,10 @@ def test_compose_plugin_degree_input_wiring():
     request = CompositionRequest(have=(("Orthopedics", "orthoCase"),),
                                  want=("Name",))
     wf = compose(request, reg, g)
-    assert [s.name for s in wf.plan.steps] == ["lookup"]
-    (wire,) = wf.wiring
-    assert wire.source == RequestSource("Orthopedics", "orthoCase",
-                                        MatchDegree.PLUGIN)
+    assert wf.services == ("lookup",)
+    assert wf.wiring == ((("SP", RequestSource("Orthopedics", "orthoCase",
+                                               MatchDegree.PLUGIN)),),)
+    assert str(wf.plan) == "lookup(orthoCase)"
 
 
 def test_workflow_serialization_is_stable(service_registry, taxonomy):
@@ -346,7 +382,8 @@ def test_a_memo_hit_keeps_the_first_of_two_sources_of_equal_degree():
                  (("A", "w"), ("B", "w")), (("B", "w"), ("A", "w"))):
         request = CompositionRequest(have=have, want=("Done",))
         fresh = compose(request, reg, g)
-        assert fresh.wiring[0].source.concept == have[0][0]
+        ((_, source),) = fresh.wiring[0]
+        assert source.concept == have[0][0]
         assert compose(request, reg, g, memo=memo) == fresh
     assert len(memo) == 2
 
@@ -370,13 +407,12 @@ def test_execute_emergency_workflow(service_registry, taxonomy, grounded_env):
 
 
 def test_execute_feeds_each_step_from_its_wiring(service_registry, taxonomy, grounded_env):
-    # the wiring, not the plan's arguments, decides what a step receives
+    # a step receives what its wiring names
     env, sink = grounded_env
     wf = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
-    rewired = composer.Workflow(wf.plan, tuple(
-        composer.WireEntry(w.step, w.param, RequestSource("Message", "rewired",
-                                                          MatchDegree.EXACT))
-        if w.param == "MSG" else w for w in wf.wiring))
+    find, notify = wf.wiring
+    rewired = composer.Workflow(wf.services, (find, notify[:2] + (
+        ("MSG", RequestSource("Message", "rewired", MatchDegree.EXACT)),)))
     trace = execute(rewired, env, service_registry)
     assert dict(trace.records[1].inputs) == {"P": "Ravi", "CN": "S7", "MSG": "rewired"}
     assert sink.entries == [("Ravi", "S7", "rewired")]
@@ -384,7 +420,8 @@ def test_execute_feeds_each_step_from_its_wiring(service_registry, taxonomy, gro
 
 def test_execute_empty_workflow(service_registry, grounded_env):
     env, _ = grounded_env
-    wf = composer.Workflow(composer.Plan(()), ())
+    wf = composer.Workflow((), ())
+    assert wf.is_empty and wf.plan == composer.Plan(())
     assert execute(wf, env, service_registry).records == ()
 
 
@@ -482,9 +519,10 @@ def test_execution_agrees_with_plan_and_goal(service_registry, taxonomy,
 
 def test_data_flow_sources_precede_consumers(service_registry, taxonomy):
     wf = compose(EMERGENCY_REQUEST, service_registry, taxonomy)
-    for wire in wf.wiring:
-        if isinstance(wire.source, StepSource):
-            assert wire.source.step < wire.step
+    for i, wires in enumerate(wf.wiring):
+        for _, source in wires:
+            if isinstance(source, StepSource):
+                assert source.step < i
 
 
 def test_grounding_determinism(service_registry, taxonomy, validated_roster):

@@ -92,6 +92,19 @@ def test_know_precondition_pattern_rejected_as_in_domains(taxonomy):
         assert str(exc.value).endswith("expected a bare fluent pattern, found 'know'")
 
 
+@pytest.mark.parametrize("field", ["effectAdd", "effectRemove"])
+@pytest.mark.parametrize("fragment", ["know(a,b)", "know", "know(know(x))"])
+def test_know_misused_in_an_effect_rejected_as_in_domains(taxonomy, field, fragment):
+    # refused at the fragment's start with the words of a domain file's update
+    with pytest.raises(ParseError) as in_domain:
+        dsl.parse_domain(f"fluent f/0.\naction a() poss: update: add [{fragment}] remove [].\n")
+    src = f"service s\n  {field}: {fragment}\n  grounding: x\nend\n"
+    with pytest.raises(ParseError) as exc:
+        load_registry(src, taxonomy, "s.reg")
+    assert str(exc.value) == (f"s.reg:2:{len(field) + 5}: expected {in_domain.value.expected}, "
+                              f"found {in_domain.value.found}")
+
+
 def test_compiled_find_resource_matches_axiom_shape(service_registry):
     schema = compile_service_to_action(service_registry.get("findResource"))
     assert schema.name == "findResource"
