@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date as Date, datetime, time as Time
 from enum import Enum
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -152,6 +153,10 @@ class MedicalDetails:
 _BLOCK = 128
 
 
+def _unknown_coach(coach: str) -> FluxError:
+    return FluxError(f"unknown coach {coach!r} (not in #coach-order)")
+
+
 def _is_ready(p: Passenger) -> bool:
     """Whether p can be traced as a responder, given a matching profession."""
     return (p.role is Role.DELIVERY_PERSONNEL and p.registered_for_service
@@ -163,30 +168,35 @@ class Roster:
 
     The passengers are kept in blocks of _BLOCK, so with_passenger copies one
     block and the tuple of blocks; `passengers` joins the blocks when first
-    read, once per roster. Two indexes are built with the first roster of a
-    list: pnr -> position (the first passenger with that pnr; later
-    duplicates are never returned or updated) and the positions of the ready
-    personnel (delivery personnel registered for service with a validated
-    travel plan), in roster order. Positions never move, so a roster made by
-    with_passenger shares its parent's pnr map, and shares its ready pool
-    unless the update makes the passenger ready or no longer ready; then one
-    position is inserted or removed. Equality and hashing see only
-    passengers and coach_order.
+    read, once per roster. Three indexes are built with the first roster of
+    a list: pnr -> position (the first passenger with that pnr; later
+    duplicates are never returned or updated), coach -> position in
+    coach_order (the first, as tuple.index gives it), and the positions of
+    the ready personnel (delivery personnel registered for service with a
+    validated travel plan), in roster order. Positions never move, so a
+    roster made by with_passenger shares its parent's pnr and coach maps, and
+    shares its ready pool unless the update makes the passenger ready or no
+    longer ready; then one position is inserted or removed. Equality and
+    hashing see only passengers and coach_order.
 
     Passenger and TravelPlan are NamedTuples: immutable, compared and hashed
     by their field tuple, and updated with _replace.
     """
 
-    __slots__ = ("coach_order", "_blocks", "_positions", "_ready", "_passengers")
+    __slots__ = ("coach_order", "_blocks", "_positions", "_coach_positions", "_ready",
+                 "_passengers")
 
     def __init__(self, passengers: tuple[Passenger, ...], coach_order: tuple[str, ...]):
         passengers = tuple(passengers)
         positions: dict[str, int] = {}
         for i, p in enumerate(passengers):
             positions.setdefault(p.pnr, i)
+        coach_positions: dict[str, int] = {}
+        for i, coach in enumerate(coach_order):
+            coach_positions.setdefault(coach, i)
         self._set(coach_order,
                   tuple(passengers[i:i + _BLOCK] for i in range(0, len(passengers), _BLOCK)),
-                  positions,
+                  positions, coach_positions,
                   tuple(i for i, p in enumerate(passengers) if _is_ready(p)),
                   passengers)
 
@@ -230,9 +240,9 @@ class Roster:
 
     def coach_index(self, coach: str) -> int:
         try:
-            return self.coach_order.index(coach)
-        except ValueError:
-            raise FluxError(f"unknown coach {coach!r} (not in #coach-order)") from None
+            return self._coach_positions[coach]
+        except KeyError:
+            raise _unknown_coach(coach) from None
 
     def with_passenger(self, updated: Passenger) -> "Roster":
         """The roster with the passenger of updated's pnr replaced; unchanged if none."""
@@ -248,7 +258,7 @@ class Roster:
         block = block[:j] + (updated,) + block[j + 1:]
         new = object.__new__(Roster)
         new._set(self.coach_order, self._blocks[:b] + (block,) + self._blocks[b + 1:],
-                 self._positions, ready, None)
+                 self._positions, self._coach_positions, ready, None)
         return new
 
 
@@ -435,18 +445,6 @@ class Responder(NamedTuple):
     distance: int
 
 
-def responder_sort_key(r: Responder, specialization: Optional[str]) -> tuple:
-    """Tier first (specialist doctor, doctor, other medical), then proximity."""
-    if r.profession == "doctor" and specialization is not None \
-            and r.specialization == specialization:
-        tier = 0
-    elif r.profession == "doctor":
-        tier = 1
-    else:
-        tier = 2
-    return (tier, r.distance, r.coach, r.name)
-
-
 def trace_resources(roster: Roster, event_type: EventType, coach: str,
                     specialization: Optional[str],
                     patient_name: str) -> tuple[Responder, ...]:
@@ -454,23 +452,36 @@ def trace_resources(roster: Roster, event_type: EventType, coach: str,
 
     Eligible responders are validated, service-registered delivery personnel
     whose profession belongs to the event type's major category; the patient
-    (by name) is never their own responder. Raises FallbackRequired when
-    nobody qualifies, which routes the event to the next-station notice.
+    (by name) is never their own responder. Ranked by tier (specialist doctor,
+    doctor, other), coach distance, coach and name; ties keep roster order.
+    Raises FallbackRequired when nobody qualifies, which routes the event to
+    the next-station notice.
     """
     category = MEDICAL_PROFESSIONS if event_type is EventType.MEDICAL else frozenset()
     patient_pos = roster.coach_index(coach)
-    eligible = []
+    coach_positions = roster._coach_positions
+    # sorted by key alone: a None specialization does not order against a str
+    keyed = []
     for p in roster.ready_personnel():
-        if p.profession not in category:
+        profession = p.profession
+        if profession not in category or p.name == patient_name:
             continue
-        if p.name == patient_name:
-            continue
-        eligible.append(Responder(p.name, p.profession, p.specialization, p.coach,
-                                  abs(roster.coach_index(p.coach) - patient_pos)))
-    if not eligible:
+        try:
+            distance = abs(coach_positions[p.coach] - patient_pos)
+        except KeyError:
+            raise _unknown_coach(p.coach) from None
+        if profession != "doctor":
+            tier = 2
+        elif specialization is not None and p.specialization == specialization:
+            tier = 0
+        else:
+            tier = 1
+        keyed.append(((tier, distance, p.coach, p.name),
+                      Responder(p.name, profession, p.specialization, p.coach, distance)))
+    if not keyed:
         raise FallbackRequired()
-    eligible.sort(key=lambda r: responder_sort_key(r, specialization))
-    return tuple(eligible)
+    keyed.sort(key=itemgetter(0))
+    return tuple([r for _, r in keyed])
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +587,6 @@ def _unescape(value: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPED.get(m[1], m[1]), value)
 
 
-def _field_to_text(name: str, value) -> str:
-    if name == "symptoms":
-        return ",".join(sorted(value))
-    if name == "responders":
-        return ";".join(value)
-    if name == "payment_collected":
-        return "true" if value else "false"
-    return str(value)
-
-
 def _field_from_text(name: str, text: str):
     if name == "symptoms":
         return parse_symptoms(text)
@@ -601,15 +602,24 @@ def _field_from_text(name: str, text: str):
 def record_to_line(record_id: int, record: LogRecord) -> str:
     kind = record.KIND
     parts = [f"id={record_id}", f"kind={kind}"]
-    parts.extend(
-        f"{name}={_escape(_field_to_text(name, getattr(record, name)))}"
-        for name in _RECORD_FIELDS[kind]
-    )
+    for name in _RECORD_FIELDS[kind]:
+        value = getattr(record, name)
+        if name == "symptoms":
+            text = ",".join(sorted(value))
+        elif name == "responders":
+            text = ";".join(value)
+        elif name == "payment_collected":
+            text = "true" if value else "false"
+        else:
+            text = str(value)
+        if "\\" in text or "\t" in text or "\n" in text:
+            text = _escape(text)
+        parts.append(f"{name}={text}")
     return "\t".join(parts)
 
 
 # A field's values where they are narrower than text free of tab and newline:
-# the seat's int and payment_collected's bool as _field_to_text writes them.
+# the seat's int and payment_collected's bool as record_to_line writes them.
 _VALUE_SHAPES = {"seat": "-?[0-9]+", "payment_collected": "true|false"}
 
 # The one grammar of a log line: exactly what record_to_line writes, with or
@@ -698,6 +708,12 @@ def _cut_torn_tail(fd: int) -> None:
     os.ftruncate(fd, end)
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    """Write data to fd, continuing after a short write."""
+    while data:
+        data = data[os.write(fd, data):]
+
+
 class EventLog:
     """Append-only, single-writer event log with monotonically increasing ids.
 
@@ -710,7 +726,8 @@ class EventLog:
 
     def __init__(self, path):
         self.path = Path(path)
-        self._fh = open(self.path, "a+", encoding="utf-8")
+        # a raw file owns the descriptor and the lock; append writes with os.write
+        self._fh = open(self.path, "ab+", buffering=0)
         fd = self._fh.fileno()
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -728,10 +745,11 @@ class EventLog:
             raise
 
     def append(self, record: LogRecord) -> int:
+        """Append the record as one UTF-8 line with one O_APPEND write."""
         rid = self._next_id
+        data = (record_to_line(rid, record) + "\n").encode("utf-8")
         try:
-            self._fh.write(record_to_line(rid, record) + "\n")
-            self._fh.flush()
+            _write_all(self._fh.fileno(), data)
         except OSError as exc:
             raise FluxError(f"cannot append to event log {self.path}: {exc}") from exc
         self._next_id += 1
@@ -812,10 +830,16 @@ class MessageSink:
         self.entries: list[tuple[str, str, str]] = []
 
     def append(self, name: str, coach: str, message: str) -> int:
+        """Record one message; with a path, append it as one UTF-8 line with
+        one O_APPEND write, keeping no handle open."""
         if self.path is not None:
+            data = f"{name}\t{coach}\t{message}\n".encode("utf-8")
             try:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(f"{name}\t{coach}\t{message}\n")
+                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                try:
+                    _write_all(fd, data)
+                finally:
+                    os.close(fd)
             except OSError as exc:
                 raise FluxError(f"cannot append to message sink {self.path}: {exc}") from exc
         self.entries.append((name, coach, message))
@@ -854,17 +878,24 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
     type has no responder category) no stub runs and a fallback notice naming
     the next station is logged instead. A symptom that is empty or holds a
     comma is rejected: the log joins symptoms with commas, so its record would
-    read back as another. So is a ranked responder whose name or coach holds a
-    semicolon, the separator of the responders field, before any message is
-    sent.
+    read back as another. So is text UTF-8 cannot encode (a lone surrogate,
+    as a non-UTF-8 argv byte arrives) in the case, specialization or a
+    symptom. So is a ranked responder whose name or coach holds a semicolon,
+    the separator of the responders field, before any message is sent.
 
     ctx.roster and ctx.taxonomy are rebound only after the record is
     appended: a report that raises leaves them and the log as they were, but
     a message it already sent stays sent.
     """
-    for symptom in sorted(info.symptoms):
+    symptoms = sorted(info.symptoms)
+    for symptom in symptoms:
         if not symptom or "," in symptom:
             raise FluxError(f"symptom {symptom!r} is empty or holds a comma")
+    for text in (info.case_history, info.specialization or "", *symptoms):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FluxError(f"text {text!r} is not valid UTF-8") from None
     roster, taxonomy = ctx.roster, ctx.taxonomy
     p = roster.get(pnr)
     payment_collected = not p.registered_for_service
@@ -875,14 +906,13 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
     severity = classify_severity(info.specialization, info.symptoms,
                                  ctx.severity_rules)
     common = dict(
-        date=now.date().isoformat(), time=now.strftime("%H:%M"),
+        date=now.date().isoformat(), time=f"{now.hour:02d}:{now.minute:02d}",
         patient_name=p.name, case_history=info.case_history, coach=p.coach,
         seat=p.seat, event_type=info.event_type.value,
         specialization=info.specialization or "-", symptoms=info.symptoms,
         severity=str(severity), payment_collected=payment_collected,
     )
 
-    reason = "no responder category for event type " + info.event_type.value
     trace = None
     if info.event_type is EventType.MEDICAL:
         spec_value = info.specialization or "Medical"
@@ -904,12 +934,14 @@ def report_emergency(ctx: DispatchContext, pnr: str, info: EmergencyInfo,
         except FallbackRequired as exc:
             reason = str(exc)
         else:
-            responders = tuple(f"{r.name}@{r.coach}" for r in ranked)
+            responders = tuple([f"{r.name}@{r.coach}" for r in ranked])
             for responder in responders:
                 if ";" in responder:
                     raise FluxError(f"responder {responder!r} holds a semicolon")
             env = build_grounding_env(ranked, ctx.message_sink)
             trace = execute(workflow, env, ctx.registry)
+    else:
+        reason = "no responder category for event type " + info.event_type.value
 
     if trace is None:
         kind, ranked = OutcomeKind.FALLBACK_NOTICE, ()

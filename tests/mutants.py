@@ -252,6 +252,15 @@ MUTANTS = [
            "block = block[:j] + (updated,) + block[j + 1:]",
            "block = block[:j] + (updated,) + block[j:]",
            (T_SCENARIO + "test_roster_index_follows_updates",)),
+    Mutant("roster: a duplicate coach takes its last position", SCENARIO,
+           "coach_positions.setdefault(coach, i)", "coach_positions[coach] = i",
+           (T_SCENARIO + "test_duplicate_coaches_in_the_coach_order_take_the_first_position",)),
+    # responder ranking
+    Mutant("ranking: with no specialization asked, a doctor without one is a specialist",
+           SCENARIO,
+           "elif specialization is not None and p.specialization == specialization:",
+           "elif p.specialization == specialization:",
+           (T_SCENARIO + "test_trace_resources_matches_comparator_oracle",)),
     Mutant("report: a record appended twice", SCENARIO,
            "    rid = ctx.log.append(record)\n",
            "    ctx.log.append(record)\n    rid = ctx.log.append(record)\n",
@@ -260,6 +269,10 @@ MUTANTS = [
            'if ";" in responder:', "if False:",
            (T_SCENARIO + "test_report_rejects_a_responder_that_would_not_read_back",)),
     # the event log
+    Mutant("line: a newline is written unescaped", SCENARIO,
+           r'''if "\\" in text or "\t" in text or "\n" in text:''',
+           r'''if "\\" in text or "\t" in text:''',
+           (T_SCENARIO + "test_record_round_trip_with_escapes",)),
     Mutant("event log: a torn final line is not cut", SCENARIO,
            "    end = os.fstat(fd).st_size\n", "    return\n",
            (T_SCENARIO + "test_event_log_open_agrees_with_the_full_parse",
@@ -273,6 +286,9 @@ MUTANTS = [
            """            except () as exc:
                 raise FluxError(f"cannot append to message sink""",
            (T_CLI + "test_message_sink_that_cannot_be_written_exit_2",)),
+    Mutant("message sink: a short write is not continued", SCENARIO,
+           "while data:", "if data:",
+           (T_SCENARIO + "test_message_sink_finishes_a_short_write",)),
     # the CLI's exit codes
     Mutant("cli: a missing input file is not reported where it is read", CLI,
            """        raise FluxError(f"missing input file: {path}") from None

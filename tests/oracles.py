@@ -119,7 +119,8 @@ MEDICAL_PROFESSIONS = frozenset({"doctor", "nurse", "paramedic", "pharmacist"})
 
 
 def rank_responders(roster, event_type, coach, specialization, patient_name):
-    """Filter and comparator-sort, independent of trace_resources."""
+    """Filter and comparator-sort, independent of trace_resources: the
+    responders' fields in Responder order, ties kept in roster order."""
     pool = [p for p in roster.passengers
             if p.role is Role.DELIVERY_PERSONNEL
             and p.registered_for_service and p.travel.validated
@@ -143,7 +144,7 @@ def rank_responders(roster, event_type, coach, specialization, patient_name):
         kb = (tier(b), dist(b), b.coach, b.name)
         return -1 if ka < kb else (1 if ka > kb else 0)
 
-    return [(p.name, p.coach, dist(p))
+    return [(p.name, p.profession, p.specialization, p.coach, dist(p))
             for p in sorted(pool, key=functools.cmp_to_key(cmp))]
 
 

@@ -537,15 +537,17 @@ SPECIALIZATIONS = ("Orthopedics", "Cardiology", "GeneralMedicine", None)
 
 
 def random_roster(rng: random.Random, max_passengers: int = 200,
-                  max_coaches: int = 26) -> Roster:
+                  max_coaches: int = 26, names: tuple[str, ...] = ()) -> Roster:
+    """A roster of unique pnrs; names are unique too unless a pool is given."""
     coaches = tuple(f"S{i}" for i in range(1, rng.randint(2, max_coaches) + 1))
     passengers = []
     for i in range(rng.randint(1, max_passengers)):
         role = rng.choice((Role.PATIENT, Role.DELIVERY_PERSONNEL,
                            Role.DELIVERY_PERSONNEL, Role.NONE))
         profession = rng.choice(PROFESSIONS) if role is Role.DELIVERY_PERSONNEL else None
+        name = rng.choice(names) if names else f"N{i:04d}"
         passengers.append(Passenger(
-            pnr=f"P{i:04d}", name=f"N{i:04d}", coach=rng.choice(coaches),
+            pnr=f"P{i:04d}", name=name, coach=rng.choice(coaches),
             seat=rng.randint(1, 72), role=role, profession=profession,
             specialization=rng.choice(SPECIALIZATIONS),
             registered_for_service=rng.random() < 0.8,

@@ -192,7 +192,7 @@ def test_criterion_6_trace_ranking(schedule):
             expected = oracles.rank_responders(roster, **event)
             if expected:
                 got = trace_resources(roster, **event)
-                assert [(r.name, r.coach, r.distance) for r in got] == expected
+                assert [tuple(r) for r in got] == expected
             else:
                 # the alternate flow fires exactly when the filtered list is empty
                 with pytest.raises(FallbackRequired):

@@ -231,6 +231,19 @@ def test_message_sink_that_cannot_be_written_exit_2(tmp_path, capsys):
     assert log.read_bytes() == b""
 
 
+@pytest.mark.parametrize("flag", ["--case", "--spec"])
+def test_report_argument_that_is_not_utf8_exit_2(tmp_path, capsys, flag):
+    # a non-UTF-8 byte of an argument reaches the program as a lone
+    # surrogate, which neither the log nor the message sink can write
+    log = tmp_path / "events.log"
+    code, out, err = run(capsys, "report", "--log", str(log), "--pnr", "P003",
+                         flag, "fell\udcff", "--now", "2011-11-05T10:00")
+    assert (code, out) == (2, "")
+    assert err == "text 'fell\\udcff' is not valid UTF-8\n"
+    assert log.read_bytes() == b""
+    assert not Path(f"{log}.messages").exists()
+
+
 def test_taxonomy_cycle_5000_long_exit_2(tmp_path, capsys):
     path = tmp_path / "cycle.tax"
     path.write_text(chain_taxonomy(5000, cyclic=True), encoding="utf-8")

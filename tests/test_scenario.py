@@ -1,6 +1,7 @@
 """Roster handling, responder ranking, the report flow, and the event log."""
 
 import csv
+import os
 import random
 import re
 from dataclasses import fields
@@ -384,8 +385,11 @@ def test_trace_resources_robbery_has_no_category():
 @given(st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_trace_resources_matches_comparator_oracle(seed):
+    # names from a pool of three, so responders tie on the whole key (tier,
+    # distance, coach, name) and must keep their roster order
     rng = random.Random(seed)
-    roster = randgen.random_roster(rng, max_passengers=60, max_coaches=10)
+    roster = randgen.random_roster(rng, max_passengers=60, max_coaches=10,
+                                   names=("Asha", "Binu", "Chitra"))
     event = medical_event(
         coach=rng.choice(roster.coach_order),
         spec=rng.choice(("Orthopedics", "Cardiology", None)),
@@ -396,10 +400,31 @@ def test_trace_resources_matches_comparator_oracle(seed):
             trace_resources(roster, **event)
         return
     got = trace_resources(roster, **event)
-    assert [(r.name, r.coach, r.distance) for r in got] == expected
-    for r in got:
-        p = roster.get([q.pnr for q in roster.passengers if q.name == r.name][0])
-        assert p.registered_for_service and p.travel.validated
+    assert [tuple(r) for r in got] == expected
+    assert all(type(r) is scenario.Responder for r in got)
+
+
+def test_trace_resources_unknown_responder_coach_raises():
+    # load_roster refuses such a row; a roster built directly can hold one
+    roster = Roster((passenger("P1", "Doc", "S1"), passenger("P2", "Far", "S9")),
+                    ("S1", "S2"))
+    with pytest.raises(scenario.FluxError) as exc:
+        trace_resources(roster, **medical_event(coach="S1"))
+    assert str(exc.value) == "unknown coach 'S9' (not in #coach-order)"
+    with pytest.raises(scenario.FluxError) as exc:
+        trace_resources(roster, **medical_event(coach="S7"))
+    assert str(exc.value) == "unknown coach 'S7' (not in #coach-order)"
+
+
+def test_duplicate_coaches_in_the_coach_order_take_the_first_position():
+    order = ("S1", "S2", "S1", "S3")
+    roster = Roster((passenger("P1", "Near", "S2", profession="nurse"),
+                     passenger("P2", "Rear", "S1", profession="nurse")), order)
+    assert [roster.coach_index(c) for c in order] == [0, 1, 0, 3]
+    got = trace_resources(roster, **medical_event(coach="S3"))
+    assert [(r.name, r.distance) for r in got] == [("Near", 2), ("Rear", 3)]
+    assert [tuple(r) for r in got] == oracles.rank_responders(
+        roster, **medical_event(coach="S3"))
 
 
 def test_roster_with_duplicate_pnrs_keeps_the_first():
@@ -473,7 +498,7 @@ def test_roster_index_follows_updates(taxonomy, seed):
         except FallbackRequired:
             assert expected == []
         else:
-            assert [(r.name, r.coach, r.distance) for r in got] == expected
+            assert [tuple(r) for r in got] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +558,15 @@ def test_record_line_round_trip():
     assert rid == 7 and back == rec
 
 
-def test_record_round_trip_with_escapes():
-    rec = sample_event_record(case_history="fell\tdown\nhard\\ly")
-    _, back = parse_record_line(record_to_line(1, rec))
-    assert back.case_history == "fell\tdown\nhard\\ly"
+@pytest.mark.parametrize("case", ["fell\tdown", "fell\ndown", "hard\\ly",
+                                  "fell\tdown\nhard\\ly"])
+def test_record_round_trip_with_escapes(case):
+    # each character the line format escapes, alone and together
+    rec = sample_event_record(case_history=case)
+    line = record_to_line(1, rec)
+    assert "\n" not in line and line.count("\t") == 15
+    _, back = parse_record_line(line)
+    assert back.case_history == case
 
 
 @given(st.one_of(st.text(alphabet="\\tn\t\nx"), st.text()))
@@ -739,6 +769,37 @@ def info(etype=EventType.MEDICAL, spec="Orthopedics", symptoms=("fracture",),
 NOW = datetime(2011, 11, 5, 9, 20)
 
 
+def test_message_sink_appends_the_lines_a_text_mode_append_wrote(tmp_path):
+    # one UTF-8 line per message, byte for byte as open(path, "a",
+    # encoding="utf-8").write(line) wrote it; the file appears on the first append
+    path = tmp_path / "events.log.messages"
+    reference = tmp_path / "reference"
+    sink = scenario.MessageSink(path)
+    messages = [("Zoë", "S7", "Emergency Orthopedics emergency coach S5 seat 21: fell"),
+                ("Ravi", "S1", "Major Cardiology emergency coach S2 seat 3: 胸痛 — ∆ 🚑"),
+                ("Ravi", "S1", "")]
+    assert not path.exists()
+    for seq, (name, coach, message) in enumerate(messages, 1):
+        assert sink.append(name, coach, message) == seq
+        with open(reference, "a", encoding="utf-8") as fh:
+            fh.write(f"{name}\t{coach}\t{message}\n")
+        assert path.read_bytes() == reference.read_bytes()
+    assert path.read_bytes().startswith("Zoë\tS7\t".encode("utf-8"))
+    assert path.read_bytes().count(b"\n") == len(messages)
+    assert sink.entries == messages
+
+
+def test_message_sink_finishes_a_short_write(tmp_path, monkeypatch):
+    path = tmp_path / "messages"
+    write = os.write
+    monkeypatch.setattr(scenario.os, "write", lambda fd, data: write(fd, data[:3]))
+    sink = scenario.MessageSink(path)
+    sink.append("Zoë", "S7", "fell")
+    sink.append("Ravi", "S1", "ok")
+    monkeypatch.undo()
+    assert path.read_bytes() == "Zoë\tS7\tfell\nRavi\tS1\tok\n".encode("utf-8")
+
+
 def test_report_registered_patient_assigns_responder(dispatch_context):
     outcome = report_emergency(dispatch_context, "P003", info(), NOW)
     assert outcome.kind is OutcomeKind.RESPONDER_ASSIGNED
@@ -834,6 +895,22 @@ def test_report_rejects_a_symptom_that_would_not_read_back(dispatch_context, sym
     assert ctx.roster is roster and ctx.taxonomy is taxonomy
     assert not ctx.roster.get("P004").registered_for_service
     assert ctx.log.path.read_bytes() == before
+    assert ctx.message_sink.entries == []
+
+
+@pytest.mark.parametrize("pnr", ["P003", "P004"])
+@pytest.mark.parametrize("field", ["case", "spec", "symptoms"])
+def test_report_rejects_text_utf8_cannot_encode(dispatch_context, field, pnr):
+    # a lone surrogate (a non-UTF-8 byte of an argv value) can be written
+    # neither to the log nor to the message sink; P003's report would notify
+    # Ravi and P004's would register P004, so nothing of either may happen
+    ctx = dispatch_context
+    roster, taxonomy = ctx.roster, ctx.taxonomy
+    bad = {"case": "fell\udcff", "spec": "Ortho\udcff", "symptoms": ("pain", "\udcff")}
+    with pytest.raises(scenario.FluxError, match="is not valid UTF-8"):
+        report_emergency(ctx, pnr, info(**{field: bad[field]}), NOW)
+    assert ctx.roster is roster and ctx.taxonomy is taxonomy
+    assert ctx.log.path.read_bytes() == b""
     assert ctx.message_sink.entries == []
 
 
